@@ -1,23 +1,28 @@
-"""Recursive twist balancing: find integer fibral-twist coefficients that
-make a bundle class pass every window inequality.
+"""Twist balancing: integer fibral-twist coefficients that make a bundle
+class pass every window inequality, found in one top-down pass.
 
-Positions are processed from N-1 down to 1.  Twisting by a*Y_i shifts
-the chi sum over G(i) by exactly -r*a while leaving every window bound
-and every already-settled higher position untouched, so each step is a
+The ordering is a parent array and G(i) is the subtree of position i.
+Twisting by a*Y_i lowers the chi sum over G(i) by r*a (its one node
+outside G(i) is the edge to the parent) and raises the chi sum over
+G(c) by r*a for each child c of position i (the node joining G(c) to
+Y_i).  Every other window keeps its chi sum, and no window bound moves.
+So positions are settled from N-1 down to 1: at position i every
+position above it is settled, the only settled twist that reaches G(i)
+is its parent's, and the chi sum there is base_i + r*a_parent(i), while
+the choice of a_i moves only lower, unsettled windows.  Each step is a
 one-dimensional integer search in a rational window of width exactly 1
 (width r before dividing by r).  The window therefore contains one or
 two integers; ties go to the smaller coefficient, which parks the chi
 sum at the upper endpoint.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curve import Ordering, TreeLikeCurve, prune_ordering
-from .errors import IndexOutOfRange, PreconditionViolated
-from .stability import Polarization, lambda_check
-from .twist import BundleClass, TwistDivisor, euler_char_total, twist
+from .curve import Ordering, TreeLikeCurve, prune_ordering, verify_ordering
+from .errors import IndexOutOfRange, InvariantViolated, PreconditionViolated
+from .stability import Polarization, _windows
+from .twist import BundleClass, TwistDivisor, twist
 
 
 @dataclass(frozen=True)
@@ -53,9 +58,10 @@ class DistanceEntry:
 
 def window_integers(value: int, lower: Fraction, rank: int) -> tuple:
     """Integers a with lower <= value - rank*a <= lower + rank, ascending."""
-    hi = Fraction(value - lower, rank)
-    lo = hi - 1
-    return tuple(a for a in range(math.ceil(lo), math.floor(hi) + 1))
+    # with lower = p/q: top - q*rank <= q*rank*a <= top, where top = q*value - p
+    q = lower.denominator
+    top = q * value - lower.numerator
+    return tuple(range(-(-top // (q * rank)) - 1, top // (q * rank) + 1))
 
 
 def balance_step(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
@@ -69,14 +75,15 @@ def balance_step(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
     n = ordering.n
     if not 1 <= i < n:
         raise IndexOutOfRange(f"balance steps run at positions 1..{n - 1}")
-    verdicts = lambda_check(c, ordering, bc, pol)
-    bad = [v.i for v in verdicts if v.i > i and not v.passes]
+    c.require_valid()
+    verify_ordering(c, ordering)
+    values, lowers = _windows(c, ordering, bc, pol)
+    r = bc.rank
+    bad = [k + 1 for k in range(i, n) if not lowers[k] <= values[k] <= lowers[k] + r]
     if bad:
         raise PreconditionViolated(
             f"positions {bad} above {i} must pass before balancing position {i}")
-    v = verdicts[i - 1]
-    candidates = window_integers(v.value, v.lower, bc.rank)
-    a = candidates[0]
+    a = window_integers(values[i - 1], lowers[i - 1], r)[0]
     y = ordering.perm[i - 1]
     step_twist = TwistDivisor(coeffs={j: (a if j == y else 0) for j in c.ids})
     return a, twist(c, bc, step_twist)
@@ -86,48 +93,45 @@ def balance(c: TreeLikeCurve, bc: BundleClass, pol: Polarization) -> BalanceResu
     """Twist the class into one passing every window inequality.
 
     Runs exactly N-1 steps in decreasing position order; the last
-    position needs no twist.  Total degree and chi are conserved and the
-    verdicts at already-processed positions are asserted unchanged after
-    every step.
+    position needs no twist.  The accumulated twist is then replayed
+    through ``twist`` and every window re-evaluated: the replayed class
+    must pass them all and keep the total degree and chi, or
+    InvariantViolated is raised.
     """
     ordering = prune_ordering(c)
-    n = ordering.n
-    coeffs = {j: 0 for j in c.ids}
-    current = bc
+    perm, nu, n, r = ordering.perm, ordering.nu, ordering.n, bc.rank
+    values, lowers = _windows(c, ordering, bc, pol)
+    a = [0] * n
     steps = []
-    for i in range(n - 1, 0, -1):
-        before = lambda_check(c, ordering, current, pol)
-        v = before[i - 1]
-        candidates = window_integers(v.value, v.lower, bc.rank)
-        a, current = balance_step(c, ordering, current, pol, i)
-        coeffs[ordering.perm[i - 1]] = a
-        after = lambda_check(c, ordering, current, pol)
-        assert all(after[t - 1].passes for t in range(i, n + 1)), \
-            "balance step failed to settle its own position"
-        assert all((after[t - 1].value, after[t - 1].lower) ==
-                   (before[t - 1].value, before[t - 1].lower)
-                   for t in range(i + 1, n + 1)), \
-            "balance step disturbed a higher position"
-        steps.append(BalanceStep(i=i, component=ordering.perm[i - 1], value=v.value,
-                                 lower=v.lower, upper=v.upper,
-                                 candidates=candidates, chosen=a))
-    t = TwistDivisor(coeffs=coeffs)
-    replayed = twist(c, bc, t)
-    assert replayed == current, "accumulated twist does not replay the steps"
-    assert euler_char_total(c, replayed) == euler_char_total(c, bc)
-    assert replayed.total_degree == bc.total_degree
-    return BalanceResult(ordering=ordering, twist=t, balanced=current, steps=tuple(steps))
+    for k in range(n - 2, -1, -1):
+        value = values[k] + r * a[nu[k] - 1]
+        candidates = window_integers(value, lowers[k], r)
+        a[k] = candidates[0]
+        steps.append(BalanceStep(i=k + 1, component=perm[k], value=value,
+                                 lower=lowers[k], upper=lowers[k] + r,
+                                 candidates=candidates, chosen=a[k]))
+    by_id = dict(zip(perm, a))
+    t = TwistDivisor(coeffs={j: by_id[j] for j in c.ids})
+    balanced = twist(c, bc, t)
+    after, _ = _windows(c, ordering, balanced, pol)
+    # the last window's chi sum is chi + r(N - 1), so it carries total chi
+    if balanced.total_degree != bc.total_degree or after[-1] != values[-1] \
+            or not all(lo <= v <= lo + r for v, lo in zip(after, lowers)):
+        raise InvariantViolated("the accumulated twist does not balance the class")
+    return BalanceResult(ordering=ordering, twist=t, balanced=balanced, steps=tuple(steps))
 
 
 def unbalance_report(c: TreeLikeCurve, bc: BundleClass, pol: Polarization) -> list:
     """Distance of each position's chi sum to its window, for diagnostics."""
     ordering = prune_ordering(c)
+    values, lowers = _windows(c, ordering, bc, pol)
     out = []
-    for v in lambda_check(c, ordering, bc, pol):
-        if v.passes:
+    for k, (value, lower) in enumerate(zip(values, lowers)):
+        upper = lower + bc.rank
+        if lower <= value <= upper:
             dist = Fraction(0)
         else:
-            dist = min(abs(v.value - v.lower), abs(v.value - v.upper))
-        out.append(DistanceEntry(i=v.i, component=v.component, distance=dist,
-                                 value=v.value, lower=v.lower, upper=v.upper))
+            dist = min(abs(value - lower), abs(value - upper))
+        out.append(DistanceEntry(i=k + 1, component=ordering.perm[k], distance=dist,
+                                 value=value, lower=lower, upper=upper))
     return out

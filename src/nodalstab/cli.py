@@ -19,7 +19,7 @@ from . import gpb as gpb_mod
 from . import serialize as ser
 from .balance import balance as run_balance
 from .curve import prune_ordering, validate_curve
-from .errors import InvalidInput, NoRoot, NodalStabError, SingularProjection
+from .errors import InvalidInput, NodalStabError
 from .fields import parse_field
 from .stability import lambda_check
 from .truncated import TruncatedScalar, det_trace_identity, sl_kernel_check, torsor_correct
@@ -228,31 +228,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(obj, out_path) -> None:
-    text = ser.dumps_report(obj)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _error(e: NodalStabError) -> dict:
+    detail = {"code": type(e).__name__, "detail": str(e)}
+    for key in ("field", "line"):
+        if getattr(e, key, None) is not None:
+            detail[key] = getattr(e, key)
+    return {"error": detail}
 
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         obj, code = args.func(args)
-    except (SingularProjection, NoRoot) as e:
-        obj, code = {"error": {"code": type(e).__name__, "detail": str(e)}}, EXIT_FAIL
-    except InvalidInput as e:
-        detail = {"code": type(e).__name__, "detail": str(e)}
-        if getattr(e, "field", None) is not None:
-            detail["field"] = e.field
-        if getattr(e, "line", None) is not None:
-            detail["line"] = e.line
-        obj, code = {"error": detail}, EXIT_INPUT
     except NodalStabError as e:
-        obj, code = {"error": {"code": type(e).__name__, "detail": str(e)}}, EXIT_FAIL
-    _emit(obj, args.out)
+        obj, code = _error(e), (EXIT_INPUT if isinstance(e, InvalidInput) else EXIT_FAIL)
+    text = ser.dumps_report(obj)
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return code
+        except OSError as e:
+            text = ser.dumps_report(_error(InvalidInput(f"cannot write {args.out}: {e.strerror}")))
+            code = EXIT_INPUT
+    sys.stdout.write(text)
     return code
 
 

@@ -128,40 +128,46 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class Ordering:
-    """A component ordering with the one-branch property.
+    """A component ordering with the one-branch property, as a parent array.
 
     ``perm[k]`` is the component id at order position k+1.  For every
-    position i < N, all higher-positioned components lie in the single
-    branch ``b_sets[i-1]`` of the curve minus component i, ``nu[i-1]`` is
-    the position of the unique component of that branch adjacent to
-    component i, and ``g_sets[i-1]`` is the complementary side (which
-    contains component i).  Position N has ``g_sets[N-1]`` equal to the
-    whole curve.
+    position i < N, ``nu[i-1]`` > i is the position of its parent: the
+    unique higher-positioned component adjacent to component i.  The
+    parent edges are exactly the curve's nodes, so they form the dual tree
+    rooted at position N, and G(i) is the subtree of position i: component
+    i and everything below it.  B(i) is the rest of the curve, the single
+    branch of the curve minus component i that holds every higher
+    position; at position N, G is the whole curve and B is empty.
+
+    ``subtrees``, ``g_sets`` and ``b_sets`` are derived from ``perm`` and
+    ``nu`` when first read.  They take O(N * depth) space, so nothing that
+    only needs window sums reads them.
     """
 
     perm: tuple
     nu: tuple
-    g_sets: tuple
-    b_sets: tuple
 
     @property
     def n(self) -> int:
         return len(self.perm)
 
     @cached_property
-    def _positions(self) -> dict:
-        return {cid: k + 1 for k, cid in enumerate(self.perm)}
+    def subtrees(self) -> tuple:
+        """The ids of G(i) at every position, each as a sorted tuple."""
+        below = [[cid] for cid in self.perm]
+        for k, p in enumerate(self.nu):
+            below[k].sort()
+            below[p - 1] += below[k]
+        below[-1].sort()
+        return tuple(map(tuple, below))
 
-    def position(self, comp_id: int) -> int:
-        try:
-            return self._positions[comp_id]
-        except KeyError:
-            raise IndexOutOfRange(f"component {comp_id} is not in this ordering") from None
+    @cached_property
+    def g_sets(self) -> tuple:
+        return tuple(map(frozenset, self.subtrees))
 
-    def component_at(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise IndexOutOfRange(f"order index {i} out of range 1..{self.n}")
-        return self.perm[i - 1]
+    @cached_property
+    def b_sets(self) -> tuple:
+        return tuple(self.g_sets[-1] - g for g in self.g_sets)
 
     def boundary_edge(self, i: int):
         """The unique node joining G(i) and B(i), as an id pair; None at i = N."""
@@ -247,53 +253,42 @@ def prune_ordering(c: TreeLikeCurve) -> Ordering:
 
     Leaves are peeled round by round: all current leaves, in increasing
     id order, then the leaves of what remains, and so on; the final
-    surviving component takes position N.  Each removal records the
-    unique surviving neighbor, which becomes nu at that position.
+    surviving component takes position N.  One pass does it: removing a
+    leaf lowers the degree of its unique surviving neighbor, which joins
+    the next round's queue once it is a leaf itself, and becomes nu at the
+    removed leaf's position.
     """
     c.require_valid()
     ids = c.ids
     n = len(ids)
-    if n == 1:
-        only = ids[0]
-        return Ordering(perm=(only,), nu=(), g_sets=(frozenset(ids),), b_sets=(frozenset(),))
-
-    deg = {i: c.degree(i) for i in ids}
-    alive = set(ids)
-    perm = []
-    parent = {}
-    while len(alive) > 1:
-        # one round: the current leaves, smallest id first; leaves of the
-        # same round are never adjacent unless only two vertices remain
-        for v in sorted(i for i in alive if deg[i] == 1):
-            if len(alive) == 1:
-                break
-            w = next(u for u in c.neighbors[v] if u in alive)
-            parent[v] = w
+    deg = {i: len(c.neighbors[i]) for i in ids}
+    gone = set()
+    perm, parent = [], []
+    leaves = sorted(i for i in ids if deg[i] == 1)
+    while len(perm) < n - 1:
+        # leaves of one round are never adjacent unless only two remain,
+        # and then the second one is the survivor
+        next_leaves = []
+        for v in leaves[:n - 1 - len(perm)]:
+            w = next(u for u in c.neighbors[v] if u not in gone)
+            gone.add(v)
             perm.append(v)
-            alive.discard(v)
+            parent.append(w)
             deg[w] -= 1
-            deg[v] = 0
-    perm.append(alive.pop())
-
+            if deg[w] == 1:
+                next_leaves.append(w)
+        leaves = sorted(next_leaves)
+    perm.append(next(i for i in ids if i not in gone))
     pos = {cid: k + 1 for k, cid in enumerate(perm)}
-    nu = tuple(pos[parent[perm[k]]] for k in range(n - 1))
-    everything = frozenset(ids)
-    g_sets, b_sets = [], []
-    for k in range(n - 1):
-        b = _split_off(c, perm[k], parent[perm[k]])
-        g_sets.append(everything - b)
-        b_sets.append(b)
-    g_sets.append(everything)
-    b_sets.append(frozenset())
-    return Ordering(perm=tuple(perm), nu=nu, g_sets=tuple(g_sets), b_sets=tuple(b_sets))
+    return Ordering(perm=tuple(perm), nu=tuple(pos[w] for w in parent))
 
 
 def decompose(c: TreeLikeCurve, ordering: Ordering, i: int):
     """Split the curve at order position i into (G(i), B(i), boundary node).
 
     Recomputed from the graph, not read off the ordering, so it can be
-    cross-checked against the stored sets.  At i = N the whole curve is
-    G and there is no boundary node.
+    cross-checked against the sets derived from the parent array.  At
+    i = N the whole curve is G and there is no boundary node.
     """
     c.require_valid()
     n = ordering.n
@@ -313,46 +308,26 @@ def decompose(c: TreeLikeCurve, ordering: Ordering, i: int):
 
 
 def verify_ordering(c: TreeLikeCurve, ordering: Ordering) -> None:
-    """Check every ordering invariant against the curve; raise OrderingMismatch.
+    """Check an ordering against the curve in O(N); raise OrderingMismatch.
 
-    For each position i < N this recomputes the connected pieces of the
-    curve minus component i and confirms that the higher-positioned
-    components occupy exactly one of them, that the stored G/B sets match,
-    and that the two sides meet in a single node at nu(i).
+    ``perm`` must be a permutation of the component ids, every nu(i) must
+    lie in i+1..N, and the parent edges {perm(i), perm(nu(i))} must be
+    exactly the curve's nodes.  On a tree this is the one-branch property:
+    every other neighbor of component i is then a child, at a lower
+    position, and the higher positions form one connected branch through
+    nu(i).
     """
     n = len(c.ids)
-    if sorted(ordering.perm) != sorted(c.ids):
+    perm, nu = ordering.perm, ordering.nu
+    if len(perm) != n or set(perm) != set(c.ids):
         raise OrderingMismatch("perm is not a permutation of the curve's component ids")
-    if len(ordering.nu) != n - 1 or len(ordering.g_sets) != n or len(ordering.b_sets) != n:
-        raise OrderingMismatch("ordering tables have the wrong length")
-    everything = frozenset(c.ids)
-    if ordering.g_sets[n - 1] != everything or ordering.b_sets[n - 1] != frozenset():
-        raise OrderingMismatch("position N must carry the whole curve")
-    pos = {cid: k + 1 for k, cid in enumerate(ordering.perm)}
-    for k in range(n - 1):
-        i = k + 1
-        y = ordering.perm[k]
-        rest = [cid for cid in c.ids if cid != y]
-        pieces = []
-        unseen = set(rest)
-        while unseen:
-            piece = _split_off(c, y, next(iter(unseen)))
-            pieces.append(piece)
-            unseen -= piece
-        high = [p for p in pieces if any(pos[v] > i for v in p)]
-        if len(high) != 1:
-            raise OrderingMismatch(
-                f"position {i}: higher components occupy {len(high)} pieces, need exactly 1")
-        b = high[0]
-        if b != ordering.b_sets[k] or everything - b != ordering.g_sets[k]:
-            raise OrderingMismatch(f"position {i}: stored G/B sets do not match the graph")
-        crossing = [e for e in c.simple_edges
-                    if (e[0] in b) != (e[1] in b)]
-        if len(crossing) != 1:
-            raise OrderingMismatch(f"position {i}: G and B meet in {len(crossing)} nodes")
-        nu_i = ordering.nu[k]
-        if nu_i <= i:
-            raise OrderingMismatch(f"nu({i}) = {nu_i} is not greater than {i}")
-        anchor = ordering.perm[nu_i - 1]
-        if set(crossing[0]) != {y, anchor}:
-            raise OrderingMismatch(f"position {i}: boundary node is not the edge to nu({i})")
+    if len(nu) != n - 1:
+        raise OrderingMismatch(f"nu has {len(nu)} entries, need {n - 1}")
+    edges = set()
+    for k, nu_i in enumerate(nu):
+        if not k + 2 <= nu_i <= n:
+            raise OrderingMismatch(f"nu({k + 1}) = {nu_i} is outside {k + 2}..{n}")
+        a, b = perm[k], perm[nu_i - 1]
+        edges.add((a, b) if a <= b else (b, a))
+    if edges != c.simple_edges:
+        raise OrderingMismatch("the parent edges of the ordering are not the curve's nodes")

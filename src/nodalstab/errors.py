@@ -68,6 +68,10 @@ class PreconditionViolated(NodalStabError):
     """A balancing step was invoked out of order."""
 
 
+class InvariantViolated(NodalStabError):
+    """An internal consistency check failed: a defect, not bad input."""
+
+
 class DimensionBound(InvalidInput):
     """A flag dimension exceeds the subbundle rank."""
 

@@ -166,7 +166,7 @@ def phi_rank_degree(g: GpbClass, genus_normalization: int) -> PhiNumbers:
 
     On the normalization the class has chi = d + r(1 - g); descending
     drops r per node, and the nodal curve's genus gains the node count,
-    so the degree comes back out equal to d.  The identity is asserted.
+    so the degree comes back out equal to d.
     """
     if genus_normalization < 0:
         raise InvalidInput("genus must be nonnegative")
@@ -176,9 +176,7 @@ def phi_rank_degree(g: GpbClass, genus_normalization: int) -> PhiNumbers:
     chi_upstairs = d + r * (1 - genus_normalization)
     chi = chi_upstairs - gamma * r
     rho_a = genus_normalization + gamma
-    degree = chi + r * (rho_a - 1)
-    assert degree == d, "descent must preserve the degree"
-    return PhiNumbers(rank=r, degree=degree, chi=chi)
+    return PhiNumbers(rank=r, degree=chi + r * (rho_a - 1), chi=chi)
 
 
 def build_rational_flag(field, r: int, d: int, a: int) -> GluingFlag:

@@ -35,6 +35,8 @@ def read_json(path: str):
             return json.load(fh)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text: bad byte at offset {e.start}") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON in {path}: {e.msg}", line=e.lineno) from None
 

@@ -5,6 +5,7 @@ have width exactly the rank, so endpoint ties are meaningful and no
 floating point is allowed anywhere.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from .errors import (
     WrongArity,
     ZeroMultirank,
 )
-from .twist import BundleClass, chi_subcurve_sum, euler_char_total, require_match
+from .twist import BundleClass, euler_char_total, require_match
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,35 @@ def polarization_from_ample(h: AmpleDegrees) -> Polarization:
     return Polarization(weights={i: Fraction(v, total) for i, v in h.degrees.items()})
 
 
+def _windows(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
+             pol: Polarization):
+    """Chi sum over G(i) and lower window bound at every order position.
+
+    G(i) is the subtree of position i in the parent array, so its chi
+    sum, weight and size are subtree sums: one leaves-first pass over
+    ``perm`` adds each position's totals into its parent's.  Weights are
+    scaled by the lcm of their denominators so the sums stay integers.
+    The ordering must already be known to belong to the curve.
+    """
+    c.require_valid()
+    require_match(c, bc.multidegree, "multidegree")
+    require_match(c, pol.weights, "polarization weights")
+    r, n = bc.rank, ordering.n
+    den = math.lcm(*(w.denominator for w in pol.weights.values()))
+    values, weights, sizes = [], [], [1] * n
+    for cid in ordering.perm:
+        w = pol.weights[cid]
+        values.append(bc.multidegree[cid] + r * (1 - c.component(cid).arithmetic_genus))
+        weights.append(w.numerator * (den // w.denominator))
+    for k, p in enumerate(ordering.nu):
+        values[p - 1] += values[k]
+        weights[p - 1] += weights[k]
+        sizes[p - 1] += sizes[k]
+    chi = values[-1] - r * (n - 1)
+    lowers = [Fraction(w * chi + den * r * (s - 1), den) for w, s in zip(weights, sizes)]
+    return values, lowers
+
+
 def lambda_check(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
                  pol: Polarization) -> list:
     """Evaluate the window inequality at every order position.
@@ -109,27 +139,14 @@ def lambda_check(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
     with chi + r(N - 1) and always sits at the lower endpoint.
     """
     c.require_valid()
-    require_match(c, bc.multidegree, "multidegree")
-    require_match(c, pol.weights, "polarization weights")
     verify_ordering(c, ordering)
-    chi = euler_char_total(c, bc)
-    r = bc.rank
+    values, lowers = _windows(c, ordering, bc, pol)
     out = []
-    for k in range(ordering.n):
-        g = ordering.g_sets[k]
-        weight = sum((pol.weights[j] for j in g), Fraction(0))
-        lower = weight * chi + r * (len(g) - 1)
-        upper = lower + r
-        value = chi_subcurve_sum(c, bc, g)
-        out.append(IndexVerdict(
-            i=k + 1,
-            component=ordering.perm[k],
-            g_components=tuple(sorted(g)),
-            lower=lower,
-            upper=upper,
-            value=value,
-            passes=lower <= value <= upper,
-        ))
+    for k, (cid, g, value, lower) in enumerate(
+            zip(ordering.perm, ordering.subtrees, values, lowers)):
+        upper = lower + bc.rank
+        out.append(IndexVerdict(i=k + 1, component=cid, g_components=g, lower=lower,
+                                upper=upper, value=value, passes=lower <= value <= upper))
     return out
 
 

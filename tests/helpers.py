@@ -51,6 +51,29 @@ def random_curve(rng: random.Random, n_max=8, genus_max=3) -> TreeLikeCurve:
     return TreeLikeCurve(components=tuple(comps), edges=tuple(random_tree_edges(rng, n)))
 
 
+SHAPES = ("prufer", "path", "star", "caterpillar")
+
+
+def shaped_tree_edges(rng: random.Random, n: int, shape: str):
+    """A labelled tree on ids 1..n of the given shape, labels shuffled."""
+    if shape == "prufer":
+        return random_tree_edges(rng, n)
+    ids = list(range(1, n + 1))
+    rng.shuffle(ids)
+    if shape == "path":
+        return list(zip(ids, ids[1:]))
+    if shape == "star":
+        return [(ids[0], v) for v in ids[1:]]
+    spine = ids[:max(1, n // 2)]
+    return list(zip(spine, spine[1:])) + [(rng.choice(spine), v) for v in ids[len(spine):]]
+
+
+def shaped_curve(rng: random.Random, n: int, shape: str) -> TreeLikeCurve:
+    comps = tuple(Component(id=i, geometric_genus=rng.randint(0, 2),
+                            internal_nodes=rng.randint(0, 1)) for i in range(1, n + 1))
+    return TreeLikeCurve(components=comps, edges=tuple(shaped_tree_edges(rng, n, shape)))
+
+
 def random_bundle(rng: random.Random, c: TreeLikeCurve, ranks=(2, 3, 4), d_bound=20):
     return BundleClass(rank=rng.choice(list(ranks)),
                        multidegree={i: rng.randint(-d_bound, d_bound) for i in c.ids})
@@ -115,6 +138,32 @@ def ordering_satisfies_one_branch(c: TreeLikeCurve, perm) -> bool:
         if len(adj[perm[k]] & higher) != 1:
             return False
     return True
+
+
+def round_prune_ordering(c: TreeLikeCurve):
+    """(perm, nu) of the leaf-pruning rule, peeled round by round.
+
+    Each round takes every current leaf, smallest id first; the last
+    survivor goes to position N, and nu records each leaf's surviving
+    neighbor.  This is the rule ``prune_ordering`` implements in one pass.
+    """
+    adj = adjacency(c)
+    deg = {i: len(adj[i]) for i in c.ids}
+    alive = set(c.ids)
+    perm, parent = [], {}
+    while len(alive) > 1:
+        for v in sorted(i for i in alive if deg[i] == 1):
+            if len(alive) == 1:
+                break
+            w = next(u for u in adj[v] if u in alive)
+            parent[v] = w
+            perm.append(v)
+            alive.discard(v)
+            deg[w] -= 1
+            deg[v] = 0
+    perm.append(alive.pop())
+    pos = {cid: k + 1 for k, cid in enumerate(perm)}
+    return tuple(perm), tuple(pos[parent[v]] for v in perm[:-1])
 
 
 # ----------------------------------------------- window inequalities, by hand

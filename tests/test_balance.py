@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from nodalstab import (
     prune_ordering,
     unbalance_report,
 )
-from nodalstab.errors import IndexOutOfRange, PreconditionViolated
+from nodalstab.balance import window_integers
+from nodalstab.errors import IndexOutOfRange, NodalStabError, PreconditionViolated
 
 
 def curve(decorations, edges):
@@ -155,3 +157,36 @@ def test_unbalance_report_zero_iff_passes():
         report = unbalance_report(c, bc, pol)
         all_zero = all(e.distance == 0 for e in report)
         assert all_zero == lambda_check_passes(c, prune_ordering(c), bc, pol)
+
+
+def test_balance_agrees_with_brute_force_random_trees():
+    rng = random.Random(59)
+    for _ in range(30):
+        c = helpers.shaped_curve(rng, rng.randint(2, 4), rng.choice(helpers.SHAPES))
+        bc = helpers.random_bundle(rng, c, ranks=(2, 3), d_bound=6)
+        pol = helpers.random_polarization(rng, c)
+        result = balance(c, bc, pol)
+        bound = max(2, max(abs(a) for a in result.twist.coeffs.values()))
+        sols = helpers.brute_force_solutions(c, result.ordering, bc, pol, bound=bound)
+        assert result.twist.coeffs in sols
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda c, bc, t: bc,
+    lambda c, bc, t: BundleClass(rank=bc.rank, multidegree={i: d + (i == 1) for i, d in
+                                                            bc.multidegree.items()}),
+])
+def test_balance_replay_check_catches_a_wrong_twist(monkeypatch, wrong):
+    monkeypatch.setattr(importlib.import_module("nodalstab.balance"), "twist", wrong)
+    with pytest.raises(NodalStabError):
+        balance(PATH2, BC2, HALF)
+
+
+def test_window_integers_match_the_definition():
+    rng = random.Random(61)
+    for _ in range(600):
+        lower = Fraction(rng.randint(-100, 100), rng.randint(1, 30))
+        value, rank = rng.randint(-100, 100), rng.randint(1, 6)
+        brute = tuple(a for a in range(-210, 211)
+                      if lower <= value - rank * a <= lower + rank)
+        assert window_integers(value, lower, rank) == brute

@@ -220,3 +220,20 @@ def test_report_round_trips(capsys):
                                str(CURVES / f"{name}.json"))
         assert code == 0
         assert json.loads(json.dumps(report)) == report
+
+
+def test_non_utf8_input_is_input_error(tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    path.write_bytes(b'{"components": [{"id": 1}], "edges": [], "note": "\xff\xfe"}')
+    code, report = run_cli(capsys, "validate", "--curve", str(path))
+    assert code == 2
+    assert report["error"]["code"] == "ParseError"
+
+
+def test_unwritable_out_path_is_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    code, report = run_cli(capsys, "validate", "--curve", str(CURVES / "path3.json"),
+                           "--out", str(out))
+    assert code == 2
+    assert report["error"]["code"] == "InvalidInput"
+    assert not out.exists()

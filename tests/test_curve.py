@@ -6,6 +6,7 @@ import helpers
 from nodalstab import (
     BundleClass,
     Component,
+    Ordering,
     TreeLikeCurve,
     arithmetic_genus,
     decompose,
@@ -204,7 +205,7 @@ def test_decompose_index_out_of_range():
 
 def test_verify_ordering_rejects_swapped_positions():
     o = prune_ordering(PATH3)
-    swapped = type(o)(perm=(2, 3, 1), nu=o.nu, g_sets=o.g_sets, b_sets=o.b_sets)
+    swapped = type(o)(perm=(2, 3, 1), nu=o.nu)
     with pytest.raises(OrderingMismatch):
         verify_ordering(PATH3, swapped)
 
@@ -214,3 +215,53 @@ def test_verify_ordering_rejects_wrong_curve():
     other = curve([(1, 0, 0), (2, 0, 0), (3, 0, 0)], [(1, 3), (3, 2)])
     with pytest.raises(OrderingMismatch):
         verify_ordering(other, o)
+
+
+def test_verify_ordering_rejects_out_of_range_nu():
+    with pytest.raises(OrderingMismatch):
+        verify_ordering(PATH3, Ordering(perm=(1, 3, 2), nu=(3, 7)))
+    with pytest.raises(OrderingMismatch):
+        verify_ordering(PATH3, Ordering(perm=(1, 3, 2), nu=(3, 0)))
+
+
+def test_verify_ordering_rejects_downward_nu():
+    # the parent edges {2,3} and {1,2} are the curve's nodes, but nu(2)
+    # points below position 2
+    with pytest.raises(OrderingMismatch):
+        verify_ordering(PATH3, Ordering(perm=(2, 1, 3), nu=(3, 1)))
+    with pytest.raises(OrderingMismatch):
+        verify_ordering(PATH3, Ordering(perm=(2, 1, 3), nu=(3, 2)))
+
+
+def test_verify_ordering_rejects_parent_edge_off_the_curve():
+    # nu(1) = 2 joins components 1 and 3, which share no node
+    with pytest.raises(OrderingMismatch):
+        verify_ordering(PATH3, Ordering(perm=(1, 3, 2), nu=(2, 3)))
+
+
+def test_verify_ordering_rejects_wrong_nu_length():
+    with pytest.raises(OrderingMismatch):
+        verify_ordering(PATH3, Ordering(perm=(1, 3, 2), nu=(3,)))
+
+
+@pytest.mark.parametrize("shape", helpers.SHAPES)
+def test_prune_ordering_matches_round_based_rule(shape):
+    rng = random.Random(helpers.SHAPES.index(shape))
+    for n in [1, 2, 3, 4, 5, 7, 12, 31, 64, 150, 300]:
+        for _ in range(3):
+            c = helpers.shaped_curve(rng, n, shape)
+            o = prune_ordering(c)
+            assert (o.perm, o.nu) == helpers.round_prune_ordering(c)
+            verify_ordering(c, o)
+
+
+def test_lazy_sets_match_decompose_at_every_position():
+    rng = random.Random(17)
+    for _ in range(60):
+        c = helpers.shaped_curve(rng, rng.randint(1, 40), rng.choice(helpers.SHAPES))
+        o = prune_ordering(c)
+        for i in range(1, o.n + 1):
+            g, b, node = decompose(c, o, i)
+            assert (o.g_sets[i - 1], o.b_sets[i - 1]) == (g, b)
+            assert o.subtrees[i - 1] == tuple(sorted(g))
+            assert o.boundary_edge(i) == node

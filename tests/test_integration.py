@@ -12,6 +12,7 @@ from nodalstab import (
     TwistDivisor,
     balance,
     balance_step,
+    decompose,
     gieseker_vs_seshadri,
     euler_char_total,
     lambda_check,
@@ -21,33 +22,23 @@ from nodalstab import (
     twist,
     verify_ordering,
 )
-from nodalstab.curve import _split_off
 
 
 def ordering_from_perm(c, perm):
-    """Build the full ordering tables from any valid leaf-pruning order.
+    """Build the ordering of any valid leaf-pruning order.
 
-    nu(i) is the unique higher-positioned neighbor of component i, and
-    B(i) is the piece of the curve minus component i hanging off it.
+    nu(i) is the position of the unique higher-positioned neighbor of
+    component i.
     """
     pos = {cid: k + 1 for k, cid in enumerate(perm)}
-    n = len(perm)
-    everything = frozenset(c.ids)
-    g_sets, b_sets, nu = [], [], []
-    for k in range(n - 1):
+    nu = []
+    for k in range(len(perm) - 1):
         y = perm[k]
         higher = {cid for cid in c.ids if pos[cid] > k + 1}
         anchors = c.neighbors[y] & higher
         assert len(anchors) == 1, "perm is not a leaf-pruning order"
-        anchor = next(iter(anchors))
-        b = _split_off(c, y, anchor)
-        g_sets.append(everything - b)
-        b_sets.append(b)
-        nu.append(pos[anchor])
-    g_sets.append(everything)
-    b_sets.append(frozenset())
-    return Ordering(perm=tuple(perm), nu=tuple(nu),
-                    g_sets=tuple(g_sets), b_sets=tuple(b_sets))
+        nu.append(pos[next(iter(anchors))])
+    return Ordering(perm=tuple(perm), nu=tuple(nu))
 
 
 def random_pruning_perm(rng, c):
@@ -73,6 +64,8 @@ def test_alternate_valid_orderings_are_accepted():
         o = ordering_from_perm(c, perm)
         verify_ordering(c, o)
         assert helpers.ordering_satisfies_one_branch(c, perm)
+        for i in range(1, o.n + 1):
+            assert decompose(c, o, i)[:2] == (o.g_sets[i - 1], o.b_sets[i - 1])
         bc = helpers.random_bundle(rng, c)
         pol = helpers.random_polarization(rng, c)
         for v in lambda_check(c, o, bc, pol):

@@ -224,3 +224,20 @@ def test_gieseker_vs_seshadri_errors():
 def test_ample_degrees_must_be_positive():
     with pytest.raises(InvalidInput):
         AmpleDegrees({1: 0})
+
+
+def test_lambda_check_matches_hand_window_data():
+    rng = random.Random(31)
+    for _ in range(120):
+        c = helpers.shaped_curve(rng, rng.randint(1, 30), rng.choice(helpers.SHAPES))
+        bc = helpers.random_bundle(rng, c, ranks=(1, 2, 3, 5))
+        pol = helpers.random_polarization(rng, c)
+        o = prune_ordering(c)
+        ids, den, r, rows = helpers.window_data(c, o, bc, pol)
+        verdicts = lambda_check(c, o, bc, pol)
+        assert len(verdicts) == len(rows)
+        for k, (v, (base, _, lower_scaled)) in enumerate(zip(verdicts, rows)):
+            assert (v.i, v.component, v.value) == (k + 1, o.perm[k], base)
+            assert v.g_components == tuple(sorted(o.g_sets[k]))
+            assert (v.lower * den, v.upper * den) == (lower_scaled, lower_scaled + den * r)
+            assert v.passes == (lower_scaled <= den * base <= lower_scaled + den * r)
