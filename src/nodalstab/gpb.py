@@ -18,7 +18,7 @@ from .errors import (
     InvalidInput,
     SingularProjection,
 )
-from .fields import mat_det, mat_rank
+from .fields import mat_rank
 
 WEIGHTS = (0, 1)
 
@@ -192,18 +192,16 @@ def build_rational_flag(field, r: int, d: int, a: int) -> GluingFlag:
         raise InvalidInput("rank must be positive")
     if r * a > d:
         raise DegreeBound(f"need r*a <= d, got {r}*{a} > {d}")
+    if field.is_zero(field.element(r - 1)):
+        raise SingularProjection(
+            f"q-side projection is singular over {field.name}: "
+            f"det(J - I) = (-1)^(r-1)(r-1) vanishes for r = {r}")
     one, zero = field.one, field.zero
     rows = []
     for j in range(r):
         left = [one if l == j else zero for l in range(r)]
         right = [zero if l == j else one for l in range(r)]
         rows.append(left + right)
-    pr2 = [row[r:] for row in rows]
-    det = mat_det(field, pr2)
-    if field.is_zero(det):
-        raise SingularProjection(
-            f"q-side projection is singular over {field.name}: "
-            f"det(J - I) = (-1)^(r-1)(r-1) vanishes for r = {r}")
     return GluingFlag(field=field, rank=r, basis_matrix=rows)
 
 

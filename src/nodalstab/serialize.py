@@ -29,10 +29,19 @@ def frac_from_str(s) -> Fraction:
         raise ParseError(f"not a rational number: {s!r}") from None
 
 
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for k, v in pairs:
+        _require(k not in obj, f"duplicate key {k!r}")
+        obj[k] = v
+    return obj
+
+
 def read_json(path: str):
+    """Parse a JSON file; a key repeated within one object is a ParseError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from None
     except UnicodeDecodeError as e:
@@ -60,7 +69,7 @@ def _id_map(obj, field):
     _require(isinstance(obj, dict), "expected an object keyed by component id", field)
     out = {}
     for k, v in obj.items():
-        _require(isinstance(k, str) and k.isdigit() and int(k) >= 1,
+        _require(isinstance(k, str) and k.isascii() and k.isdigit() and k[0] != "0",
                  f"bad component id key {k!r}", field)
         out[int(k)] = v
     return out

@@ -237,3 +237,24 @@ def test_unwritable_out_path_is_input_error(tmp_path, capsys):
     assert code == 2
     assert report["error"]["code"] == "InvalidInput"
     assert not out.exists()
+
+
+def test_huge_prime_is_input_error(capsys):
+    code, report = run_cli(capsys, "gpb", "--build", "--field",
+                           "F618970019642690137449562111", "--rank", "3", "--degree", "5")
+    assert code == 2
+    assert report["error"] == {"code": "InvalidInput",
+                               "detail": "618970019642690137449562111 is too large: "
+                                         "p must be below 2^64"}
+
+
+def test_duplicate_and_noncanonical_keys_are_input_errors(tmp_path, capsys):
+    bundle = tmp_path / "bundle.json"
+    for text in ('{"rank": 2, "multidegree": {"1": 1, "2": 1, "1": 3}}',
+                 '{"rank": 2, "multidegree": {"1": 1, "02": 1}}'):
+        bundle.write_text(text)
+        code, report = run_cli(capsys, "check", "--curve", str(CURVES / "path2_g11.json"),
+                               "--bundle", str(bundle),
+                               "--pol", str(FIXTURES / "path2_pol.json"))
+        assert code == 2
+        assert report["error"]["code"] == "ParseError"

@@ -1,0 +1,126 @@
+"""Differential tests of the prime-field primitives against brute force."""
+
+import random
+
+import pytest
+
+from nodalstab import PrimeField, RationalField, build_rational_flag
+from nodalstab.errors import InvalidInput, NoRoot, SingularProjection
+from nodalstab.fields import _is_prime, mat_rank, parse_field
+
+
+def trial_division(n: int) -> bool:
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+SMALL_PRIMES = [p for p in range(400) if trial_division(p)]
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 10**5) if _is_prime(n)] == \
+        [n for n in range(-3, 10**5) if trial_division(n)]
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # Carmichael numbers, and strong pseudoprimes to every base up to 7
+    # (3215031751) and up to 23 (3825123056546413051)
+    for n in (561, 41041, 3215031751, 3825123056546413051):
+        assert not _is_prime(n)
+    for p in (2**31 - 1, 2**61 - 1, 2**64 - 59, 10**18 + 9):
+        assert _is_prime(p)
+    assert not _is_prime(2**64 - 1)
+
+
+def test_huge_prime_is_refused():
+    with pytest.raises(InvalidInput, match="below 2"):
+        PrimeField(2**89 - 1)
+    with pytest.raises(InvalidInput, match="below 2"):
+        PrimeField(2**64)
+    with pytest.raises(InvalidInput, match="below 2"):
+        parse_field("F" + "9" * 5000)
+    with pytest.raises(InvalidInput, match="unknown field descriptor"):
+        parse_field("F١١")   # Arabic-Indic digits are not a prime
+
+
+def smallest_roots(p, r):
+    """{a: smallest b with b^r = a} by scanning every b in F_p^x."""
+    out = {}
+    for b in range(1, p):
+        out.setdefault(pow(b, r, p), b)
+    return out
+
+
+def test_rth_root_matches_brute_force():
+    for p in SMALL_PRIMES:
+        field = PrimeField(p)
+        for r in range(1, 14):
+            want = smallest_roots(p, r)
+            for a in range(1, p):
+                if a in want:
+                    assert field.rth_root(a, r) == want[a], (p, r, a)
+                else:
+                    with pytest.raises(NoRoot):
+                        field.rth_root(a, r)
+
+
+def test_rth_root_nonpositive_and_large_exponents():
+    for p in SMALL_PRIMES[:30]:
+        field = PrimeField(p)
+        for r in (-3, -1, 0, p - 1, 2 * (p - 1), 3 * p):
+            want = smallest_roots(p, r)
+            for a in range(1, p):
+                got = want.get(a)
+                if got is None:
+                    with pytest.raises(NoRoot):
+                        field.rth_root(a, r)
+                else:
+                    assert field.rth_root(a, r) == got, (p, r, a)
+
+
+def test_rth_root_message_and_zero():
+    with pytest.raises(NoRoot, match="^3 has no 2-th root in F7$"):
+        PrimeField(7).rth_root(3, 2)
+    with pytest.raises(InvalidInput):
+        PrimeField(7).rth_root(0, 2)
+
+
+def test_rth_root_near_1e18():
+    p = 10**18 + 9                       # p - 1 is divisible by 12
+    field = PrimeField(p)
+    rng = random.Random(7)
+    for r in (2, 3, 4, 6, 12, 5):
+        x = rng.randrange(1, p)
+        b = field.rth_root(pow(x, r, p), r)
+        assert pow(b, r, p) == pow(x, r, p)
+        assert b <= x
+
+
+def test_rth_root_huge_exponent_is_fast():
+    p = 10**18 + 9
+    field = PrimeField(p)
+    assert field.rth_root(1, p - 1) == 1
+    assert field.rth_root(1, 5 * (p - 1)) == 1
+    for r, a in (((p - 1) // 2, p - 1), ((p - 1) // 4, pow(3, (p - 1) // 4, p))):
+        b = field.rth_root(a, r)
+        assert pow(b, r, p) == a
+        assert all(pow(x, r, p) != a for x in range(1, b))
+
+
+def test_singular_flag_closed_form_matches_rank():
+    for field in [RationalField()] + [PrimeField(p) for p in (2, 3, 5, 7)]:
+        for r in range(1, 9):
+            j_minus_i = [[field.zero if i == j else field.one for j in range(r)]
+                         for i in range(r)]
+            singular = mat_rank(field, j_minus_i) < r
+            if singular:
+                with pytest.raises(SingularProjection):
+                    build_rational_flag(field, r, r, 1)
+            else:
+                assert build_rational_flag(field, r, r, 1).rank == r

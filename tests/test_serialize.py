@@ -46,6 +46,23 @@ def test_bundle_round_trip():
         ser.parse_bundle({"rank": True, "multidegree": {"1": 1}})
 
 
+def test_component_id_keys_must_be_canonical():
+    for key in ("01", "0", "١", "1 ", "+1", ""):
+        with pytest.raises(ParseError, match="bad component id key"):
+            ser.parse_bundle({"rank": 2, "multidegree": {"1": 5, key: 7}})
+    assert ser.parse_bundle({"rank": 2, "multidegree": {"10": 5}}).multidegree == {10: 5}
+
+
+def test_read_json_rejects_duplicate_keys(tmp_path):
+    path = tmp_path / "bundle.json"
+    path.write_text('{"rank": 2, "multidegree": {"1": 5, "2": 1, "1": 7}}')
+    with pytest.raises(ParseError, match="duplicate key '1'"):
+        ser.read_json(str(path))
+    path.write_text('{"rank": 2, "rank": 3, "multidegree": {}}')
+    with pytest.raises(ParseError, match="duplicate key 'rank'"):
+        ser.read_json(str(path))
+
+
 def test_polarization_round_trip():
     pol = ser.parse_polarization({"weights": {"1": "1/3", "2": "2/3"}})
     assert pol.weights == {1: Fraction(1, 3), 2: Fraction(2, 3)}

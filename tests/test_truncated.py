@@ -95,6 +95,24 @@ def test_det_trace_identity_random_vs_leibniz_oracle():
         assert verdict.lhs.coeffs == oracle
 
 
+def test_berkowitz_det_vs_leibniz_oracle():
+    rng = random.Random(79)
+    for p in (2, 3, 7, 10007):
+        for n in range(4):
+            for r in range(1, 7):
+                for shape in ("random", "sparse", "nilpotent"):
+                    ent = [[[rng.randrange(p) for _ in range(n + 1)] for _ in range(r)]
+                           for _ in range(r)]
+                    for i in range(r):
+                        for j in range(r):
+                            if shape == "sparse" and rng.random() < 0.6 or \
+                                    shape == "nilpotent" and j <= i:
+                                ent[i][j] = [0] * (n + 1)
+                    got = TruncatedMatrix(p, n, tuple(tuple(tuple(c) for c in row)
+                                                      for row in ent)).det()
+                    assert got.coeffs == helpers.truncate_mod(helpers.leibniz_det(ent), p, n)
+
+
 def test_kernel_layer_is_abelian():
     rng = random.Random(73)
     for _ in range(200):
