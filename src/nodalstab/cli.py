@@ -22,11 +22,20 @@ from .curve import prune_ordering, validate_curve
 from .errors import InvalidInput, NodalStabError
 from .fields import parse_field
 from .stability import lambda_check
-from .truncated import TruncatedScalar, det_trace_identity, sl_kernel_check, torsor_correct
+from .truncated import det_trace_identity, sl_kernel_check, torsor_correct
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+
+# Two integers on the command line set the cost without adding input, so
+# each has a ceiling, far above the ranks (2-6) and orders (1-3) that the
+# tests and the benchmark inputs use.
+# gpb --build eliminates r x r blocks of a flag it makes itself: O(r^3).
+_MAX_BUILD_RANK = 64
+# dvr --matrix --n sets the length of every coefficient vector: O(n) memory
+# and output per entry, and up to O(n^2) per ring product.
+_MAX_MATRIX_ORDER = 10_000
 
 
 def _verdicts_to_obj(verdicts) -> list:
@@ -119,6 +128,8 @@ def cmd_gpb(args):
         for name in ("field", "rank", "degree"):
             if getattr(args, name) is None:
                 raise InvalidInput(f"--build needs --{name}")
+        if args.rank > _MAX_BUILD_RANK:
+            raise InvalidInput(f"--rank must be at most {_MAX_BUILD_RANK}, got {args.rank}")
         field = parse_field(args.field)
         flag = gpb_mod.build_rational_flag(field, args.rank, args.degree, args.shift)
         proj = gpb_mod.check_projections(flag)
@@ -150,6 +161,8 @@ def cmd_dvr(args):
     if args.matrix:
         if args.field is None or args.n is None:
             raise InvalidInput("--matrix needs --field and --n")
+        if args.n > _MAX_MATRIX_ORDER:
+            raise InvalidInput(f"--n must be at most {_MAX_MATRIX_ORDER}, got {args.n}")
         field = parse_field(args.field)
         if not hasattr(field, "p"):
             raise InvalidInput("truncated rings need a prime field")
@@ -173,14 +186,7 @@ def cmd_dvr(args):
         return obj, (EXIT_OK if verdict.biconditional_holds else EXIT_FAIL)
 
     if args.torsor:
-        doc = ser.read_json(args.torsor)
-        if not isinstance(doc, dict) or "cocycle" not in doc or "gammas" not in doc:
-            raise InvalidInput("torsor document needs cocycle and gammas")
-        cocycle = [ser.parse_truncated_matrix(m) for m in doc["cocycle"]]
-        if not cocycle:
-            raise InvalidInput("torsor document needs a nonempty cocycle")
-        p, n = cocycle[0].p, cocycle[0].n
-        gammas = [TruncatedScalar(p, n, g) for g in doc["gammas"]]
+        cocycle, gammas = ser._parse_torsor(ser.read_json(args.torsor))
         corrected = torsor_correct(cocycle, gammas)
         holds = all((lift.det() == gamma * F.det())
                     for lift, gamma, F in zip(corrected, gammas, cocycle))

@@ -11,6 +11,7 @@ tested by rank computations on the two node projections.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     DegreeBound,
@@ -105,6 +106,12 @@ class GluingFlag:
 
     def right_block(self):
         return [list(row[self.rank:]) for row in self.basis_matrix]
+
+    @cached_property
+    def _block_ranks(self) -> tuple:
+        """Ranks of the p-side and q-side blocks, each eliminated once."""
+        return (mat_rank(self.field, self.left_block()),
+                mat_rank(self.field, self.right_block()))
 
 
 @dataclass(frozen=True)
@@ -211,9 +218,8 @@ def check_projections(flag: GluingFlag) -> ProjectionVerdict:
     Both being isomorphisms is the local-freeness criterion for the
     descended sheaf at this node.
     """
-    pr1 = mat_rank(flag.field, flag.left_block()) == flag.rank
-    pr2 = mat_rank(flag.field, flag.right_block()) == flag.rank
-    return ProjectionVerdict(pr1_iso=pr1, pr2_iso=pr2)
+    left, right = flag._block_ranks
+    return ProjectionVerdict(pr1_iso=left == flag.rank, pr2_iso=right == flag.rank)
 
 
 def check_no_kernel_section(flag: GluingFlag) -> KernelSectionVerdict:
@@ -223,11 +229,9 @@ def check_no_kernel_section(flag: GluingFlag) -> KernelSectionVerdict:
     vectors with vanishing q side, so the dimensions are the rank
     deficiencies of the two blocks.
     """
-    r = flag.rank
-    return KernelSectionVerdict(
-        dim_meet_p_side=r - mat_rank(flag.field, flag.right_block()),
-        dim_meet_q_side=r - mat_rank(flag.field, flag.left_block()),
-    )
+    left, right = flag._block_ranks
+    return KernelSectionVerdict(dim_meet_p_side=flag.rank - right,
+                                dim_meet_q_side=flag.rank - left)
 
 
 def picard_rth_root(field, r: int, gluing_scalars) -> list:

@@ -9,7 +9,7 @@ import json
 from fractions import Fraction
 
 from .curve import Component, Ordering, TreeLikeCurve
-from .errors import ParseError
+from .errors import InvalidInput, ParseError
 from .fields import parse_field
 from .gpb import GluingFlag
 from .stability import Polarization
@@ -202,6 +202,27 @@ def parse_truncated_matrix(obj) -> TruncatedMatrix:
                 _int(x, f"entries[{i}][{j}]") for x in coeffs]))
         rows.append(tuple(cells))
     return TruncatedMatrix(p=p, n=n, entries=tuple(rows))
+
+
+def _parse_torsor(obj):
+    """Torsor document: {"cocycle": [truncated matrix, ...], "gammas": [[c0, ..., cn], ...]}.
+
+    Returns (cocycle, gammas); each gamma is a coefficient vector in the
+    ring of the first cocycle matrix.
+    """
+    if not isinstance(obj, dict) or "cocycle" not in obj or "gammas" not in obj:
+        raise InvalidInput("torsor document needs cocycle and gammas")
+    _require(isinstance(obj["cocycle"], list), "cocycle must be an array", "cocycle")
+    cocycle = [parse_truncated_matrix(m) for m in obj["cocycle"]]
+    if not cocycle:
+        raise InvalidInput("torsor document needs a nonempty cocycle")
+    _require(isinstance(obj["gammas"], list), "gammas must be an array", "gammas")
+    p, n = cocycle[0].p, cocycle[0].n
+    gammas = []
+    for k, g in enumerate(obj["gammas"]):
+        _require(isinstance(g, list), "each gamma is a coefficient vector", f"gammas[{k}]")
+        gammas.append(TruncatedScalar(p, n, [_int(x, f"gammas[{k}]") for x in g]))
+    return cocycle, gammas
 
 
 def truncated_scalar_to_obj(x: TruncatedScalar) -> list:

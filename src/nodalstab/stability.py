@@ -16,7 +16,7 @@ from .errors import (
     WrongArity,
     ZeroMultirank,
 )
-from .twist import BundleClass, euler_char_total, require_match
+from .twist import BundleClass, _chi, euler_char_total, require_match
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def _windows(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
     values, weights, sizes = [], [], [1] * n
     for cid in ordering.perm:
         w = pol.weights[cid]
-        values.append(bc.multidegree[cid] + r * (1 - c.component(cid).arithmetic_genus))
+        values.append(_chi(c.component(cid), bc))
         weights.append(w.numerator * (den // w.denominator))
     for k, p in enumerate(ordering.nu):
         values[p - 1] += values[k]

@@ -16,6 +16,18 @@ from .errors import InvalidInput, NotUnit
 from .fields import _is_prime
 
 
+def _dot(p: int, n: int, xs, ys) -> list:
+    """Sum of xs[k] * ys[k] over coefficient vectors of k[pi]/(pi^(n+1)), mod p:
+    the one truncated product loop, O(n^2) per pair, skipping zeros on the left."""
+    acc = [0] * (n + 1)
+    for x, y in zip(xs, ys):
+        for i, a in enumerate(x):
+            if a:
+                for j in range(n + 1 - i):
+                    acc[i + j] += a * y[j]
+    return [c % p for c in acc]
+
+
 @dataclass(frozen=True)
 class TruncatedScalar:
     """Element of k[pi]/(pi^(n+1)) over k = F_p; coeffs[k] multiplies pi^k."""
@@ -72,13 +84,8 @@ class TruncatedScalar:
 
     def __mul__(self, other):
         self._like(other)
-        out = [0] * (self.n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(self.n + 1 - i):
-                out[i + j] += a * other.coeffs[j]
-        return TruncatedScalar(self.p, self.n, tuple(out))
+        return TruncatedScalar(self.p, self.n,
+                               _dot(self.p, self.n, (self.coeffs,), (other.coeffs,)))
 
     @property
     def is_unit(self) -> bool:
@@ -149,21 +156,13 @@ class TruncatedMatrix:
         return cls(p, n, tuple(tuple(one if i == j else zero for j in range(r))
                                for i in range(r)))
 
-    @classmethod
-    def from_int_entries(cls, p, n, rows):
-        """Constant matrix: each integer becomes a pi-degree-0 scalar."""
-        return cls(p, n, tuple(tuple(TruncatedScalar.constant(p, n, x) for x in row)
-                               for row in rows))
-
     def __matmul__(self, other):
         if (other.p, other.n, other.r) != (self.p, self.n, self.r):
             raise InvalidInput("matrix shapes or rings differ")
-        r = self.r
+        rows = [[x.coeffs for x in row] for row in self.entries]
+        cols = list(zip(*([x.coeffs for x in row] for row in other.entries)))
         return TruncatedMatrix(self.p, self.n, tuple(
-            tuple(sum((self.entries[i][k] * other.entries[k][j] for k in range(r)),
-                      TruncatedScalar.zero(self.p, self.n))
-                  for j in range(r))
-            for i in range(r)))
+            tuple(_dot(self.p, self.n, row, col) for col in cols) for row in rows))
 
     def __add__(self, other):
         if (other.p, other.n, other.r) != (self.p, self.n, self.r):
@@ -192,26 +191,16 @@ class TruncatedMatrix:
         """
         p, n = self.p, self.n
         A = [[x.coeffs for x in row] for row in self.entries]
-
-        def dot(xs, ys):
-            acc = [0] * (n + 1)
-            for x, y in zip(xs, ys):
-                for i, a in enumerate(x):
-                    if a:
-                        for j in range(n + 1 - i):
-                            acc[i + j] += a * y[j]
-            return [c % p for c in acc]
-
         one = (1,) + (0,) * n
         poly = [one]
         for k in range(self.r):
             row, v = A[k][:k], [A[i][k] for i in range(k)]
             col = [one, A[k][k]]
             for _ in range(k):
-                col.append(dot(row, v))
-                v = [dot(A[i][:k], v) for i in range(k)]
+                col.append(_dot(p, n, row, v))
+                v = [_dot(p, n, A[i][:k], v) for i in range(k)]
             col[1:] = [[-c % p for c in x] for x in col[1:]]
-            poly = [dot(col[i::-1], poly) for i in range(k + 2)]
+            poly = [_dot(p, n, col[i::-1], poly) for i in range(k + 2)]
         last = poly[-1] if self.r % 2 == 0 else [-c % p for c in poly[-1]]
         return TruncatedScalar(p, n, tuple(last))
 
@@ -248,10 +237,10 @@ class SlKernelVerdict:
 
 def one_plus_pi_n(p: int, n: int, A) -> TruncatedMatrix:
     """The matrix I + pi^n A for an integer matrix A over k."""
-    r = len(A)
-    pin = TruncatedScalar.pi_power(p, n, n)
-    base = TruncatedMatrix.from_int_entries(p, n, A).scale(pin)
-    return TruncatedMatrix.identity(p, n, r) + base
+    return TruncatedMatrix(p, n, tuple(
+        tuple([(i == j) * (k == 0) + int(x) * (k == n) for k in range(n + 1)]
+              for j, x in enumerate(row))
+        for i, row in enumerate(A)))
 
 
 def det_trace_identity(p: int, A, n: int) -> DetTraceVerdict:
@@ -315,9 +304,9 @@ def det_section(u: TruncatedScalar, r: int) -> TruncatedMatrix:
 def torsor_correct(cocycle, gammas) -> list:
     """Multiply each cocycle matrix by the trace-section lift of its unit.
 
-    Every gamma must lie in 1 + pi^n R.  Writing gamma = 1 + pi^n lam,
-    the lift is I + pi^n phi(lam), and the corrected matrix has
-    determinant gamma times the old determinant, which is the
+    Every gamma must lie in 1 + pi^n R.  Writing gamma = 1 + pi^n lam, the
+    lift I + pi^n phi(lam) is diag(gamma, 1, ..., 1), so it scales the first
+    row; the corrected determinant is gamma times the old one, which is the
     commutativity this step depends on.
     """
     cocycle, gammas = list(cocycle), list(gammas)
@@ -334,10 +323,8 @@ def torsor_correct(cocycle, gammas) -> list:
             raise InvalidInput("cocycle matrices must be invertible")
         if gamma.coeffs[0] != 1 or any(gamma.coeffs[k] != 0 for k in range(1, n)):
             raise InvalidInput("units must lie in 1 + pi^n R")
-        lam = TruncatedScalar.constant(p, n, gamma.coeffs[n])
-        pin = TruncatedScalar.pi_power(p, n, n)
-        lift = TruncatedMatrix.identity(p, n, F.r) + trace_section(lam, F.r).scale(pin)
-        out.append(lift @ F)
+        first = tuple(gamma * x for x in F.entries[0])
+        out.append(TruncatedMatrix(p, n, (first,) + F.entries[1:]))
     return out
 
 
@@ -351,6 +338,6 @@ def sl_lift(M: TruncatedMatrix) -> TruncatedMatrix:
     if M.det() != TruncatedScalar.one(M.p, M.n):
         raise InvalidInput("sl_lift needs a determinant-1 matrix")
     padded = M.extend(M.n + 1)
-    u = padded.det()
-    correction = det_section(u.inverse(), M.r)
-    return padded @ correction
+    v = padded.det().inverse()
+    return TruncatedMatrix(padded.p, padded.n, tuple(
+        (row[0] * v,) + row[1:] for row in padded.entries))

@@ -68,21 +68,24 @@ def intersection_matrix(c: TreeLikeCurve) -> dict:
             for i in c.ids}
 
 
+def _chi(comp, bc: BundleClass) -> int:
+    """Riemann-Roch on one component: d_i + r(1 - p_a); the caller checks."""
+    return bc.multidegree[comp.id] + bc.rank * (1 - comp.arithmetic_genus)
+
+
 def euler_char_component(c: TreeLikeCurve, bc: BundleClass, i: int) -> int:
     """chi of the class restricted to component i (Riemann-Roch)."""
     c.require_valid()
     require_match(c, bc.multidegree, "multidegree")
-    comp = c.component(i)
-    return bc.multidegree[i] + bc.rank * (1 - comp.arithmetic_genus)
+    return _chi(c.component(i), bc)
 
 
 def euler_char_total(c: TreeLikeCurve, bc: BundleClass) -> int:
     """chi on the whole curve: component sum minus r per connecting node."""
     c.require_valid()
     require_match(c, bc.multidegree, "multidegree")
-    n = len(c.ids)
-    total = sum(euler_char_component(c, bc, i) for i in c.ids)
-    return total - bc.rank * (n - 1)
+    total = sum(_chi(comp, bc) for comp in c.components)
+    return total - bc.rank * (len(c.components) - 1)
 
 
 def twist(c: TreeLikeCurve, bc: BundleClass, t: TwistDivisor) -> BundleClass:
@@ -114,4 +117,6 @@ def chi_subcurve_sum(c: TreeLikeCurve, bc: BundleClass, subcurve) -> int:
     unknown = ids - set(c.ids)
     if unknown:
         raise IndexOutOfRange(f"unknown component ids in subcurve: {sorted(unknown)}")
-    return sum(euler_char_component(c, bc, i) for i in sorted(ids))
+    c.require_valid()
+    require_match(c, bc.multidegree, "multidegree")
+    return sum(_chi(c.component(i), bc) for i in ids)

@@ -3,6 +3,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from nodalstab import cli
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -258,3 +260,54 @@ def test_duplicate_and_noncanonical_keys_are_input_errors(tmp_path, capsys):
                                "--pol", str(FIXTURES / "path2_pol.json"))
         assert code == 2
         assert report["error"]["code"] == "ParseError"
+
+
+@pytest.mark.parametrize("gammas, field", [
+    (7, "gammas"),
+    ([["a", 0]], "gammas[0]"),
+    ([[1.5, 2.7]], "gammas[0]"),
+    ([[True, 0]], "gammas[0]"),
+    ({"10": 0}, "gammas"),
+    ([7], "gammas[0]"),
+])
+def test_malformed_torsor_gammas_are_input_errors(tmp_path, capsys, gammas, field):
+    doc = json.loads((FIXTURES / "dvr_torsor.json").read_text(encoding="utf-8"))
+    doc["gammas"] = gammas
+    path = tmp_path / "torsor.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_cli(capsys, "dvr", "--torsor", str(path))
+    assert code == 2
+    assert report["error"]["code"] == "ParseError"
+    assert report["error"]["field"] == field
+
+
+def test_non_array_cocycle_is_input_error(tmp_path, capsys):
+    path = tmp_path / "torsor.json"
+    for cocycle in (7, None, "F5"):
+        path.write_text(json.dumps({"cocycle": cocycle, "gammas": [[1, 1]]}))
+        code, report = run_cli(capsys, "dvr", "--torsor", str(path))
+        assert code == 2
+        assert report["error"]["field"] == "cocycle"
+
+
+def test_build_rank_is_bounded(capsys):
+    code, report = run_cli(capsys, "gpb", "--build", "--field", "F5", "--rank", "64",
+                           "--degree", "64", "--shift", "1")
+    assert code == 0
+    assert len(report["basis_matrix"]) == 64
+    code, report = run_cli(capsys, "gpb", "--build", "--field", "F5", "--rank", "65",
+                           "--degree", "65", "--shift", "1")
+    assert code == 2
+    assert report["error"] == {"code": "InvalidInput",
+                               "detail": "--rank must be at most 64, got 65"}
+
+
+def test_matrix_truncation_order_is_bounded(capsys):
+    args = ("dvr", "--matrix", str(FIXTURES / "dvr_matrix.json"), "--field", "F5")
+    code, report = run_cli(capsys, *args, "--n", "10000")
+    assert code == 0
+    assert report["holds"] and len(report["lhs"]) == 10001
+    code, report = run_cli(capsys, *args, "--n", "1000000")
+    assert code == 2
+    assert report["error"] == {"code": "InvalidInput",
+                               "detail": "--n must be at most 10000, got 1000000"}

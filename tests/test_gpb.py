@@ -238,3 +238,29 @@ def test_picard_rth_root_rationals():
         picard_rth_root(Q, 2, [Fraction(-4)])
     with pytest.raises(InvalidInput):
         picard_rth_root(Q, 2, [Fraction(0)])
+
+
+def test_both_flag_checks_share_two_block_eliminations(monkeypatch):
+    import nodalstab.gpb as gpb_mod
+
+    calls = []
+    real = gpb_mod.mat_rank
+
+    def counting(field, rows):
+        calls.append(rows)
+        return real(field, rows)
+
+    flag = build_rational_flag(PrimeField(7), 4, 9, 2)
+    monkeypatch.setattr(gpb_mod, "mat_rank", counting)
+    proj = check_projections(flag)
+    kern = check_no_kernel_section(flag)
+    assert len(calls) == 2
+    assert proj.locally_free and kern.passes
+    # both blocks singular over Q: the verdicts still come from the two ranks
+    rows = [[1, 2, 0, 0], [2, 4, 1, 3]]
+    flag = GluingFlag(field=Q, rank=2, basis_matrix=rows)
+    calls.clear()
+    kern, proj = check_no_kernel_section(flag), check_projections(flag)
+    assert len(calls) == 2
+    assert (proj.pr1_iso, proj.pr2_iso) == (False, False)
+    assert (kern.dim_meet_p_side, kern.dim_meet_q_side) == (1, 1)

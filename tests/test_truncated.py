@@ -323,3 +323,48 @@ def _kernel_element(rng, p, n, r):
     A = [[rng.randrange(p) for _ in range(r)] for _ in range(r)]
     A[r - 1][r - 1] = (-sum(A[i][i] for i in range(r - 1))) % p
     return one_plus_pi_n(p, n, A)
+
+
+def _random_matrix(rng, p, n, r):
+    return TruncatedMatrix(p, n, [[[rng.randrange(p) for _ in range(n + 1)]
+                                   for _ in range(r)] for _ in range(r)])
+
+
+def test_matmul_matches_entrywise_scalar_products():
+    rng = random.Random(211)
+    for _ in range(200):
+        p = rng.choice([2, 3, 7, 10007])
+        n = rng.randint(0, 3)
+        r = rng.randint(1, 5)
+        A, B = _random_matrix(rng, p, n, r), _random_matrix(rng, p, n, r)
+        expected = [[sum((A.entries[i][k] * B.entries[k][j] for k in range(r)),
+                         TruncatedScalar.zero(p, n)) for j in range(r)] for i in range(r)]
+        assert [list(row) for row in (A @ B).entries] == expected
+
+
+def test_torsor_correct_matches_the_trace_section_lift_product():
+    rng = random.Random(223)
+    for _ in range(150):
+        p = rng.choice([3, 5, 7, 101])
+        n = rng.randint(1, 3)
+        r = rng.randint(1, 4)
+        cocycle = [_random_invertible(rng, p, n, r) for _ in range(rng.randint(1, 3))]
+        gammas = [TruncatedScalar(p, n, (1,) + (0,) * (n - 1) + (rng.randrange(p),))
+                  for _ in cocycle]
+        pin = TruncatedScalar.pi_power(p, n, n)
+        lifts = [TruncatedMatrix.identity(p, n, r)
+                 + trace_section(TruncatedScalar.constant(p, n, g.coeffs[n]), r).scale(pin)
+                 for g in gammas]
+        expected = [lift @ F for lift, F in zip(lifts, cocycle)]
+        assert torsor_correct(cocycle, gammas) == expected
+
+
+def test_sl_lift_matches_the_det_section_product():
+    rng = random.Random(227)
+    for _ in range(150):
+        p = rng.choice([3, 5, 7, 101])
+        n = rng.randint(0, 3)
+        r = rng.randint(1, 4)
+        M = _random_sl(rng, p, n, r)
+        padded = M.extend(n + 1)
+        assert sl_lift(M) == padded @ det_section(padded.det().inverse(), r)

@@ -1,20 +1,25 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 import helpers
 from nodalstab import (
+    AmpleDegrees,
     BundleClass,
     Component,
+    Polarization,
     TreeLikeCurve,
     TwistDivisor,
     chi_subcurve_sum,
     euler_char_component,
     euler_char_total,
+    gieseker_vs_seshadri,
     intersection,
     intersection_matrix,
+    seshadri_slope,
     twist,
 )
 from nodalstab.errors import DocumentMismatch, EmptySubcurve, IndexOutOfRange
@@ -218,3 +223,36 @@ def test_mismatched_documents_rejected():
         euler_char_total(PATH2, BundleClass(2, {1: 5}))
     with pytest.raises(DocumentMismatch):
         twist(PATH2, BC2, TwistDivisor(coeffs={1: 1}))
+
+
+def test_chi_totals_match_the_componentwise_sum():
+    rng = random.Random(307)
+    for _ in range(200):
+        c = helpers.random_curve(rng, n_max=10)
+        bc = helpers.random_bundle(rng, c)
+        parts = {i: euler_char_component(c, bc, i) for i in c.ids}
+        n = len(c.ids)
+        assert euler_char_total(c, bc) == sum(parts.values()) - bc.rank * (n - 1)
+        sub = rng.sample(list(c.ids), rng.randint(1, n))
+        assert chi_subcurve_sum(c, bc, sub) == sum(parts[i] for i in sub)
+
+
+def test_chi_totals_are_linear_on_a_long_path():
+    n = 20_000
+    c = curve([(i, i % 3, i % 2) for i in range(1, n + 1)], [(i, i + 1) for i in range(1, n)])
+    bc = BundleClass(rank=3, multidegree={i: i % 7 - 3 for i in range(1, n + 1)})
+    pol = Polarization(weights={i: Fraction(1, n) for i in range(1, n + 1)})
+    h = AmpleDegrees(degrees={i: 1 for i in range(1, n + 1)})
+    c.require_valid()
+    chi = sum(d + 3 * (1 - i % 3 - i % 2) for i, d in bc.multidegree.items())
+    calls = [
+        (lambda: euler_char_total(c, bc), chi - 3 * (n - 1)),
+        (lambda: chi_subcurve_sum(c, bc, range(1, n + 1)), chi),
+        (lambda: seshadri_slope(c, bc, pol), Fraction(chi - 3 * (n - 1), 3)),
+        (lambda: gieseker_vs_seshadri(c, bc, h, {i: 1 for i in c.ids}, 0).total_slope,
+         Fraction(chi - 3 * (n - 1), 3 * n)),
+    ]
+    for call, expected in calls:
+        t0 = time.perf_counter()
+        assert call() == expected
+        assert time.perf_counter() - t0 < 1.0
