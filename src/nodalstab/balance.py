@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .curve import Ordering, TreeLikeCurve, prune_ordering, verify_ordering
 from .errors import IndexOutOfRange, InvariantViolated, PreconditionViolated
-from .stability import Polarization, _windows
+from .stability import Polarization, _chi_sums, _windows
 from .twist import BundleClass, TwistDivisor, twist
 
 
@@ -56,12 +56,16 @@ class DistanceEntry:
     upper: Fraction
 
 
+def _candidates(top: int, width: int) -> tuple:
+    """Integers a with 0 <= top - width*a <= width, ascending (width > 0)."""
+    return tuple(range(-(-top // width) - 1, top // width + 1))
+
+
 def window_integers(value: int, lower: Fraction, rank: int) -> tuple:
     """Integers a with lower <= value - rank*a <= lower + rank, ascending."""
-    # with lower = p/q: top - q*rank <= q*rank*a <= top, where top = q*value - p
+    # with lower = p/q: 0 <= (q*value - p) - q*rank*a <= q*rank
     q = lower.denominator
-    top = q * value - lower.numerator
-    return tuple(range(-(-top // (q * rank)) - 1, top // (q * rank) + 1))
+    return _candidates(q * value - lower.numerator, q * rank)
 
 
 def balance_step(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
@@ -77,13 +81,13 @@ def balance_step(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
         raise IndexOutOfRange(f"balance steps run at positions 1..{n - 1}")
     c.require_valid()
     verify_ordering(c, ordering)
-    values, lowers = _windows(c, ordering, bc, pol)
-    r = bc.rank
-    bad = [k + 1 for k in range(i, n) if not lowers[k] <= values[k] <= lowers[k] + r]
+    values, lows, den = _windows(c, ordering, bc, pol)
+    width = den * bc.rank
+    bad = [k + 1 for k in range(i, n) if not lows[k] <= values[k] * den <= lows[k] + width]
     if bad:
         raise PreconditionViolated(
             f"positions {bad} above {i} must pass before balancing position {i}")
-    a = window_integers(values[i - 1], lowers[i - 1], r)[0]
+    a = _candidates(values[i - 1] * den - lows[i - 1], width)[0]
     y = ordering.perm[i - 1]
     step_twist = TwistDivisor(coeffs={j: (a if j == y else 0) for j in c.ids})
     return a, twist(c, bc, step_twist)
@@ -94,29 +98,30 @@ def balance(c: TreeLikeCurve, bc: BundleClass, pol: Polarization) -> BalanceResu
 
     Runs exactly N-1 steps in decreasing position order; the last
     position needs no twist.  The accumulated twist is then replayed
-    through ``twist`` and every window re-evaluated: the replayed class
-    must pass them all and keep the total degree and chi, or
-    InvariantViolated is raised.
+    through ``twist`` and every chi sum re-evaluated (the window bounds
+    depend only on total chi): the replayed class must pass every window
+    and keep the total degree and chi, or InvariantViolated is raised.
     """
     ordering = prune_ordering(c)
     perm, nu, n, r = ordering.perm, ordering.nu, ordering.n, bc.rank
-    values, lowers = _windows(c, ordering, bc, pol)
+    values, lows, den = _windows(c, ordering, bc, pol)
+    width = den * r
     a = [0] * n
     steps = []
     for k in range(n - 2, -1, -1):
-        value = values[k] + r * a[nu[k] - 1]
-        candidates = window_integers(value, lowers[k], r)
+        value, lo = values[k] + r * a[nu[k] - 1], lows[k]
+        candidates = _candidates(value * den - lo, width)
         a[k] = candidates[0]
         steps.append(BalanceStep(i=k + 1, component=perm[k], value=value,
-                                 lower=lowers[k], upper=lowers[k] + r,
+                                 lower=Fraction(lo, den), upper=Fraction(lo + width, den),
                                  candidates=candidates, chosen=a[k]))
     by_id = dict(zip(perm, a))
     t = TwistDivisor(coeffs={j: by_id[j] for j in c.ids})
     balanced = twist(c, bc, t)
-    after, _ = _windows(c, ordering, balanced, pol)
+    after = _chi_sums(c, ordering, balanced)
     # the last window's chi sum is chi + r(N - 1), so it carries total chi
     if balanced.total_degree != bc.total_degree or after[-1] != values[-1] \
-            or not all(lo <= v <= lo + r for v, lo in zip(after, lowers)):
+            or not all(lo <= v * den <= lo + width for v, lo in zip(after, lows)):
         raise InvariantViolated("the accumulated twist does not balance the class")
     return BalanceResult(ordering=ordering, twist=t, balanced=balanced, steps=tuple(steps))
 
@@ -124,14 +129,13 @@ def balance(c: TreeLikeCurve, bc: BundleClass, pol: Polarization) -> BalanceResu
 def unbalance_report(c: TreeLikeCurve, bc: BundleClass, pol: Polarization) -> list:
     """Distance of each position's chi sum to its window, for diagnostics."""
     ordering = prune_ordering(c)
-    values, lowers = _windows(c, ordering, bc, pol)
+    values, lows, den = _windows(c, ordering, bc, pol)
+    width = den * bc.rank
     out = []
-    for k, (value, lower) in enumerate(zip(values, lowers)):
-        upper = lower + bc.rank
-        if lower <= value <= upper:
-            dist = Fraction(0)
-        else:
-            dist = min(abs(value - lower), abs(value - upper))
-        out.append(DistanceEntry(i=k + 1, component=ordering.perm[k], distance=dist,
-                                 value=value, lower=lower, upper=upper))
+    for k, (value, lo) in enumerate(zip(values, lows)):
+        scaled = value * den
+        gap = 0 if lo <= scaled <= lo + width else min(abs(scaled - lo), abs(scaled - lo - width))
+        out.append(DistanceEntry(i=k + 1, component=ordering.perm[k],
+                                 distance=Fraction(gap, den), value=value,
+                                 lower=Fraction(lo, den), upper=Fraction(lo + width, den)))
     return out

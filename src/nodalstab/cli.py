@@ -36,6 +36,9 @@ _MAX_BUILD_RANK = 64
 # dvr --matrix --n sets the length of every coefficient vector: O(n) memory
 # and output per entry, and up to O(n^2) per ring product.
 _MAX_MATRIX_ORDER = 10_000
+# gpb --nodes G builds one flag-dimension pair per node: O(G) time and memory
+# for an O(1) report (the tests and the benchmark use G <= 4).
+_MAX_NODES = 10_000
 
 
 def _verdicts_to_obj(verdicts) -> list:
@@ -144,6 +147,8 @@ def cmd_gpb(args):
     for name in ("rank", "degree", "nodes"):
         if getattr(args, name) is None:
             raise InvalidInput("gpb needs --flag, --build, or --rank/--degree/--nodes")
+    if args.nodes > _MAX_NODES:
+        raise InvalidInput(f"--nodes must be at most {_MAX_NODES}, got {args.nodes}")
     g = gpb_mod.GpbClass(rank=args.rank, degree=args.degree, nodes=args.nodes)
     obj = {"rank": g.rank,
            "degree": g.degree,

@@ -104,12 +104,9 @@ class TreeLikeCurve:
         self.component(comp_id)
         return len(self.neighbors[comp_id])
 
-    @cached_property
-    def _validation(self) -> "ValidationReport":
-        return validate_curve(self)
-
     def require_valid(self) -> None:
-        report = self._validation
+        # a validated curve answers from its stored report, without another call
+        report = vars(self).get("_validation") or validate_curve(self)
         if not report.valid:
             code, detail = report.errors[0]
             raise {"CycleDetected": CycleDetected,
@@ -183,8 +180,13 @@ def validate_curve(c: TreeLikeCurve) -> ValidationReport:
     """Check the tree axioms and report the arithmetic genus.
 
     Accepts iff the dual graph is connected and acyclic.  The genus
-    hypothesis p_a >= 2 is reported, never enforced.
+    hypothesis p_a >= 2 is reported, never enforced.  The report is
+    computed once per curve and kept on it, where ``require_valid``
+    reads it too.
     """
+    report = vars(c).get("_validation")
+    if report is not None:
+        return report
     errors = []
     seen = set()
     for e in c.edges:
@@ -216,13 +218,16 @@ def validate_curve(c: TreeLikeCurve) -> ValidationReport:
 
     valid = not errors
     p_a = sum(comp.arithmetic_genus for comp in c.components) if valid else None
-    return ValidationReport(
+    report = ValidationReport(
         valid=valid,
         errors=tuple(errors),
         n_components=len(c.components),
         p_a=p_a,
         genus_at_least_two=(p_a >= 2) if valid else None,
     )
+    # stored like a cached property: the curve is frozen, its fields are not touched
+    vars(c)["_validation"] = report
+    return report
 
 
 def arithmetic_genus(c: TreeLikeCurve) -> int:
@@ -253,16 +258,22 @@ def prune_ordering(c: TreeLikeCurve) -> Ordering:
 
     Leaves are peeled round by round: all current leaves, in increasing
     id order, then the leaves of what remains, and so on; the final
-    surviving component takes position N.  One pass does it: removing a
-    leaf lowers the degree of its unique surviving neighbor, which joins
-    the next round's queue once it is a leaf itself, and becomes nu at the
+    surviving component takes position N.  One pass does it: degrees and
+    the XOR of each component's neighbor ids are read off the edge list,
+    so a leaf's one surviving neighbor is its XOR.  Removing a leaf XORs
+    it out of that neighbor and lowers its degree; the neighbor joins the
+    next round's queue once it is a leaf itself, and becomes nu at the
     removed leaf's position.
     """
     c.require_valid()
     ids = c.ids
     n = len(ids)
-    deg = {i: len(c.neighbors[i]) for i in ids}
-    gone = set()
+    deg, acc = dict.fromkeys(ids, 0), dict.fromkeys(ids, 0)
+    for a, b in c.simple_edges:
+        deg[a] += 1
+        deg[b] += 1
+        acc[a] ^= b
+        acc[b] ^= a
     perm, parent = [], []
     leaves = sorted(i for i in ids if deg[i] == 1)
     while len(perm) < n - 1:
@@ -270,15 +281,16 @@ def prune_ordering(c: TreeLikeCurve) -> Ordering:
         # and then the second one is the survivor
         next_leaves = []
         for v in leaves[:n - 1 - len(perm)]:
-            w = next(u for u in c.neighbors[v] if u not in gone)
-            gone.add(v)
+            w = acc[v]
+            acc[w] ^= v
             perm.append(v)
             parent.append(w)
             deg[w] -= 1
             if deg[w] == 1:
                 next_leaves.append(w)
         leaves = sorted(next_leaves)
-    perm.append(next(i for i in ids if i not in gone))
+    # the last leaf removed leaves only its neighbor
+    perm.append(parent[-1] if parent else ids[0])
     pos = {cid: k + 1 for k, cid in enumerate(perm)}
     return Ordering(perm=tuple(perm), nu=tuple(pos[w] for w in parent))
 

@@ -48,6 +48,8 @@ def read_json(path: str):
         raise ParseError(f"{path} is not UTF-8 text: bad byte at offset {e.start}") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON in {path}: {e.msg}", line=e.lineno) from None
+    except ValueError:   # an integer literal over the interpreter's digit limit
+        raise ParseError(f"invalid JSON in {path}: a number has too many digits") from None
 
 
 def dumps_report(obj) -> str:
@@ -156,10 +158,18 @@ def parse_flag(obj) -> GluingFlag:
     field = parse_field(obj["field"])
     rows = obj.get("basis_matrix")
     _require(isinstance(rows, list) and rows, "missing basis_matrix", "basis_matrix")
+    for row in rows:
+        _require(isinstance(row, list), "basis_matrix rows must be arrays", "basis_matrix")
+        for x in row:
+            _require(isinstance(x, (str, int)) and not isinstance(x, bool),
+                     f"flag entries must be strings or integers, got {x!r}", "basis_matrix")
     try:
         parsed = [[field.parse(x) for x in row] for row in rows]
-    except (ValueError, TypeError):
+    except ValueError:
         raise ParseError("flag entries must be field-element strings",
+                         field="basis_matrix") from None
+    except ZeroDivisionError:
+        raise ParseError("flag entries must not have a zero denominator",
                          field="basis_matrix") from None
     return GluingFlag(field=field, rank=len(parsed), basis_matrix=parsed)
 

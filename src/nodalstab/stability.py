@@ -100,14 +100,27 @@ def polarization_from_ample(h: AmpleDegrees) -> Polarization:
     return Polarization(weights={i: Fraction(v, total) for i, v in h.degrees.items()})
 
 
+def _chi_sums(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass) -> list:
+    """Chi sum over G(i) at every order position, as subtree sums.
+
+    G(i) is the subtree of position i in the parent array, so one
+    leaves-first pass over ``perm`` adds each position's sum into its
+    parent's.  The caller checks the class against the curve.
+    """
+    values = [_chi(c.component(cid), bc) for cid in ordering.perm]
+    for k, p in enumerate(ordering.nu):
+        values[p - 1] += values[k]
+    return values
+
+
 def _windows(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
              pol: Polarization):
-    """Chi sum over G(i) and lower window bound at every order position.
+    """Chi sums and integer window bounds at every order position.
 
-    G(i) is the subtree of position i in the parent array, so its chi
-    sum, weight and size are subtree sums: one leaves-first pass over
-    ``perm`` adds each position's totals into its parent's.  Weights are
-    scaled by the lcm of their denominators so the sums stay integers.
+    Returns (values, lows, den): weights are scaled by den, the lcm of
+    their denominators, so position i passes iff
+    lows[i] <= den * values[i] <= lows[i] + den * r, all in integers.
+    Weight sums and sizes of G(i) are subtree sums like the chi sums.
     The ordering must already be known to belong to the curve.
     """
     c.require_valid()
@@ -115,18 +128,17 @@ def _windows(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
     require_match(c, pol.weights, "polarization weights")
     r, n = bc.rank, ordering.n
     den = math.lcm(*(w.denominator for w in pol.weights.values()))
-    values, weights, sizes = [], [], [1] * n
+    values = _chi_sums(c, ordering, bc)
+    weights, sizes = [], [1] * n
     for cid in ordering.perm:
         w = pol.weights[cid]
-        values.append(_chi(c.component(cid), bc))
         weights.append(w.numerator * (den // w.denominator))
     for k, p in enumerate(ordering.nu):
-        values[p - 1] += values[k]
         weights[p - 1] += weights[k]
         sizes[p - 1] += sizes[k]
     chi = values[-1] - r * (n - 1)
-    lowers = [Fraction(w * chi + den * r * (s - 1), den) for w, s in zip(weights, sizes)]
-    return values, lowers
+    width = den * r
+    return values, [w * chi + width * (s - 1) for w, s in zip(weights, sizes)], den
 
 
 def lambda_check(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
@@ -140,14 +152,13 @@ def lambda_check(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
     """
     c.require_valid()
     verify_ordering(c, ordering)
-    values, lowers = _windows(c, ordering, bc, pol)
-    out = []
-    for k, (cid, g, value, lower) in enumerate(
-            zip(ordering.perm, ordering.subtrees, values, lowers)):
-        upper = lower + bc.rank
-        out.append(IndexVerdict(i=k + 1, component=cid, g_components=g, lower=lower,
-                                upper=upper, value=value, passes=lower <= value <= upper))
-    return out
+    values, lows, den = _windows(c, ordering, bc, pol)
+    width = den * bc.rank
+    return [IndexVerdict(i=k + 1, component=cid, g_components=g,
+                         lower=Fraction(lo, den), upper=Fraction(lo + width, den),
+                         value=value, passes=lo <= value * den <= lo + width)
+            for k, (cid, g, value, lo) in enumerate(
+                zip(ordering.perm, ordering.subtrees, values, lows))]
 
 
 def lambda_check_passes(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,

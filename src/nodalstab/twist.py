@@ -92,16 +92,19 @@ def twist(c: TreeLikeCurve, bc: BundleClass, t: TwistDivisor) -> BundleClass:
     """Twist the class by the fibral divisor with the given coefficients.
 
     Each degree moves by r times the pairing of the divisor with that
-    component; rank, total degree, and total chi are all preserved.
+    component, the sum of a_j - a_i over its neighbors j: across each node
+    {i, j}, r(a_j - a_i) moves from component j to component i.  Rank,
+    total degree, and total chi are all preserved.
     """
     c.require_valid()
     require_match(c, bc.multidegree, "multidegree")
     require_match(c, t.coeffs, "twist coefficients")
-    r = bc.rank
-    new = {}
-    for i in c.ids:
-        pairing = -t.coeffs[i] * c.degree(i) + sum(t.coeffs[j] for j in c.neighbors[i])
-        new[i] = bc.multidegree[i] + r * pairing
+    r, a = bc.rank, t.coeffs
+    new = {i: bc.multidegree[i] for i in c.ids}
+    for i, j in c.simple_edges:
+        moved = r * (a[j] - a[i])
+        new[i] += moved
+        new[j] -= moved
     return BundleClass(rank=r, multidegree=new)
 
 

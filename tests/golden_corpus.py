@@ -197,6 +197,12 @@ def inputs():
         "bad_flag_nofield.json": {"basis_matrix": [["1", "1"]]},
         "bad_flag_empty.json": {"field": "F5", "basis_matrix": []},
         "bad_flag_not_obj.json": [["1", "1"]],
+        "bad_flag_q_zero_den.json": {"field": "Q", "basis_matrix": [["1/0", "1"]]},
+        "bad_flag_float_bool.json": {"field": "F5", "basis_matrix": [[1.5, True, 0, 1],
+                                                                     [0, 1, 1, 0]]},
+        "bad_flag_row_text.json": {"field": "F5", "basis_matrix": ["1001", "0110"]},
+        "flag_int_entries.json": {"field": "F5", "basis_matrix": [[1, 0, 0, 1], [0, 1, 1, 0]]},
+        "bad_bundle_overlong_int.json": b'{"rank": ' + b"7" * 5000 + b', "multidegree": {}}',
     })
 
     # dvr --matrix
@@ -419,6 +425,15 @@ def cases():
               "bad_torsor_cocycle_int", "bad_torsor_cocycle_null"):
         add(f"dvr-torsor-{b}", "dvr", "--torsor", inp(f"{b}.json"))
     add("dvr-none", "dvr")
+
+    # untyped flag entries, the --nodes bound and over-long integers
+    for f in ("bad_flag_q_zero_den", "bad_flag_float_bool", "bad_flag_row_text",
+              "flag_int_entries"):
+        add(f"gpb-flag-{f}", "gpb", "--flag", inp(f"{f}.json"))
+    for g in ("10000", "10001", "100000000"):
+        add(f"gpb-num-nodes-{g}", "gpb", "--rank", "2", "--degree", "3", "--nodes", g)
+    add("check-bad_bundle_overlong_int", "check", "--curve", inp(triple[0]),
+        "--bundle", inp("bad_bundle_overlong_int.json"), "--pol", inp(triple[2]))
     return out
 
 

@@ -17,6 +17,7 @@ from nodalstab import (
     lambda_check_passes,
     prune_ordering,
     unbalance_report,
+    validate_curve,
 )
 from nodalstab.balance import window_integers
 from nodalstab.errors import IndexOutOfRange, NodalStabError, PreconditionViolated
@@ -190,3 +191,41 @@ def test_window_integers_match_the_definition():
         brute = tuple(a for a in range(-210, 211)
                       if lower <= value - rank * a <= lower + rank)
         assert window_integers(value, lower, rank) == brute
+
+
+def test_balance_steps_match_window_integers_of_the_fraction_bounds():
+    rng = random.Random(67)
+    for _ in range(80):
+        c = helpers.shaped_curve(rng, rng.randint(2, 25), rng.choice(helpers.SHAPES))
+        bc = helpers.random_bundle(rng, c)
+        pol = helpers.random_polarization(rng, c)
+        result = balance(c, bc, pol)
+        ids, den, r, rows = helpers.window_data(c, result.ordering, bc, pol)
+        a = [result.twist.coeffs[i] for i in ids]
+        for s in result.steps:
+            base, shift, lower_scaled = rows[s.i - 1]
+            assert s.lower == Fraction(lower_scaled, den)
+            assert s.upper == s.lower + r
+            assert s.candidates == window_integers(s.value, s.lower, r)
+            assert s.chosen == s.candidates[0]
+            # after the step's own twist the chi sum is the one the final twist gives
+            assert s.value - r * s.chosen == base + r * sum(u * x for u, x in zip(shift, a))
+
+
+def test_one_validation_per_curve(monkeypatch):
+    curve_mod = importlib.import_module("nodalstab.curve")
+    real, made = curve_mod.ValidationReport, []
+
+    def counting_report(**fields):
+        made.append(fields)
+        return real(**fields)
+    monkeypatch.setattr(curve_mod, "ValidationReport", counting_report)
+    rng = random.Random(73)
+    c = helpers.shaped_curve(rng, 12, "prufer")
+    bc = helpers.random_bundle(rng, c)
+    pol = helpers.random_polarization(rng, c)
+    assert validate_curve(c).valid
+    lambda_check(c, prune_ordering(c), bc, pol)
+    balance(c, bc, pol)
+    assert validate_curve(c) is validate_curve(c)
+    assert len(made) == 1

@@ -311,3 +311,50 @@ def test_matrix_truncation_order_is_bounded(capsys):
     assert code == 2
     assert report["error"] == {"code": "InvalidInput",
                                "detail": "--n must be at most 10000, got 1000000"}
+
+
+@pytest.mark.parametrize("doc, detail", [
+    ({"field": "Q", "basis_matrix": [["1/0", "1"]]},
+     "flag entries must not have a zero denominator"),
+    ({"field": "F5", "basis_matrix": [[1.5, True, 0, 1], [0, 1, 1, 0]]},
+     "flag entries must be strings or integers, got 1.5"),
+    ({"field": "F5", "basis_matrix": [["1", True, "0", "1"], ["0", "1", "1", "0"]]},
+     "flag entries must be strings or integers, got True"),
+    ({"field": "Q", "basis_matrix": [[None, "1"]]},
+     "flag entries must be strings or integers, got None"),
+    ({"field": "F5", "basis_matrix": ["1001", "0110"]}, "basis_matrix rows must be arrays"),
+])
+def test_untyped_flag_entries_are_input_errors(tmp_path, capsys, doc, detail):
+    path = tmp_path / "flag.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_cli(capsys, "gpb", "--flag", str(path))
+    assert code == 2
+    assert report["error"] == {"code": "ParseError", "field": "basis_matrix",
+                               "detail": f"{detail}; field=basis_matrix"}
+
+
+def test_integer_flag_entries_read_like_strings(tmp_path, capsys):
+    path = tmp_path / "flag.json"
+    path.write_text(json.dumps({"field": "F5", "basis_matrix": [[1, 0, 0, 1], [0, 1, 1, 0]]}))
+    as_ints = run_cli(capsys, "gpb", "--flag", str(path))
+    assert as_ints == run_cli(capsys, "gpb", "--flag", str(FIXTURES / "flag_f5_r2.json"))
+
+
+def test_gpb_nodes_is_bounded(capsys):
+    code, report = run_cli(capsys, "gpb", "--rank", "2", "--degree", "3", "--nodes", "10000")
+    assert code == 0
+    assert report["weight"] == 20000
+    code, report = run_cli(capsys, "gpb", "--rank", "2", "--degree", "3", "--nodes", "10001")
+    assert code == 2
+    assert report["error"] == {"code": "InvalidInput",
+                               "detail": "--nodes must be at most 10000, got 10001"}
+
+
+def test_overlong_json_integer_is_input_error(tmp_path, capsys):
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text('{"rank": ' + "7" * 5000 + ', "multidegree": {"1": 1, "2": 1}}')
+    code, report = run_cli(capsys, "check", "--curve", str(CURVES / "path2_g11.json"),
+                           "--bundle", str(bundle), "--pol", str(FIXTURES / "path2_pol.json"))
+    assert code == 2
+    assert report["error"] == {"code": "ParseError",
+                               "detail": f"invalid JSON in {bundle}: a number has too many digits"}

@@ -256,3 +256,19 @@ def test_chi_totals_are_linear_on_a_long_path():
         t0 = time.perf_counter()
         assert call() == expected
         assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("shape", helpers.SHAPES)
+def test_edgewise_twist_matches_an_intersection_matrix_replay(shape):
+    rng = random.Random(71)
+    for _ in range(25):
+        c = helpers.shaped_curve(rng, rng.randint(1, 30), shape)
+        bc = helpers.random_bundle(rng, c)
+        t = TwistDivisor(coeffs={i: rng.randint(-5, 5) for i in c.ids})
+        m = intersection_matrix(c)
+        expect = {i: bc.multidegree[i] + bc.rank * sum(m[i][j] * t.coeffs[j] for j in c.ids)
+                  for i in c.ids}
+        got = twist(c, bc, t)
+        assert got.rank == bc.rank
+        assert got.multidegree == expect
+        assert list(got.multidegree) == list(c.ids)
