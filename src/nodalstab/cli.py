@@ -44,7 +44,7 @@ _MAX_NODES = 10_000
 def _verdicts_to_obj(verdicts) -> list:
     return [{"i": v.i,
              "component": v.component,
-             "G": list(v.g_components),
+             "G": v.g_components,
              "lower": ser.frac_to_str(v.lower),
              "upper": ser.frac_to_str(v.upper),
              "value": v.value,
@@ -65,7 +65,6 @@ def cmd_validate(args):
 
 def cmd_order(args):
     c = ser.parse_curve(ser.read_json(args.curve))
-    c.require_valid()
     return ser.ordering_to_obj(prune_ordering(c)), EXIT_OK
 
 
@@ -93,7 +92,7 @@ def cmd_balance(args):
     result = run_balance(c, bc, pol)
     verdicts = lambda_check(c, result.ordering, result.balanced, pol)
     obj = {
-        "ordering": list(result.ordering.perm),
+        "ordering": result.ordering.perm,
         "twist": {str(i): a for i, a in sorted(result.twist.coeffs.items())},
         "multidegree": {str(i): d for i, d in sorted(result.balanced.multidegree.items())},
         "rank": result.balanced.rank,
@@ -103,7 +102,7 @@ def cmd_balance(args):
                    "value": s.value,
                    "lower": ser.frac_to_str(s.lower),
                    "upper": ser.frac_to_str(s.upper),
-                   "candidates": list(s.candidates),
+                   "candidates": s.candidates,
                    "chosen": s.chosen}
                   for s in result.steps],
         "passes": all(v.passes for v in verdicts),
@@ -253,16 +252,15 @@ def run(argv=None) -> int:
         obj, code = args.func(args)
     except NodalStabError as e:
         obj, code = _error(e), (EXIT_INPUT if isinstance(e, InvalidInput) else EXIT_FAIL)
-    text = ser.dumps_report(obj)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                ser.dumps_report(obj, fh)
             return code
         except OSError as e:
-            text = ser.dumps_report(_error(InvalidInput(f"cannot write {args.out}: {e.strerror}")))
+            obj = _error(InvalidInput(f"cannot write {args.out}: {e.strerror}"))
             code = EXIT_INPUT
-    sys.stdout.write(text)
+    ser.dumps_report(obj, sys.stdout)
     return code
 
 

@@ -136,9 +136,10 @@ class Ordering:
     branch of the curve minus component i that holds every higher
     position; at position N, G is the whole curve and B is empty.
 
-    ``subtrees``, ``g_sets`` and ``b_sets`` are derived from ``perm`` and
-    ``nu`` when first read.  They take O(N * depth) space, so nothing that
-    only needs window sums reads them.
+    ``subtrees`` lists G(i) at every position, derived from ``perm`` and
+    ``nu`` when first read; B(i) is the whole curve, ``subtrees[-1]``,
+    minus G(i).  It takes O(N * depth) space, so nothing that only needs
+    window sums reads it.
     """
 
     perm: tuple
@@ -157,14 +158,6 @@ class Ordering:
             below[p - 1] += below[k]
         below[-1].sort()
         return tuple(map(tuple, below))
-
-    @cached_property
-    def g_sets(self) -> tuple:
-        return tuple(map(frozenset, self.subtrees))
-
-    @cached_property
-    def b_sets(self) -> tuple:
-        return tuple(self.g_sets[-1] - g for g in self.g_sets)
 
     def boundary_edge(self, i: int):
         """The unique node joining G(i) and B(i), as an id pair; None at i = N."""
@@ -299,7 +292,7 @@ def decompose(c: TreeLikeCurve, ordering: Ordering, i: int):
     """Split the curve at order position i into (G(i), B(i), boundary node).
 
     Recomputed from the graph, not read off the ordering, so it can be
-    cross-checked against the sets derived from the parent array.  At
+    cross-checked against the subtrees of the parent array.  At
     i = N the whole curve is G and there is no boundary node.
     """
     c.require_valid()

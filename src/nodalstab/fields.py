@@ -69,17 +69,11 @@ class PrimeField:
     def element(self, x) -> int:
         return int(x) % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
     def sub(self, a, b):
         return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def inv(self, a):
         if a % self.p == 0:
@@ -88,9 +82,6 @@ class PrimeField:
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
-
-    def nonzero_elements(self):
-        return range(1, self.p)
 
     def parse(self, s) -> int:
         return self.element(int(s))
@@ -179,17 +170,11 @@ class RationalField:
     def element(self, x) -> Fraction:
         return Fraction(x)
 
-    def add(self, a, b):
-        return a + b
-
     def sub(self, a, b):
         return a - b
 
     def mul(self, a, b):
         return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if a == 0:
@@ -199,10 +184,19 @@ class RationalField:
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def parse(self, s) -> Fraction:
-        return Fraction(str(s))
+    @staticmethod
+    def parse(s) -> Fraction:
+        """The rational that ``Fraction(str(s))`` reads, but never from
+        exponent notation: ``Fraction("1e10000000")`` would build an integer
+        of ten million digits.  Raises ValueError or ZeroDivisionError."""
+        s = str(s)
+        if "e" in s or "E" in s:
+            raise ValueError(f"exponent notation is not accepted: {s!r}")
+        return Fraction(s)
 
-    def format(self, a) -> str:
+    @staticmethod
+    def format(a) -> str:
+        """Lowest terms, "p/q", or "p" when the denominator is 1."""
         a = Fraction(a)
         return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
 

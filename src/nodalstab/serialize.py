@@ -7,25 +7,23 @@ keys and a fixed layout so identical inputs give byte-identical output.
 
 import json
 from fractions import Fraction
+from itertools import islice
 
 from .curve import Component, Ordering, TreeLikeCurve
 from .errors import InvalidInput, ParseError
-from .fields import parse_field
+from .fields import RationalField, parse_field
 from .gpb import GluingFlag
 from .stability import Polarization
 from .truncated import TruncatedMatrix, TruncatedScalar
 from .twist import BundleClass, TwistDivisor
 
-
-def frac_to_str(x) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+frac_to_str = RationalField.format
 
 
 def frac_from_str(s) -> Fraction:
     try:
-        return Fraction(str(s))
-    except (ValueError, ZeroDivisionError) as e:
+        return RationalField.parse(s)
+    except (ValueError, ZeroDivisionError):
         raise ParseError(f"not a rational number: {s!r}") from None
 
 
@@ -52,8 +50,19 @@ def read_json(path: str):
         raise ParseError(f"invalid JSON in {path}: a number has too many digits") from None
 
 
-def dumps_report(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+_CHUNKS_PER_WRITE = 1 << 16
+
+
+def dumps_report(obj, fh) -> None:
+    """Write ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline to fh.
+
+    The encoder's chunks are joined and written 2^16 at a time (a write per
+    chunk is slower), so a report of any size never exists as one string.
+    """
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
+    while block := list(islice(chunks, _CHUNKS_PER_WRITE)):
+        fh.write("".join(block))
+    fh.write("\n")
 
 
 def _require(cond, message, field=None):
@@ -143,12 +152,16 @@ def twist_to_obj(t: TwistDivisor) -> dict:
 
 
 def ordering_to_obj(o: Ordering) -> dict:
+    """G(i) is written as its subtree tuple, B(i) as the ids of the whole
+    curve, ``subtrees[-1]``, outside it (both sorted)."""
+    whole = o.subtrees[-1]
     return {
-        "perm": list(o.perm),
+        "perm": o.perm,
         "nu": {str(i + 1): o.nu[i] for i in range(len(o.nu))},
-        "G": {str(i + 1): sorted(o.g_sets[i]) for i in range(o.n)},
-        "B": {str(i + 1): sorted(o.b_sets[i]) for i in range(o.n)},
-        "boundary_nodes": {str(i): list(o.boundary_edge(i)) for i in range(1, o.n)},
+        "G": {str(i + 1): g for i, g in enumerate(o.subtrees)},
+        "B": {str(i + 1): [cid for cid in whole if cid not in g]
+              for i, g in enumerate(map(set, o.subtrees))},
+        "boundary_nodes": {str(i): o.boundary_edge(i) for i in range(1, o.n)},
     }
 
 

@@ -203,6 +203,8 @@ def inputs():
         "bad_flag_row_text.json": {"field": "F5", "basis_matrix": ["1001", "0110"]},
         "flag_int_entries.json": {"field": "F5", "basis_matrix": [[1, 0, 0, 1], [0, 1, 1, 0]]},
         "bad_bundle_overlong_int.json": b'{"rank": ' + b"7" * 5000 + b', "multidegree": {}}',
+        "bad_pol_exponent.json": {"weights": {"1": "1e10000000", "2": "1/2"}},
+        "bad_flag_q_exponent.json": {"field": "Q", "basis_matrix": [["1e10000000", "1"]]},
     })
 
     # dvr --matrix
@@ -434,6 +436,11 @@ def cases():
         add(f"gpb-num-nodes-{g}", "gpb", "--rank", "2", "--degree", "3", "--nodes", g)
     add("check-bad_bundle_overlong_int", "check", "--curve", inp(triple[0]),
         "--bundle", inp("bad_bundle_overlong_int.json"), "--pol", inp(triple[2]))
+
+    # rationals in exponent notation are refused before they are expanded
+    add("check-bad_pol_exponent", "check", "--curve", inp(triple[0]),
+        "--bundle", inp(triple[1]), "--pol", inp("bad_pol_exponent.json"))
+    add("gpb-flag-bad_flag_q_exponent", "gpb", "--flag", inp("bad_flag_q_exponent.json"))
     return out
 
 

@@ -13,7 +13,8 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from nodalstab import BundleClass, Component, Polarization, TreeLikeCurve
+from nodalstab import BundleClass, Component, Polarization, TreeLikeCurve, decompose
+from nodalstab.serialize import ordering_to_obj
 
 
 # ---------------------------------------------------------------- generators
@@ -166,6 +167,14 @@ def round_prune_ordering(c: TreeLikeCurve):
     return tuple(perm), tuple(pos[parent[v]] for v in perm[:-1])
 
 
+def report_g_b(ordering):
+    """(G(i), B(i)) as frozensets at every position, read from the lists of
+    the ``order`` report."""
+    obj = ordering_to_obj(ordering)
+    return [(frozenset(obj["G"][str(i)]), frozenset(obj["B"][str(i)]))
+            for i in range(1, len(ordering.perm) + 1)]
+
+
 # ----------------------------------------------- window inequalities, by hand
 
 def window_data(c: TreeLikeCurve, ordering, bc, pol):
@@ -182,7 +191,7 @@ def window_data(c: TreeLikeCurve, ordering, bc, pol):
     w_int = {i: pol.weights[i] * den for i in ids}
     rows = []
     for k in range(len(ordering.perm)):
-        g = ordering.g_sets[k]
+        g = decompose(c, ordering, k + 1)[0]
         base = sum(chi_comp[i] for i in g)
         shift = [0] * len(ids)
         for i in g:

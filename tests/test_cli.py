@@ -2,6 +2,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -358,3 +359,43 @@ def test_overlong_json_integer_is_input_error(tmp_path, capsys):
     assert code == 2
     assert report["error"] == {"code": "ParseError",
                                "detail": f"invalid JSON in {bundle}: a number has too many digits"}
+
+
+GOLDEN_INPUTS = pathlib.Path(__file__).parent / "golden" / "inputs"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--curve", "path3.json", "--bundle", "path3_bundle.json",
+     "--pol", "bad_pol_exponent.json"],
+    ["gpb", "--flag", "bad_flag_q_exponent.json"],
+])
+def test_exponent_rationals_exit_2_at_once(argv, capsys):
+    argv = [str(GOLDEN_INPUTS / a) if a.endswith(".json") else a for a in argv]
+    start = time.perf_counter()
+    code, report = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert report["error"]["code"] == "ParseError"
+
+
+ORDER_PEAK_RSS = """
+import resource, sys
+from nodalstab import cli
+code = cli.run(["order", "--curve", sys.argv[1]])
+sys.stderr.write(f"{code} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}")
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_order_report_is_streamed_in_bounded_memory(tmp_path):
+    # the G and B lists of this path hold 2.25 million ids, 26 MB of report
+    # text, which is streamed and never held as one string
+    n = 1500
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"components": [{"id": i} for i in range(1, n + 1)],
+                                "edges": [[i, i + 1] for i in range(1, n)]}))
+    proc = subprocess.run([sys.executable, "-c", ORDER_PEAK_RSS, str(path)],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    code, peak_kib = map(int, proc.stderr.split())
+    assert code == 0
+    assert peak_kib < 100 * 1024

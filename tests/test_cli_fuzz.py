@@ -1,16 +1,19 @@
 """Property test: no input document makes the CLI crash.
 
 Every subcommand that reads a document is fed arbitrary bytes, arbitrary
-JSON, and valid fixtures with one node replaced by arbitrary JSON.  Each
-run must exit 0, 1 or 2, print one JSON document on standard output, and
-raise nothing.  The examples are derandomized, so the suite stays
-deterministic; raise ``max_examples`` locally to search further.
+JSON, and valid fixtures with one node replaced by arbitrary JSON; the
+polarization weights and the gluing-flag entries are also fed strings in
+and around the rational grammar.  Each run must exit 0, 1 or 2, print one
+JSON document on standard output, and raise nothing.  The examples are
+derandomized, so the suite stays deterministic; raise ``max_examples``
+locally to search further.
 """
 
 import contextlib
 import io
 import json
 import pathlib
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -86,6 +89,57 @@ def test_cli_never_crashes_on_any_document(target, workdir):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.run(argv + [option, str(path)])
+        assert code in (0, 1, 2)
+        assert isinstance(json.loads(out.getvalue()), dict)
+        assert "Traceback" not in err.getvalue()
+
+    run()
+
+
+SIGNS = st.sampled_from(["", "+", "-"])
+PADDING = st.sampled_from(["", " ", "\t", "\n", "\u00a0"])
+DIGITS = (st.text("0123456789_", min_size=1, max_size=6)
+          | st.text(st.characters(categories=["Nd"]), min_size=1, max_size=4))
+
+
+@st.composite
+def rational_strings(draw):
+    """Signs, decimals, fractions, exponents up to 10^9, underscores, Unicode
+    digits and whitespace; also nan/inf and runs of several kB."""
+    s = draw(SIGNS) + draw(DIGITS)
+    if draw(st.booleans()):
+        s += draw(st.sampled_from("./")) + draw(DIGITS)
+    if draw(st.booleans()):
+        s += draw(st.sampled_from("eE")) + draw(SIGNS) + str(draw(st.integers(0, 10**9)))
+    s = draw(PADDING) + s + draw(PADDING)
+    return draw(st.sampled_from([s, s, s * draw(st.integers(500, 2000)),
+                                 "nan", "-inf", "Infinity", "1e10000000"]))
+
+
+# slot -> (argv without the fuzzed file, its option, document holding one string)
+RATIONAL_SLOTS = {
+    "pol": (["check", "--curve", str(PATH2), "--bundle", str(BUNDLE)], "--pol",
+            lambda s, field: {"weights": {"1": s, "2": "1/2"}}),
+    "gpb-flag": (["gpb"], "--flag",
+                 lambda s, field: {"field": field, "basis_matrix": [[s, "1"], ["0", s]]}),
+}
+
+
+@pytest.mark.parametrize("slot", sorted(RATIONAL_SLOTS))
+def test_cli_never_crashes_on_rational_strings(slot, workdir):
+    argv, option, document = RATIONAL_SLOTS[slot]
+    path = workdir / f"rational-{slot}.json"
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(rational_strings(), st.sampled_from(["Q", "F5"]))
+    def run(s, field):
+        path.write_text(json.dumps(document(s, field)), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv + [option, str(path)])
+        assert time.perf_counter() - start < 5.0
         assert code in (0, 1, 2)
         assert isinstance(json.loads(out.getvalue()), dict)
         assert "Traceback" not in err.getvalue()

@@ -123,7 +123,7 @@ def test_prune_ordering_single():
     o = prune_ordering(c)
     assert o.perm == (1,)
     assert o.nu == ()
-    assert o.g_sets == (frozenset({1}),)
+    assert o.subtrees == ((1,),)
 
 
 def test_prune_ordering_star_leaves_first():
@@ -148,8 +148,8 @@ def test_prune_ordering_random_against_definition():
         o = prune_ordering(c)
         assert helpers.ordering_satisfies_one_branch(c, o.perm)
         verify_ordering(c, o)
-        for k in range(o.n):
-            assert len(o.g_sets[k]) + len(o.b_sets[k]) == len(c.ids)
+        for g, b in helpers.report_g_b(o):
+            assert len(g) + len(b) == len(c.ids)
 
 
 def test_genus_equals_one_minus_euler_random():
@@ -189,10 +189,9 @@ def test_decompose_matches_stored_sets():
     for _ in range(100):
         c = helpers.random_curve(rng, n_max=7)
         o = prune_ordering(c)
-        for i in range(1, o.n + 1):
+        for i, g_b in enumerate(helpers.report_g_b(o), 1):
             g, b, _ = decompose(c, o, i)
-            assert g == o.g_sets[i - 1]
-            assert b == o.b_sets[i - 1]
+            assert (g, b) == g_b
 
 
 def test_decompose_index_out_of_range():
@@ -260,8 +259,8 @@ def test_lazy_sets_match_decompose_at_every_position():
     for _ in range(60):
         c = helpers.shaped_curve(rng, rng.randint(1, 40), rng.choice(helpers.SHAPES))
         o = prune_ordering(c)
-        for i in range(1, o.n + 1):
+        for i, g_b in enumerate(helpers.report_g_b(o), 1):
             g, b, node = decompose(c, o, i)
-            assert (o.g_sets[i - 1], o.b_sets[i - 1]) == (g, b)
+            assert g_b == (g, b)
             assert o.subtrees[i - 1] == tuple(sorted(g))
             assert o.boundary_edge(i) == node

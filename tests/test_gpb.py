@@ -219,11 +219,11 @@ def test_picard_rth_root_round_trips():
     for p in (5, 7, 11):
         field = PrimeField(p)
         for r in (2, 3, 4):
-            for a in field.nonzero_elements():
+            for a in range(1, p):
                 try:
                     (b,) = picard_rth_root(field, r, [a])
                 except NoRoot:
-                    assert all(pow(x, r, p) != a for x in field.nonzero_elements())
+                    assert all(pow(x, r, p) != a for x in range(1, p))
                     continue
                 assert pow(b, r, p) == a
 

@@ -64,8 +64,8 @@ def test_alternate_valid_orderings_are_accepted():
         o = ordering_from_perm(c, perm)
         verify_ordering(c, o)
         assert helpers.ordering_satisfies_one_branch(c, perm)
-        for i in range(1, o.n + 1):
-            assert decompose(c, o, i)[:2] == (o.g_sets[i - 1], o.b_sets[i - 1])
+        for i, g_b in enumerate(helpers.report_g_b(o), 1):
+            assert decompose(c, o, i)[:2] == g_b
         bc = helpers.random_bundle(rng, c)
         pol = helpers.random_polarization(rng, c)
         for v in lambda_check(c, o, bc, pol):

@@ -1,10 +1,18 @@
+import io
 import json
+import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+import helpers
+from golden_corpus import load_cases
+from nodalstab import decompose, prune_ordering
 from nodalstab import serialize as ser
 from nodalstab.errors import ParseError
+from nodalstab.fields import RationalField
 
 
 def test_frac_str_round_trip():
@@ -14,6 +22,37 @@ def test_frac_str_round_trip():
     assert ser.frac_to_str(Fraction(8, 4)) == "2"
     with pytest.raises(ParseError):
         ser.frac_from_str("one half")
+
+
+# every form Fraction(str) reads, apart from exponents, still parses
+ACCEPTED = {"1/2": Fraction(1, 2), " 3 ": 3, "+3": 3, "-0.5": Fraction(-1, 2),
+            ".5": Fraction(1, 2), "5.": 5, "\t7\n": 7, "-4/6": Fraction(-2, 3),
+            "\u0661/\u0662": Fraction(1, 2), 3: 3, 0.25: Fraction(1, 4)}
+if sys.version_info >= (3, 11):   # Fraction reads underscores from 3.11 on
+    ACCEPTED.update({"1_000": 1000, "1_0/2_0": Fraction(1, 2)})
+
+
+def test_rational_strings_without_exponent_keep_parsing():
+    for s, x in ACCEPTED.items():
+        assert ser.frac_from_str(s) == x
+        assert RationalField.parse(s) == x
+
+
+@pytest.mark.parametrize("s", ["1e10000000", "1E-10000000", "2.5e3", "1/2e1", 1e-05, 1e300,
+                               "nan", "inf", "1 /2", "1/0", "", "0x10"])
+def test_rational_strings_refused(s):
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        ser.frac_from_str(s)
+    with pytest.raises((ValueError, ZeroDivisionError)):
+        RationalField.parse(s)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_one_rational_codec():
+    assert ser.frac_to_str is RationalField.format
+    for x in (Fraction(-7, 3), Fraction(0), Fraction(12), Fraction(1, 10**40)):
+        assert RationalField.parse(ser.frac_to_str(x)) == x
 
 
 def test_curve_round_trip():
@@ -94,7 +133,67 @@ def test_truncated_matrix_round_trip():
         ser.parse_truncated_matrix({"field": "Q", "n": 1, "entries": [[[1, 0]]]})
 
 
+def report_text(obj) -> str:
+    buf = io.StringIO()
+    ser.dumps_report(obj, buf)
+    return buf.getvalue()
+
+
 def test_reports_are_deterministic_text():
     obj = {"b": 1, "a": [3, 2, 1], "c": {"z": "1/2", "y": None}}
-    assert ser.dumps_report(obj) == ser.dumps_report(json.loads(json.dumps(obj)))
-    assert ser.dumps_report(obj).endswith("\n")
+    assert report_text(obj) == report_text(json.loads(json.dumps(obj)))
+    assert report_text(obj).endswith("\n")
+
+
+def test_streamed_report_equals_json_dumps_on_every_golden_report():
+    checked = 0
+    for case in load_cases():
+        if case["stdout"]:
+            obj = json.loads(case["stdout"])
+            assert report_text(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+            assert report_text(obj) == case["stdout"]
+            checked += 1
+    assert checked > 300
+
+
+def test_streamed_report_writes_in_blocks():
+    obj = {"xs": list(range(50_000)), "m": {str(i): [i, "a", None, {}] for i in range(5_000)},
+           "t": tuple(range(20_000))}
+    chunks = sum(1 for _ in json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj))
+    assert chunks > 1 << 16
+
+    class Writes(io.StringIO):
+        calls = 0
+
+        def write(self, text):
+            self.calls += 1
+            return super().write(text)
+
+    fh = Writes()
+    ser.dumps_report(obj, fh)
+    assert fh.getvalue() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # whole blocks of 2^16 chunks plus the final newline, never one write per chunk
+    assert fh.calls == -(-chunks // (1 << 16)) + 1
+
+
+@pytest.mark.parametrize("obj", [{}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}, [()]],
+                                 {"": ""}, 0, "x"])
+def test_streamed_report_of_empty_containers(obj):
+    assert report_text(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("shape", helpers.SHAPES)
+def test_order_report_g_and_b_match_decompose(shape):
+    rng = random.Random(60)
+    for n in (1, 2, 3, 4, 7, 12, 25, 41, 60):
+        c = helpers.shaped_curve(rng, n, shape)
+        o = prune_ordering(c)
+        obj = ser.ordering_to_obj(o)
+        assert list(obj["G"]) == list(obj["B"]) == [str(i) for i in range(1, n + 1)]
+        for i in range(1, n + 1):
+            g, b, node = decompose(c, o, i)
+            assert list(obj["G"][str(i)]) == sorted(g)
+            assert list(obj["B"][str(i)]) == sorted(b)
+            if node is not None:
+                assert list(obj["boundary_nodes"][str(i)]) == list(node)
+        assert len(obj["boundary_nodes"]) == n - 1

@@ -11,6 +11,7 @@ from nodalstab import (
     Polarization,
     TreeLikeCurve,
     TwistDivisor,
+    decompose,
     det_compatibility,
     gieseker_vs_seshadri,
     lambda_check,
@@ -238,6 +239,6 @@ def test_lambda_check_matches_hand_window_data():
         assert len(verdicts) == len(rows)
         for k, (v, (base, _, lower_scaled)) in enumerate(zip(verdicts, rows)):
             assert (v.i, v.component, v.value) == (k + 1, o.perm[k], base)
-            assert v.g_components == tuple(sorted(o.g_sets[k]))
+            assert v.g_components == tuple(sorted(decompose(c, o, k + 1)[0]))
             assert (v.lower * den, v.upper * den) == (lower_scaled, lower_scaled + den * r)
             assert v.passes == (lower_scaled <= den * base <= lower_scaled + den * r)
