@@ -5,7 +5,7 @@ graphs, multidegrees, rational polarization weights, explicit gluing
 flags over small exact fields, and truncated power-series arithmetic.
 """
 
-from .balance import BalanceResult, BalanceStep, balance, balance_step, unbalance_report
+from .balance import BalanceResult, balance, balance_step, unbalance_report
 from .curve import (
     Component,
     Ordering,
@@ -31,6 +31,7 @@ from .gpb import (
 from .stability import (
     AmpleDegrees,
     Polarization,
+    Window,
     det_compatibility,
     gieseker_vs_seshadri,
     lambda_check,

@@ -93,9 +93,8 @@ def cmd_balance(args):
     verdicts = lambda_check(c, result.ordering, result.balanced, pol)
     obj = {
         "ordering": result.ordering.perm,
-        "twist": {str(i): a for i, a in sorted(result.twist.coeffs.items())},
-        "multidegree": {str(i): d for i, d in sorted(result.balanced.multidegree.items())},
-        "rank": result.balanced.rank,
+        "twist": ser.twist_to_obj(result.twist)["coeffs"],
+        **ser.bundle_to_obj(result.balanced),   # rank and multidegree
         "total_degree": result.balanced.total_degree,
         "steps": [{"i": s.i,
                    "component": s.component,

@@ -198,11 +198,14 @@ def validate_curve(c: TreeLikeCurve) -> ValidationReport:
             x = parent[x]
         return x
 
+    # a closing edge is reported only while no cycle has been reported
+    cycle_reported = any(code == "CycleDetected" for code, _ in errors)
     for a, b in c.simple_edges:
         ra, rb = find(a), find(b)
         if ra == rb:
-            if not any(code == "CycleDetected" for code, _ in errors):
+            if not cycle_reported:
                 errors.append(("CycleDetected", f"edge {[a, b]} closes a cycle"))
+                cycle_reported = True
         else:
             parent[ra] = rb
     roots = {find(i) for i in c.ids}

@@ -36,7 +36,8 @@ def _unique_keys(pairs) -> dict:
 
 
 def read_json(path: str):
-    """Parse a JSON file; a key repeated within one object is a ParseError."""
+    """Parse a JSON file; a key repeated within one object, or nesting
+    deeper than the interpreter's recursion limit, is a ParseError."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)
@@ -48,6 +49,8 @@ def read_json(path: str):
         raise ParseError(f"invalid JSON in {path}: {e.msg}", line=e.lineno) from None
     except ValueError:   # an integer literal over the interpreter's digit limit
         raise ParseError(f"invalid JSON in {path}: a number has too many digits") from None
+    except RecursionError:   # arrays or objects nested past the interpreter's limit
+        raise ParseError(f"invalid JSON in {path}: JSON nesting is too deep") from None
 
 
 _CHUNKS_PER_WRITE = 1 << 16

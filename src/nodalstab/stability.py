@@ -6,7 +6,7 @@ floating point is allowed anywhere.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .curve import Ordering, TreeLikeCurve, verify_ordering
@@ -45,17 +45,63 @@ class AmpleDegrees:
             raise InvalidInput("ample degrees must be positive integers")
 
 
+def _candidates(top: int, width: int) -> tuple:
+    """Integers a with 0 <= top - width*a <= width, ascending (width > 0)."""
+    return tuple(range(-(-top // width) - 1, top // width + 1))
+
+
 @dataclass(frozen=True)
-class IndexVerdict:
-    """One window inequality: lower <= value <= upper (upper = lower + rank)."""
+class Window:
+    """The window inequality at order position i, stored as integers.
+
+    ``value`` is the chi sum over G(i); the position passes iff
+    lo <= den * value <= lo + den * rank, where den is the lcm of the
+    weight denominators.  Every other attribute is derived when read:
+    the bounds lower = lo/den and upper = lower + rank, the twist
+    coefficients a that move value - rank*a into the window, the
+    distance to the window, and G(i) from the ordering.
+    """
 
     i: int
     component: int
-    g_components: tuple
-    lower: Fraction
-    upper: Fraction
     value: int
-    passes: bool
+    lo: int
+    den: int
+    rank: int
+    ordering: Ordering = field(compare=False, repr=False)
+
+    @property
+    def lower(self) -> Fraction:
+        return Fraction(self.lo, self.den)
+
+    @property
+    def upper(self) -> Fraction:
+        return Fraction(self.lo + self.den * self.rank, self.den)
+
+    @property
+    def passes(self) -> bool:
+        return 0 <= self.value * self.den - self.lo <= self.den * self.rank
+
+    @property
+    def candidates(self) -> tuple:
+        """Integers a with lower <= value - rank*a <= upper, ascending: one or two."""
+        return _candidates(self.value * self.den - self.lo, self.den * self.rank)
+
+    @property
+    def chosen(self) -> int:
+        """The smaller candidate, which parks the chi sum at the upper endpoint on a tie."""
+        return self.candidates[0]
+
+    @property
+    def distance(self) -> Fraction:
+        """How far value lies outside [lower, upper]; 0 when it passes."""
+        top, width = self.value * self.den - self.lo, self.den * self.rank
+        return Fraction(0 if 0 <= top <= width else min(abs(top), abs(top - width)), self.den)
+
+    @property
+    def g_components(self) -> tuple:
+        """The sorted ids of G(i); the first read builds the ordering's subtrees."""
+        return self.ordering.subtrees[self.i - 1]
 
 
 @dataclass(frozen=True)
@@ -148,17 +194,15 @@ def lambda_check(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
     For position i the chi sum over G(i) must land in
     [w*chi + r(|G(i)| - 1), w*chi + r|G(i)|] where w is the total weight
     on G(i).  The final position compares the full componentwise sum
-    with chi + r(N - 1) and always sits at the lower endpoint.
+    with chi + r(N - 1) and always sits at the lower endpoint.  Returns
+    one ``Window`` per position; G(i) is not built unless one is read.
     """
     c.require_valid()
     verify_ordering(c, ordering)
     values, lows, den = _windows(c, ordering, bc, pol)
-    width = den * bc.rank
-    return [IndexVerdict(i=k + 1, component=cid, g_components=g,
-                         lower=Fraction(lo, den), upper=Fraction(lo + width, den),
-                         value=value, passes=lo <= value * den <= lo + width)
-            for k, (cid, g, value, lo) in enumerate(
-                zip(ordering.perm, ordering.subtrees, values, lows))]
+    r = bc.rank
+    return [Window(k + 1, cid, value, lo, den, r, ordering)
+            for k, (cid, value, lo) in enumerate(zip(ordering.perm, values, lows))]
 
 
 def lambda_check_passes(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,

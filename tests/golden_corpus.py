@@ -205,6 +205,7 @@ def inputs():
         "bad_bundle_overlong_int.json": b'{"rank": ' + b"7" * 5000 + b', "multidegree": {}}',
         "bad_pol_exponent.json": {"weights": {"1": "1e10000000", "2": "1/2"}},
         "bad_flag_q_exponent.json": {"field": "Q", "basis_matrix": [["1e10000000", "1"]]},
+        "bad_deep_nesting.json": b"[" * 100_000,
     })
 
     # dvr --matrix
@@ -441,6 +442,9 @@ def cases():
     add("check-bad_pol_exponent", "check", "--curve", inp(triple[0]),
         "--bundle", inp(triple[1]), "--pol", inp("bad_pol_exponent.json"))
     add("gpb-flag-bad_flag_q_exponent", "gpb", "--flag", inp("bad_flag_q_exponent.json"))
+
+    # nesting past the interpreter's recursion limit is a parse error
+    add("validate-bad_deep_nesting", "validate", "--curve", inp("bad_deep_nesting.json"))
     return out
 
 

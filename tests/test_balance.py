@@ -19,7 +19,7 @@ from nodalstab import (
     unbalance_report,
     validate_curve,
 )
-from nodalstab.balance import window_integers
+from nodalstab.stability import Window
 from nodalstab.errors import IndexOutOfRange, NodalStabError, PreconditionViolated
 
 
@@ -190,7 +190,8 @@ def test_window_integers_match_the_definition():
         value, rank = rng.randint(-100, 100), rng.randint(1, 6)
         brute = tuple(a for a in range(-210, 211)
                       if lower <= value - rank * a <= lower + rank)
-        assert window_integers(value, lower, rank) == brute
+        w = Window(1, 1, value, lower.numerator, lower.denominator, rank, None)
+        assert w.candidates == brute
 
 
 def test_balance_steps_match_window_integers_of_the_fraction_bounds():
@@ -206,7 +207,9 @@ def test_balance_steps_match_window_integers_of_the_fraction_bounds():
             base, shift, lower_scaled = rows[s.i - 1]
             assert s.lower == Fraction(lower_scaled, den)
             assert s.upper == s.lower + r
-            assert s.candidates == window_integers(s.value, s.lower, r)
+            near = (s.value - s.lower) // r       # the window holds near - 1 .. near at most
+            assert s.candidates == tuple(x for x in range(near - 3, near + 4)
+                                         if s.lower <= s.value - r * x <= s.upper)
             assert s.chosen == s.candidates[0]
             # after the step's own twist the chi sum is the one the final twist gives
             assert s.value - r * s.chosen == base + r * sum(u * x for u, x in zip(shift, a))

@@ -1,7 +1,8 @@
 """Property test: no input document makes the CLI crash.
 
 Every subcommand that reads a document is fed arbitrary bytes, arbitrary
-JSON, and valid fixtures with one node replaced by arbitrary JSON; the
+JSON, valid fixtures with one node replaced by arbitrary JSON, and arrays
+or objects nested up to 10^5 deep; the
 polarization weights and the gluing-flag entries are also fed strings in
 and around the rational grammar.  Each run must exit 0, 1 or 2, print one
 JSON document on standard output, and raise nothing.  The examples are
@@ -65,9 +66,18 @@ def mutated(draw, doc):
     return draw(json_values)
 
 
+@st.composite
+def deep_nesting(draw):
+    """Arrays or objects nested 100 to 10^5 deep, closed or cut off."""
+    depth = draw(st.integers(100, 100_000))
+    opener, closer = draw(st.sampled_from([("[", "]"), ('{"1": ', "}")]))
+    tail = closer * depth if draw(st.booleans()) else ""
+    return (opener * depth + "0" + tail).encode()
+
+
 def documents(valid):
     as_bytes = st.builds(lambda v: json.dumps(v).encode(), json_values | mutated(valid))
-    return st.binary(max_size=120) | as_bytes
+    return st.binary(max_size=120) | as_bytes | deep_nesting()
 
 
 @pytest.fixture(scope="module")

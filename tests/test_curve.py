@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 
@@ -73,6 +75,59 @@ def test_validate_self_loop_is_cycle():
     report = validate_curve(c)
     assert not report.valid
     assert report.errors[0][0] == "CycleDetected"
+
+
+def _errors_by_rescan(c):
+    """The validation errors by the rule as first written: a closing edge
+    is reported after a scan of every error so far finds no cycle."""
+    errors, seen = [], set()
+    for e in c.edges:
+        if e[0] == e[1]:
+            errors.append(("CycleDetected", f"edge {list(e)} joins a component to itself"))
+        elif e in seen:
+            errors.append(("MultiEdge", f"components {e[0]} and {e[1]} meet in more than one node"))
+        seen.add(e)
+    parent = {i: i for i in c.ids}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in c.simple_edges:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            if not any(code == "CycleDetected" for code, _ in errors):
+                errors.append(("CycleDetected", f"edge {[a, b]} closes a cycle"))
+        else:
+            parent[ra] = rb
+    roots = {find(i) for i in c.ids}
+    if len(roots) > 1:
+        errors.append(("Disconnected", f"dual graph has {len(roots)} connected pieces"))
+    return errors
+
+
+def test_validate_errors_match_the_rescan_rule_on_random_multigraphs():
+    rng = random.Random(83)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        edges = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 12))]
+        c = curve([(i, 0, 0) for i in range(1, n + 1)], edges)
+        assert list(validate_curve(c).errors) == _errors_by_rescan(c)
+
+
+def test_validate_is_fast_on_many_repeated_nodes():
+    # the complete graph on 120 components plus 8,000 copies of one node
+    n = 120
+    edges = list(itertools.combinations(range(1, n + 1), 2)) + [(1, 2)] * 8000
+    c = curve([(i, 0, 0) for i in range(1, n + 1)], edges)
+    start = time.perf_counter()
+    report = validate_curve(c)
+    assert time.perf_counter() - start < 1.0    # about 4 s with a rescan per closing edge
+    assert [code for code, _ in report.errors] == ["MultiEdge"] * 8000 + ["CycleDetected"]
+    small = curve([(i, 0, 0) for i in range(1, 31)],
+                  list(itertools.combinations(range(1, 31), 2)) + [(1, 2)] * 300)
+    assert list(validate_curve(small).errors) == _errors_by_rescan(small)
 
 
 def test_validate_single_component():

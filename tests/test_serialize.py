@@ -102,6 +102,16 @@ def test_read_json_rejects_duplicate_keys(tmp_path):
         ser.read_json(str(path))
 
 
+@pytest.mark.parametrize("opener", ["[", '{"1": '])
+def test_read_json_refuses_nesting_past_the_recursion_limit(tmp_path, opener):
+    path = tmp_path / "deep.json"
+    path.write_text(opener * 100_000)
+    with pytest.raises(ParseError, match="JSON nesting is too deep"):
+        ser.read_json(str(path))
+    path.write_text("[" * 50 + "]" * 50)
+    assert ser.read_json(str(path)) == json.loads(path.read_text())
+
+
 def test_polarization_round_trip():
     pol = ser.parse_polarization({"weights": {"1": "1/3", "2": "2/3"}})
     assert pol.weights == {1: Fraction(1, 3), 2: Fraction(2, 3)}

@@ -11,6 +11,7 @@ from nodalstab import (
     Polarization,
     TreeLikeCurve,
     TwistDivisor,
+    balance,
     decompose,
     det_compatibility,
     gieseker_vs_seshadri,
@@ -20,6 +21,7 @@ from nodalstab import (
     seshadri_slope,
     slope,
     twist,
+    unbalance_report,
 )
 from nodalstab.errors import (
     DocumentMismatch,
@@ -242,3 +244,48 @@ def test_lambda_check_matches_hand_window_data():
             assert v.g_components == tuple(sorted(decompose(c, o, k + 1)[0]))
             assert (v.lower * den, v.upper * den) == (lower_scaled, lower_scaled + den * r)
             assert v.passes == (lower_scaled <= den * base <= lower_scaled + den * r)
+
+
+def _brute_candidates(value, lower, upper, r):
+    """Integers a with lower <= value - r*a <= upper, by a scan of the Fractions."""
+    return tuple(a for a in range((value - upper) // r - 2, (value - lower) // r + 3)
+                 if lower <= value - r * a <= upper)
+
+
+def _brute_distance(value, lower, upper):
+    return 0 if lower <= value <= upper else min(abs(value - lower), abs(value - upper))
+
+
+def test_window_records_match_a_scan_of_the_fraction_bounds():
+    rng = random.Random(89)
+    for _ in range(80):
+        c = helpers.shaped_curve(rng, rng.randint(1, 20), rng.choice(helpers.SHAPES))
+        bc = helpers.random_bundle(rng, c, ranks=(1, 2, 3, 5))
+        pol = helpers.random_polarization(rng, c)
+        o = prune_ordering(c)
+        _, den, r, rows = helpers.window_data(c, o, bc, pol)
+        windows = (lambda_check(c, o, bc, pol) + list(balance(c, bc, pol).steps)
+                   + unbalance_report(c, bc, pol))
+        assert len(windows) == 3 * len(rows) - 1
+        for w in windows:
+            lower = Fraction(rows[w.i - 1][2], den)
+            upper = lower + r
+            assert (w.lower, w.upper) == (lower, upper)
+            assert w.passes == (lower <= w.value <= upper)
+            assert w.candidates == _brute_candidates(w.value, lower, upper, r)
+            assert w.distance == _brute_distance(w.value, lower, upper)
+            assert w.chosen == w.candidates[0]
+
+
+def test_window_records_build_no_subtrees_until_g_is_read():
+    rng = random.Random(97)
+    c = helpers.shaped_curve(rng, 40, "path")
+    bc = helpers.random_bundle(rng, c)
+    pol = helpers.random_polarization(rng, c)
+    o = prune_ordering(c)
+    windows = lambda_check(c, o, bc, pol)
+    assert "subtrees" not in vars(o)
+    result = balance(c, bc, pol)
+    assert "subtrees" not in vars(result.ordering)
+    assert windows[0].g_components == tuple(sorted(decompose(c, o, 1)[0]))
+    assert "subtrees" in vars(o)
