@@ -17,10 +17,11 @@ sum at the upper endpoint.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .curve import Ordering, TreeLikeCurve, prune_ordering
 from .errors import IndexOutOfRange, InvariantViolated, PreconditionViolated
-from .stability import Polarization, Window, _chi_sums, _windows, lambda_check
+from .stability import Polarization, Window, _chi_sums, _chosen, _windows, lambda_check
 from .twist import BundleClass, TwistDivisor, twist
 
 
@@ -50,7 +51,9 @@ def balance_step(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
             f"positions {bad} above {i} must pass before balancing position {i}")
     step = windows[i - 1]
     a = step.chosen
-    step_twist = TwistDivisor(coeffs={j: (a if j == step.component else 0) for j in c.ids})
+    coeffs = dict.fromkeys(c.ids, 0)
+    coeffs[step.component] = a
+    step_twist = TwistDivisor(coeffs=coeffs)
     return a, twist(c, bc, step_twist)
 
 
@@ -66,20 +69,23 @@ def balance(c: TreeLikeCurve, bc: BundleClass, pol: Polarization) -> BalanceResu
     ordering = prune_ordering(c)
     perm, nu, n, r = ordering.perm, ordering.nu, ordering.n, bc.rank
     values, lows, den = _windows(c, ordering, bc, pol)
-    a = [0] * n
-    steps = []
+    width = den * r
+    # before[k] is the chi sum at position k + 1 before its own twist: the
+    # base sum plus r times the parent's coefficient (the root's is 0)
+    before, a = values[:], [0] * n
     for k in range(n - 2, -1, -1):
-        step = Window(k + 1, perm[k], values[k] + r * a[nu[k] - 1], lows[k], den, r, ordering)
-        a[k] = step.chosen
-        steps.append(step)
-    by_id = dict(zip(perm, a))
-    t = TwistDivisor(coeffs={j: by_id[j] for j in c.ids})
+        before[k] += r * a[nu[k] - 1]
+        a[k] = _chosen(before[k] * den - lows[k], width)
+    t = TwistDivisor(coeffs=dict(zip(perm, a)))
     balanced = twist(c, bc, t)
     after = _chi_sums(c, ordering, balanced)
     # the last window's chi sum is chi + r(N - 1), so it carries total chi
     if balanced.total_degree != bc.total_degree or after[-1] != values[-1] \
-            or not all(lo <= v * den <= lo + den * r for v, lo in zip(after, lows)):
+            or not all(lo <= v * den <= lo + width for v, lo in zip(after, lows)):
         raise InvariantViolated("the accumulated twist does not balance the class")
+    # one record per step, in step order: positions N-1 down to 1
+    steps = map(Window, range(n - 1, 0, -1), perm[n - 2::-1], before[n - 2::-1],
+                lows[n - 2::-1], repeat(den), repeat(r), repeat(ordering))
     return BalanceResult(ordering=ordering, twist=t, balanced=balanced, steps=tuple(steps))
 
 

@@ -11,6 +11,7 @@ operation.
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 from .errors import (
     CycleDetected,
@@ -79,6 +80,11 @@ class TreeLikeCurve:
         return tuple(c.id for c in self.components)
 
     @cached_property
+    def _dense(self) -> "_DenseIndex":
+        """The component ids as indices 0..N-1, built on first read and kept."""
+        return _DenseIndex(self)
+
+    @cached_property
     def _by_id(self) -> dict:
         return {c.id: c for c in self.components}
 
@@ -112,6 +118,29 @@ class TreeLikeCurve:
             raise {"CycleDetected": CycleDetected,
                    "Disconnected": Disconnected,
                    "MultiEdge": MultiEdge}[code](detail)
+
+
+class _DenseIndex:
+    """The component ids numbered 0..N-1 in increasing id order.
+
+    ``ids[k]`` is the id with index k and ``index`` maps it back;
+    ``idset`` is the set of ids (the index's key view), ``genus[k]`` the
+    arithmetic genus of component ids[k], and ``edges`` the simple edges
+    as index pairs (x, y), x < y, in the iteration order of
+    ``simple_edges``.  Index order is id order, so sorting indices sorts
+    ids.  The tree passes run on int lists over these indices; ids appear
+    only where results leave them.
+    """
+
+    __slots__ = ("ids", "index", "idset", "genus", "edges")
+
+    def __init__(self, c):
+        comps = sorted(c.components, key=attrgetter("id"))
+        self.ids = [comp.id for comp in comps]
+        self.index = index = dict(zip(self.ids, range(len(comps))))
+        self.idset = index.keys()
+        self.genus = [comp.arithmetic_genus for comp in comps]
+        self.edges = [(index[a], index[b]) for a, b in c.simple_edges]
 
 
 @dataclass(frozen=True)
@@ -181,39 +210,44 @@ def validate_curve(c: TreeLikeCurve) -> ValidationReport:
     if report is not None:
         return report
     errors = []
-    seen = set()
-    for e in c.edges:
-        if e[0] == e[1]:
-            errors.append(("CycleDetected", f"edge {list(e)} joins a component to itself"))
-        elif e in seen:
-            errors.append(("MultiEdge", f"components {e[0]} and {e[1]} meet in more than one node"))
-        seen.add(e)
+    simple = c.simple_edges
+    if len(simple) != len(c.edges):    # some edge is a self-loop or repeated
+        seen = set()
+        for e in c.edges:
+            if e[0] == e[1]:
+                errors.append(("CycleDetected", f"edge {list(e)} joins a component to itself"))
+            elif e in seen:
+                errors.append(("MultiEdge",
+                               f"components {e[0]} and {e[1]} meet in more than one node"))
+            seen.add(e)
 
-    # union-find over the simple edges catches any remaining cycle
-    parent = {i: i for i in c.ids}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    # union-find over the simple edges catches any remaining cycle; each
+    # successful union joins two pieces, so N minus the unions is the count
+    dense = c._dense
+    parent = list(range(len(dense.ids)))
+    pieces = len(parent)
     # a closing edge is reported only while no cycle has been reported
     cycle_reported = any(code == "CycleDetected" for code, _ in errors)
-    for a, b in c.simple_edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
+    for u, v in dense.edges:
+        x = u
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        y = v
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x == y:
             if not cycle_reported:
-                errors.append(("CycleDetected", f"edge {[a, b]} closes a cycle"))
+                ids = dense.ids
+                errors.append(("CycleDetected", f"edge {[ids[u], ids[v]]} closes a cycle"))
                 cycle_reported = True
         else:
-            parent[ra] = rb
-    roots = {find(i) for i in c.ids}
-    if len(roots) > 1:
-        errors.append(("Disconnected", f"dual graph has {len(roots)} connected pieces"))
+            parent[x] = y
+            pieces -= 1
+    if pieces > 1:
+        errors.append(("Disconnected", f"dual graph has {pieces} connected pieces"))
 
     valid = not errors
-    p_a = sum(comp.arithmetic_genus for comp in c.components) if valid else None
+    p_a = sum(dense.genus) if valid else None
     report = ValidationReport(
         valid=valid,
         errors=tuple(errors),
@@ -234,7 +268,7 @@ def arithmetic_genus(c: TreeLikeCurve) -> int:
     class.
     """
     c.require_valid()
-    return sum(comp.arithmetic_genus for comp in c.components)
+    return sum(c._dense.genus)
 
 
 def _split_off(c: TreeLikeCurve, removed: int, seed: int) -> frozenset:
@@ -254,41 +288,46 @@ def prune_ordering(c: TreeLikeCurve) -> Ordering:
 
     Leaves are peeled round by round: all current leaves, in increasing
     id order, then the leaves of what remains, and so on; the final
-    surviving component takes position N.  One pass does it: degrees and
-    the XOR of each component's neighbor ids are read off the edge list,
-    so a leaf's one surviving neighbor is its XOR.  Removing a leaf XORs
-    it out of that neighbor and lowers its degree; the neighbor joins the
-    next round's queue once it is a leaf itself, and becomes nu at the
-    removed leaf's position.
+    surviving component takes position N.  One pass over the dense
+    indices does it: degrees and the XOR of each component's neighbor
+    indices are read off the edge list, so a leaf's one surviving
+    neighbor is its XOR.  Removing a leaf XORs it out of that neighbor
+    and lowers its degree; the neighbor joins the next round's queue once
+    it is a leaf itself, and becomes nu at the removed leaf's position.
     """
     c.require_valid()
-    ids = c.ids
-    n = len(ids)
-    deg, acc = dict.fromkeys(ids, 0), dict.fromkeys(ids, 0)
-    for a, b in c.simple_edges:
-        deg[a] += 1
-        deg[b] += 1
-        acc[a] ^= b
-        acc[b] ^= a
+    dense = c._dense
+    n = len(dense.ids)
+    deg, acc = [0] * n, [0] * n
+    for x, y in dense.edges:
+        deg[x] += 1
+        deg[y] += 1
+        acc[x] ^= y
+        acc[y] ^= x
+    # indices, like ids, from here on; index order is id order
     perm, parent = [], []
-    leaves = sorted(i for i in ids if deg[i] == 1)
+    leaves = [v for v in range(n) if deg[v] == 1]
     while len(perm) < n - 1:
         # leaves of one round are never adjacent unless only two remain,
         # and then the second one is the survivor
+        leaves = leaves[:n - 1 - len(perm)]
+        perm += leaves
         next_leaves = []
-        for v in leaves[:n - 1 - len(perm)]:
+        for v in leaves:
             w = acc[v]
             acc[w] ^= v
-            perm.append(v)
             parent.append(w)
             deg[w] -= 1
             if deg[w] == 1:
                 next_leaves.append(w)
         leaves = sorted(next_leaves)
     # the last leaf removed leaves only its neighbor
-    perm.append(parent[-1] if parent else ids[0])
-    pos = {cid: k + 1 for k, cid in enumerate(perm)}
-    return Ordering(perm=tuple(perm), nu=tuple(pos[w] for w in parent))
+    perm.append(parent[-1] if parent else 0)
+    pos = [0] * n
+    for k, v in enumerate(perm, 1):
+        pos[v] = k
+    return Ordering(perm=tuple(map(dense.ids.__getitem__, perm)),
+                    nu=tuple(map(pos.__getitem__, parent)))
 
 
 def decompose(c: TreeLikeCurve, ordering: Ordering, i: int):
@@ -302,7 +341,7 @@ def decompose(c: TreeLikeCurve, ordering: Ordering, i: int):
     n = ordering.n
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"order index {i} out of range 1..{n}")
-    if set(ordering.perm) != set(c.ids):
+    if set(ordering.perm) != c._dense.idset:
         raise OrderingMismatch("ordering does not belong to this curve")
     everything = frozenset(c.ids)
     if i == n:
@@ -325,9 +364,9 @@ def verify_ordering(c: TreeLikeCurve, ordering: Ordering) -> None:
     position, and the higher positions form one connected branch through
     nu(i).
     """
-    n = len(c.ids)
+    n = len(c.components)
     perm, nu = ordering.perm, ordering.nu
-    if len(perm) != n or set(perm) != set(c.ids):
+    if len(perm) != n or set(perm) != c._dense.idset:
         raise OrderingMismatch("perm is not a permutation of the curve's component ids")
     if len(nu) != n - 1:
         raise OrderingMismatch(f"nu has {len(nu)} entries, need {n - 1}")

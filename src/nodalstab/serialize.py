@@ -6,6 +6,7 @@ keys and a fixed layout so identical inputs give byte-identical output.
 """
 
 import json
+import math
 from fractions import Fraction
 from itertools import islice
 
@@ -79,6 +80,20 @@ def _int(value, field):
     return value
 
 
+# Every number a report prints is a sum or product of ranks, degrees, genus
+# data and the weights' common denominator.  With each of those under 1000
+# digits, no printed integer comes near the interpreter's 4300-digit limit
+# on int-to-string conversion, so a valid document cannot crash the report.
+_MAX_DIGITS = 1000
+_DIGIT_BOUND = 10 ** _MAX_DIGITS
+
+
+def _small_int(value, field):
+    _require(-_DIGIT_BOUND < _int(value, field) < _DIGIT_BOUND,
+             f"integer has more than {_MAX_DIGITS} digits", field)
+    return value
+
+
 def _id_map(obj, field):
     _require(isinstance(obj, dict), "expected an object keyed by component id", field)
     out = {}
@@ -98,8 +113,8 @@ def parse_curve(obj) -> TreeLikeCurve:
         _require(isinstance(c, dict), "component must be an object", where)
         comps.append(Component(
             id=_int(c.get("id"), where + ".id"),
-            geometric_genus=_int(c.get("geometric_genus", 0), where + ".geometric_genus"),
-            internal_nodes=_int(c.get("internal_nodes", 0), where + ".internal_nodes"),
+            geometric_genus=_small_int(c.get("geometric_genus", 0), where + ".geometric_genus"),
+            internal_nodes=_small_int(c.get("internal_nodes", 0), where + ".internal_nodes"),
         ))
     edges_obj = obj.get("edges", [])
     _require(isinstance(edges_obj, list), "edges must be a list", "edges")
@@ -123,10 +138,10 @@ def curve_to_obj(c: TreeLikeCurve) -> dict:
 
 def parse_bundle(obj) -> BundleClass:
     _require(isinstance(obj, dict), "bundle document must be an object")
-    rank = _int(obj.get("rank"), "rank")
+    rank = _small_int(obj.get("rank"), "rank")
     md = _id_map(obj.get("multidegree"), "multidegree")
     return BundleClass(rank=rank,
-                       multidegree={i: _int(v, f"multidegree.{i}") for i, v in md.items()})
+                       multidegree={i: _small_int(v, f"multidegree.{i}") for i, v in md.items()})
 
 
 def bundle_to_obj(bc: BundleClass) -> dict:
@@ -137,7 +152,15 @@ def bundle_to_obj(bc: BundleClass) -> dict:
 def parse_polarization(obj) -> Polarization:
     _require(isinstance(obj, dict), "polarization document must be an object")
     w = _id_map(obj.get("weights"), "weights")
-    return Polarization(weights={i: frac_from_str(v) for i, v in w.items()})
+    weights = {i: frac_from_str(v) for i, v in w.items()}
+    # grown one weight at a time, so an over-long lcm stops the loop early
+    den = 1
+    for v in weights.values():
+        den = math.lcm(den, v.denominator)
+        _require(den < _DIGIT_BOUND,
+                 f"the weights' common denominator has more than {_MAX_DIGITS} digits",
+                 "weights")
+    return Polarization(weights=weights)
 
 
 def polarization_to_obj(pol: Polarization) -> dict:

@@ -8,6 +8,8 @@ floating point is allowed anywhere.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import repeat
 
 from .curve import Ordering, TreeLikeCurve, verify_ordering
 from .errors import (
@@ -33,6 +35,15 @@ class Polarization:
             raise InvalidInput("polarization weights must sum to exactly 1")
         object.__setattr__(self, "weights", w)
 
+    @cached_property
+    def _scaled(self) -> tuple:
+        """(den, {id: weight * den}): den is the lcm of the weight
+        denominators, so the scaled weights are integers; built on first
+        read and kept."""
+        pairs = [w.as_integer_ratio() for w in self.weights.values()]
+        den = math.lcm(*[d for _, d in pairs])
+        return den, dict(zip(self.weights, [n * (den // d) for n, d in pairs]))
+
 
 @dataclass(frozen=True)
 class AmpleDegrees:
@@ -45,12 +56,17 @@ class AmpleDegrees:
             raise InvalidInput("ample degrees must be positive integers")
 
 
+def _chosen(top: int, width: int) -> int:
+    """The least integer a with top - width*a <= width (width > 0)."""
+    return (top - 1) // width
+
+
 def _candidates(top: int, width: int) -> tuple:
     """Integers a with 0 <= top - width*a <= width, ascending (width > 0)."""
-    return tuple(range(-(-top // width) - 1, top // width + 1))
+    return tuple(range(_chosen(top, width), top // width + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Window:
     """The window inequality at order position i, stored as integers.
 
@@ -59,7 +75,8 @@ class Window:
     weight denominators.  Every other attribute is derived when read:
     the bounds lower = lo/den and upper = lower + rank, the twist
     coefficients a that move value - rank*a into the window, the
-    distance to the window, and G(i) from the ordering.
+    distance to the window, and G(i) from the ordering.  A plain slotted
+    record, cheap to build; records compare by value but are not hashable.
     """
 
     i: int
@@ -90,7 +107,7 @@ class Window:
     @property
     def chosen(self) -> int:
         """The smaller candidate, which parks the chi sum at the upper endpoint on a tie."""
-        return self.candidates[0]
+        return _chosen(self.value * self.den - self.lo, self.den * self.rank)
 
     @property
     def distance(self) -> Fraction:
@@ -151,9 +168,13 @@ def _chi_sums(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass) -> list:
 
     G(i) is the subtree of position i in the parent array, so one
     leaves-first pass over ``perm`` adds each position's sum into its
-    parent's.  The caller checks the class against the curve.
+    parent's.  The chi of each component is computed in index order and
+    then read off at every position.  The caller checks the class
+    against the curve.
     """
-    values = [_chi(c.component(cid), bc) for cid in ordering.perm]
+    dense = c._dense
+    chi = _chi(map(bc.multidegree.__getitem__, dense.ids), bc.rank, dense.genus)
+    values = list(map(chi.__getitem__, map(dense.index.__getitem__, ordering.perm)))
     for k, p in enumerate(ordering.nu):
         values[p - 1] += values[k]
     return values
@@ -166,25 +187,22 @@ def _windows(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
     Returns (values, lows, den): weights are scaled by den, the lcm of
     their denominators, so position i passes iff
     lows[i] <= den * values[i] <= lows[i] + den * r, all in integers.
-    Weight sums and sizes of G(i) are subtree sums like the chi sums.
+    lows[i] = w(G(i)) * chi + den * r * (|G(i)| - 1) is the subtree sum of
+    w_j * chi + den * r over G(i), less one den * r.
     The ordering must already be known to belong to the curve.
     """
     c.require_valid()
     require_match(c, bc.multidegree, "multidegree")
     require_match(c, pol.weights, "polarization weights")
     r, n = bc.rank, ordering.n
-    den = math.lcm(*(w.denominator for w in pol.weights.values()))
+    den, scaled = pol._scaled
     values = _chi_sums(c, ordering, bc)
-    weights, sizes = [], [1] * n
-    for cid in ordering.perm:
-        w = pol.weights[cid]
-        weights.append(w.numerator * (den // w.denominator))
-    for k, p in enumerate(ordering.nu):
-        weights[p - 1] += weights[k]
-        sizes[p - 1] += sizes[k]
     chi = values[-1] - r * (n - 1)
     width = den * r
-    return values, [w * chi + width * (s - 1) for w, s in zip(weights, sizes)], den
+    lows = [w * chi + width for w in map(scaled.__getitem__, ordering.perm)]
+    for k, p in enumerate(ordering.nu):
+        lows[p - 1] += lows[k]
+    return values, [lo - width for lo in lows], den
 
 
 def lambda_check(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
@@ -200,9 +218,9 @@ def lambda_check(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
     c.require_valid()
     verify_ordering(c, ordering)
     values, lows, den = _windows(c, ordering, bc, pol)
-    r = bc.rank
-    return [Window(k + 1, cid, value, lo, den, r, ordering)
-            for k, (cid, value, lo) in enumerate(zip(ordering.perm, values, lows))]
+    n = ordering.n
+    return list(map(Window, range(1, n + 1), ordering.perm, values, lows,
+                    repeat(den, n), repeat(bc.rank, n), repeat(ordering, n)))
 
 
 def lambda_check_passes(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
@@ -215,7 +233,7 @@ def det_compatibility(c: TreeLikeCurve, bc: BundleClass, det_multidegree: dict) 
     rational component's degree is a multiple of the rank."""
     c.require_valid()
     require_match(c, bc.multidegree, "multidegree")
-    if set(det_multidegree) != set(c.ids):
+    if det_multidegree.keys() != c._dense.idset:
         raise DocumentMismatch("determinant multidegree keys do not match the curve")
     mismatched = tuple(i for i in sorted(c.ids)
                        if det_multidegree[i] != bc.multidegree[i])
@@ -236,7 +254,7 @@ def gieseker_vs_seshadri(c: TreeLikeCurve, bc: BundleClass, h: AmpleDegrees,
     c.require_valid()
     require_match(c, bc.multidegree, "multidegree")
     require_match(c, h.degrees, "ample degrees")
-    if set(multirank) != set(c.ids):
+    if multirank.keys() != c._dense.idset:
         raise DocumentMismatch("multirank keys do not match the curve")
     for i, ri in multirank.items():
         if not 0 <= ri <= bc.rank:

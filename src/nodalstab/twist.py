@@ -41,7 +41,7 @@ class TwistDivisor:
 
 
 def require_match(c: TreeLikeCurve, mapping: dict, what: str) -> None:
-    if set(mapping) != set(c.ids):
+    if mapping.keys() != c._dense.idset:
         raise DocumentMismatch(f"{what} keys do not match the curve's component ids")
 
 
@@ -68,24 +68,26 @@ def intersection_matrix(c: TreeLikeCurve) -> dict:
             for i in c.ids}
 
 
-def _chi(comp, bc: BundleClass) -> int:
-    """Riemann-Roch on one component: d_i + r(1 - p_a); the caller checks."""
-    return bc.multidegree[comp.id] + bc.rank * (1 - comp.arithmetic_genus)
+def _chi(degrees, rank: int, genera) -> list:
+    """Riemann-Roch on each component: d_i + r(1 - p_a(i)), for paired
+    degrees and arithmetic genera; the caller checks."""
+    return [d + rank * (1 - g) for d, g in zip(degrees, genera)]
 
 
 def euler_char_component(c: TreeLikeCurve, bc: BundleClass, i: int) -> int:
     """chi of the class restricted to component i (Riemann-Roch)."""
     c.require_valid()
     require_match(c, bc.multidegree, "multidegree")
-    return _chi(c.component(i), bc)
+    return _chi((bc.multidegree[i],), bc.rank, (c.component(i).arithmetic_genus,))[0]
 
 
 def euler_char_total(c: TreeLikeCurve, bc: BundleClass) -> int:
     """chi on the whole curve: component sum minus r per connecting node."""
     c.require_valid()
     require_match(c, bc.multidegree, "multidegree")
-    total = sum(_chi(comp, bc) for comp in c.components)
-    return total - bc.rank * (len(c.components) - 1)
+    dense = c._dense
+    total = sum(_chi(map(bc.multidegree.__getitem__, dense.ids), bc.rank, dense.genus))
+    return total - bc.rank * (len(dense.ids) - 1)
 
 
 def twist(c: TreeLikeCurve, bc: BundleClass, t: TwistDivisor) -> BundleClass:
@@ -99,13 +101,15 @@ def twist(c: TreeLikeCurve, bc: BundleClass, t: TwistDivisor) -> BundleClass:
     c.require_valid()
     require_match(c, bc.multidegree, "multidegree")
     require_match(c, t.coeffs, "twist coefficients")
-    r, a = bc.rank, t.coeffs
-    new = {i: bc.multidegree[i] for i in c.ids}
-    for i, j in c.simple_edges:
-        moved = r * (a[j] - a[i])
-        new[i] += moved
-        new[j] -= moved
-    return BundleClass(rank=r, multidegree=new)
+    dense = c._dense
+    ids, r = dense.ids, bc.rank
+    new = list(map(bc.multidegree.__getitem__, ids))
+    a = list(map(t.coeffs.__getitem__, ids))
+    for x, y in dense.edges:
+        moved = r * (a[y] - a[x])
+        new[x] += moved
+        new[y] -= moved
+    return BundleClass(rank=r, multidegree=dict(zip(ids, new)))
 
 
 def chi_subcurve_sum(c: TreeLikeCurve, bc: BundleClass, subcurve) -> int:
@@ -117,9 +121,10 @@ def chi_subcurve_sum(c: TreeLikeCurve, bc: BundleClass, subcurve) -> int:
     ids = set(subcurve)
     if not ids:
         raise EmptySubcurve("subcurve must contain at least one component")
-    unknown = ids - set(c.ids)
+    unknown = ids - c._dense.idset
     if unknown:
         raise IndexOutOfRange(f"unknown component ids in subcurve: {sorted(unknown)}")
     c.require_valid()
     require_match(c, bc.multidegree, "multidegree")
-    return sum(_chi(c.component(i), bc) for i in ids)
+    genus, index = c._dense.genus, c._dense.index
+    return sum(_chi([bc.multidegree[i] for i in ids], bc.rank, [genus[index[i]] for i in ids]))

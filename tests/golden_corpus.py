@@ -266,6 +266,23 @@ def inputs():
         "bad_torsor_cocycle_int.json": {"cocycle": 7, "gammas": [[1, 1]]},
         "bad_torsor_cocycle_null.json": {"cocycle": None, "gammas": [[1, 1]]},
     })
+
+    # valid documents whose report values would pass the interpreter's
+    # 4300-digit limit on str(int): coprime 2,500-digit P and Q give the
+    # weights' lcm 4PQ, and a 4,299-digit rank scales every window
+    big_p, big_q = 10**2499 + 1, 10**2499 + 3
+    docs.update({
+        "path4_bundle.json": {"rank": 2, "multidegree": {"1": 3, "2": -1, "3": 0, "4": 2}},
+        "digits_pol_lcm.json": {"weights": {
+            "1": f"{big_p + 4}/{4 * big_p}", "2": f"{big_q + 4}/{4 * big_q}",
+            "3": f"{big_q - 4}/{4 * big_q}", "4": f"{big_p - 4}/{4 * big_p}"}},
+        "path20.json": {"components": [{"id": i, "geometric_genus": i % 3}
+                                       for i in range(1, 21)],
+                        "edges": [[i, i + 1] for i in range(1, 20)]},
+        "path20_pol.json": {"weights": {str(i): "1/20" for i in range(1, 21)}},
+        "digits_bundle_rank.json": {"rank": int("9" * 4299),
+                                    "multidegree": {str(i): i - 10 for i in range(1, 21)}},
+    })
     return docs
 
 
@@ -445,6 +462,12 @@ def cases():
 
     # nesting past the interpreter's recursion limit is a parse error
     add("validate-bad_deep_nesting", "validate", "--curve", inp("bad_deep_nesting.json"))
+
+    # report integers past 4300 digits are refused as input, not met in output
+    add("balance-digits_pol_lcm", "balance", "--curve", f"{FIX}/curves/path4.json",
+        "--bundle", inp("path4_bundle.json"), "--pol", inp("digits_pol_lcm.json"))
+    add("check-digits_bundle_rank", "check", "--curve", inp("path20.json"),
+        "--bundle", inp("digits_bundle_rank.json"), "--pol", inp("path20_pol.json"))
     return out
 
 

@@ -75,6 +75,20 @@ def shaped_curve(rng: random.Random, n: int, shape: str) -> TreeLikeCurve:
     return TreeLikeCurve(components=comps, edges=tuple(shaped_tree_edges(rng, n, shape)))
 
 
+def relabel_far(rng: random.Random, c: TreeLikeCurve) -> TreeLikeCurve:
+    """The same curve with shuffled, non-contiguous ids above 2**64 and the
+    components listed in random order, so that neither id order, list order
+    nor small-integer ids can stand in for the dense index."""
+    n = len(c.ids)
+    new_ids = rng.sample(range(2**64 + 1, 2**64 + 1 + 7 * n + 7), n)
+    far = dict(zip(c.ids, new_ids))
+    comps = [Component(id=far[comp.id], geometric_genus=comp.geometric_genus,
+                       internal_nodes=comp.internal_nodes) for comp in c.components]
+    rng.shuffle(comps)
+    return TreeLikeCurve(components=tuple(comps),
+                         edges=tuple((far[a], far[b]) for a, b in c.edges))
+
+
 def random_bundle(rng: random.Random, c: TreeLikeCurve, ranks=(2, 3, 4), d_bound=20):
     return BundleClass(rank=rng.choice(list(ranks)),
                        multidegree={i: rng.randint(-d_bound, d_bound) for i in c.ids})

@@ -232,3 +232,33 @@ def test_one_validation_per_curve(monkeypatch):
     balance(c, bc, pol)
     assert validate_curve(c) is validate_curve(c)
     assert len(made) == 1
+
+
+def test_balance_agrees_with_brute_force_with_far_ids():
+    rng = random.Random(109)
+    for shape in helpers.SHAPES:
+        for _ in range(6):
+            c = helpers.relabel_far(rng, helpers.shaped_curve(rng, rng.randint(1, 4), shape))
+            bc = helpers.random_bundle(rng, c, ranks=(2, 3), d_bound=6)
+            pol = helpers.random_polarization(rng, c)
+            result = balance(c, bc, pol)
+            bound = max([2] + [abs(a) for a in result.twist.coeffs.values()])
+            sols = helpers.brute_force_solutions(c, result.ordering, bc, pol, bound=bound)
+            assert result.twist.coeffs in sols
+            assert lambda_check_passes(c, result.ordering, result.balanced, pol)
+
+
+def test_one_dense_index_per_balance_call(monkeypatch):
+    curve_mod = importlib.import_module("nodalstab.curve")
+    real, built = curve_mod._DenseIndex, []
+
+    def counting_index(c):
+        built.append(c)
+        return real(c)
+    monkeypatch.setattr(curve_mod, "_DenseIndex", counting_index)
+    rng = random.Random(113)
+    c = helpers.relabel_far(rng, helpers.shaped_curve(rng, 15, "caterpillar"))
+    bc = helpers.random_bundle(rng, c)
+    pol = helpers.random_polarization(rng, c)
+    balance(c, bc, pol)
+    assert built == [c]

@@ -364,6 +364,62 @@ def test_overlong_json_integer_is_input_error(tmp_path, capsys):
 GOLDEN_INPUTS = pathlib.Path(__file__).parent / "golden" / "inputs"
 
 
+CAP = 10**1000     # the smallest integer with more than 1000 digits
+
+
+@pytest.mark.parametrize("slot", ["rank", "degree", "geometric_genus", "internal_nodes"])
+def test_report_inputs_are_capped_at_1000_digits(slot, tmp_path, capsys):
+    # at the cap, twenty components print a p_a or window bounds of about
+    # 2,000 digits; one digit more is refused before any report is written
+    n = 20
+    in_curve = slot in ("geometric_genus", "internal_nodes")
+    curve, bundle, pol = (tmp_path / name for name in ("curve.json", "bundle.json", "pol.json"))
+    pol.write_text(json.dumps({"weights": {str(i): "1/20" for i in range(1, n + 1)}}))
+    # genus data is refused when negative anyway, so only +CAP is tried there
+    for value in (CAP - 1, CAP) if in_curve else (CAP - 1, CAP, -CAP):
+        curve.write_text(json.dumps({
+            "components": [{"id": i, slot: value} if in_curve else {"id": i}
+                           for i in range(1, n + 1)],
+            "edges": [[i, i + 1] for i in range(1, n)]}))
+        bundle.write_text(json.dumps({
+            "rank": value if slot == "rank" else 2,
+            "multidegree": {str(i): value if slot == "degree" else 1 for i in range(1, n + 1)}}))
+        for cmd in ("validate", "check", "balance"):
+            argv = [cmd, "--curve", str(curve)]
+            if cmd != "validate":
+                argv += ["--bundle", str(bundle), "--pol", str(pol)]
+            code, report = run_cli(capsys, *argv)
+            if abs(value) >= CAP and (in_curve or cmd != "validate"):
+                assert code == 2
+                assert report["error"]["code"] == "ParseError"
+                assert report["error"]["detail"].startswith("integer has more than 1000 digits")
+            else:
+                assert code in (0, 1)
+
+
+def test_weight_denominators_are_capped_at_1000_digits(tmp_path, capsys):
+    # coprime odd P and Q: the weights' denominators 4P and 4Q have the lcm 4PQ
+    pol = tmp_path / "pol.json"
+    for p_digits, q_digits, refused in ((500, 500, False), (500, 502, True)):
+        p, q = 10**(p_digits - 1) + 1, 10**(q_digits - 1) + 3
+        assert (len(str(4 * p * q)) > 1000) == refused
+        pol.write_text(json.dumps({"weights": {
+            "1": f"{p + 4}/{4 * p}", "2": f"{q + 4}/{4 * q}",
+            "3": f"{q - 4}/{4 * q}", "4": f"{p - 4}/{4 * p}"}}))
+        code, report = run_cli(capsys, "check", "--curve", str(CURVES / "path4.json"),
+                               "--bundle", str(GOLDEN_INPUTS / "path4_bundle.json"),
+                               "--pol", str(pol))
+        if refused:
+            assert code == 2
+            assert report["error"] == {
+                "code": "ParseError", "field": "weights",
+                "detail": "the weights' common denominator has more than 1000 digits; "
+                          "field=weights"}
+        else:
+            assert code in (0, 1)
+            assert len(report["indices"][2]["lower"]) > 1000
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--curve", "path3.json", "--bundle", "path3_bundle.json",
      "--pol", "bad_pol_exponent.json"],

@@ -4,10 +4,11 @@ Every subcommand that reads a document is fed arbitrary bytes, arbitrary
 JSON, valid fixtures with one node replaced by arbitrary JSON, and arrays
 or objects nested up to 10^5 deep; the
 polarization weights and the gluing-flag entries are also fed strings in
-and around the rational grammar.  Each run must exit 0, 1 or 2, print one
-JSON document on standard output, and raise nothing.  The examples are
-derandomized, so the suite stays deterministic; raise ``max_examples``
-locally to search further.
+and around the rational grammar, and polarizations are fed weights whose
+common denominator has up to 8,600 digits.  Each run must exit 0, 1 or 2,
+print one JSON document on standard output, and raise nothing.  The
+examples are derandomized, so the suite stays deterministic; raise
+``max_examples`` locally to search further.
 """
 
 import contextlib
@@ -150,6 +151,43 @@ def test_cli_never_crashes_on_rational_strings(slot, workdir):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.run(argv + [option, str(path)])
         assert time.perf_counter() - start < 5.0
+        assert code in (0, 1, 2)
+        assert isinstance(json.loads(out.getvalue()), dict)
+        assert "Traceback" not in err.getvalue()
+
+    run()
+
+
+PATH4 = FIXTURES / "curves" / "path4.json"
+
+
+@st.composite
+def long_denominator_weights(draw):
+    """1/4 + 1/P, 1/4 + 1/Q, 1/4 - 1/Q and 1/4 - 1/P on a four-component
+    path, P and Q odd with 2 to 4,299 digits: the weight sum over G(3) is
+    1/2 + 1/P + 1/Q, so a window bound can need 8,600 digits."""
+    digits = st.integers(1, 4298) | st.sampled_from([999, 1000, 2499, 4298])
+    p, q = (10 ** draw(digits) + draw(st.sampled_from([1, 3, 7])) for _ in range(2))
+    return {"weights": {"1": f"{p + 4}/{4 * p}", "2": f"{q + 4}/{4 * q}",
+                        "3": f"{q - 4}/{4 * q}", "4": f"{p - 4}/{4 * p}"}}
+
+
+@pytest.mark.parametrize("command", ["check", "balance"])
+def test_cli_never_crashes_on_long_weight_denominators(command, workdir):
+    bundle = workdir / "path4_bundle.json"
+    bundle.write_text(json.dumps({"rank": 2, "multidegree": {"1": 3, "2": -1, "3": 0, "4": 2}}),
+                      encoding="utf-8")
+    path = workdir / f"long-pol-{command}.json"
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(long_denominator_weights())
+    def run(doc):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run([command, "--curve", str(PATH4), "--bundle", str(bundle),
+                            "--pol", str(path)])
         assert code in (0, 1, 2)
         assert isinstance(json.loads(out.getvalue()), dict)
         assert "Traceback" not in err.getvalue()

@@ -116,6 +116,28 @@ def test_validate_errors_match_the_rescan_rule_on_random_multigraphs():
         assert list(validate_curve(c).errors) == _errors_by_rescan(c)
 
 
+def test_validate_errors_match_the_rescan_rule_with_far_ids():
+    # ids above 2**64, shuffled and with gaps: the dense index must not
+    # change a single error or message
+    rng = random.Random(101)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        edges = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 12))]
+        c = helpers.relabel_far(rng, curve([(i, 0, 0) for i in range(1, n + 1)], edges))
+        assert list(validate_curve(c).errors) == _errors_by_rescan(c)
+
+
+def test_prune_matches_the_round_rule_with_far_ids():
+    rng = random.Random(103)
+    for shape in helpers.SHAPES:
+        for n in (1, 2, 3, 5, 8, 13, 30):
+            c = helpers.relabel_far(rng, helpers.shaped_curve(rng, n, shape))
+            o = prune_ordering(c)
+            assert (o.perm, o.nu) == helpers.round_prune_ordering(c)
+            assert helpers.ordering_satisfies_one_branch(c, o.perm)
+            verify_ordering(c, o)
+
+
 def test_validate_is_fast_on_many_repeated_nodes():
     # the complete graph on 120 components plus 8,000 copies of one node
     n = 120

@@ -23,6 +23,7 @@ from nodalstab import (
     twist,
     unbalance_report,
 )
+from nodalstab.stability import Window
 from nodalstab.errors import (
     DocumentMismatch,
     InvalidInput,
@@ -289,3 +290,31 @@ def test_window_records_build_no_subtrees_until_g_is_read():
     assert "subtrees" not in vars(result.ordering)
     assert windows[0].g_components == tuple(sorted(decompose(c, o, 1)[0]))
     assert "subtrees" in vars(o)
+
+
+def test_lambda_check_matches_the_window_data_with_far_ids():
+    rng = random.Random(107)
+    for shape in helpers.SHAPES:
+        for n in (1, 2, 4, 9, 20):
+            c = helpers.relabel_far(rng, helpers.shaped_curve(rng, n, shape))
+            bc = helpers.random_bundle(rng, c, ranks=(1, 2, 3, 5))
+            pol = helpers.random_polarization(rng, c)
+            o = prune_ordering(c)
+            _, den, r, rows = helpers.window_data(c, o, bc, pol)
+            windows = lambda_check(c, o, bc, pol)
+            assert len(windows) == len(rows)
+            for k, (w, (base, _, lower_scaled)) in enumerate(zip(windows, rows)):
+                assert (w.i, w.component, w.value) == (k + 1, o.perm[k], base)
+                assert (w.lower * den, w.upper * den) == (lower_scaled, lower_scaled + den * r)
+                assert w.passes == (lower_scaled <= den * base <= lower_scaled + den * r)
+                assert w.g_components == tuple(sorted(decompose(c, o, k + 1)[0]))
+
+
+def test_window_is_a_slotted_record_equal_by_value():
+    w = Window(1, 7, 3, -2, 5, 2, None)
+    assert w == Window(1, 7, 3, -2, 5, 2, prune_ordering(
+        TreeLikeCurve(components=(Component(id=7),), edges=())))
+    assert w != Window(1, 7, 4, -2, 5, 2, None)
+    assert not hasattr(w, "__dict__")
+    with pytest.raises(TypeError):
+        hash(w)
