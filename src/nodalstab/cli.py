@@ -147,6 +147,12 @@ def cmd_gpb(args):
             raise InvalidInput("gpb needs --flag, --build, or --rank/--degree/--nodes")
     if args.nodes > _MAX_NODES:
         raise InvalidInput(f"--nodes must be at most {_MAX_NODES}, got {args.nodes}")
+    # the documents' digit cap: with --nodes bounded too, every report
+    # product stays far below the interpreter's limit on printing an int
+    for name in ("rank", "degree", "genus"):
+        value = getattr(args, name)
+        if value is not None and not -ser._DIGIT_BOUND < value < ser._DIGIT_BOUND:
+            raise InvalidInput(f"--{name} must have at most {ser._MAX_DIGITS} digits")
     g = gpb_mod.GpbClass(rank=args.rank, degree=args.degree, nodes=args.nodes)
     obj = {"rank": g.rank,
            "degree": g.degree,

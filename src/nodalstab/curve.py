@@ -63,9 +63,9 @@ class TreeLikeCurve:
         ids = [c.id for c in comps]
         if not ids:
             raise ParseError("a curve needs at least one component", field="components")
-        if len(set(ids)) != len(ids):
-            raise ParseError("component ids must be unique", field="components")
         known = set(ids)
+        if len(known) != len(ids):
+            raise ParseError("component ids must be unique", field="components")
         norm = []
         for e in self.edges:
             a, b = e
@@ -84,13 +84,10 @@ class TreeLikeCurve:
         """The component ids as indices 0..N-1, built on first read and kept."""
         return _DenseIndex(self)
 
-    @cached_property
-    def _by_id(self) -> dict:
-        return {c.id: c for c in self.components}
-
     def component(self, comp_id: int) -> Component:
+        dense = self._dense
         try:
-            return self._by_id[comp_id]
+            return dense.comps[dense.index[comp_id]]
         except KeyError:
             raise IndexOutOfRange(f"no component with id {comp_id}") from None
 
@@ -123,19 +120,19 @@ class TreeLikeCurve:
 class _DenseIndex:
     """The component ids numbered 0..N-1 in increasing id order.
 
-    ``ids[k]`` is the id with index k and ``index`` maps it back;
-    ``idset`` is the set of ids (the index's key view), ``genus[k]`` the
-    arithmetic genus of component ids[k], and ``edges`` the simple edges
-    as index pairs (x, y), x < y, in the iteration order of
-    ``simple_edges``.  Index order is id order, so sorting indices sorts
+    ``comps[k]`` is the component with index k, ``ids[k]`` its id, and
+    ``index`` maps ids back; ``idset`` is the set of ids (the index's key
+    view), ``genus[k]`` the arithmetic genus of comps[k], and ``edges``
+    the simple edges as index pairs (x, y), x < y, in the iteration order
+    of ``simple_edges``.  Index order is id order, so sorting indices sorts
     ids.  The tree passes run on int lists over these indices; ids appear
     only where results leave them.
     """
 
-    __slots__ = ("ids", "index", "idset", "genus", "edges")
+    __slots__ = ("comps", "ids", "index", "idset", "genus", "edges")
 
     def __init__(self, c):
-        comps = sorted(c.components, key=attrgetter("id"))
+        self.comps = comps = sorted(c.components, key=attrgetter("id"))
         self.ids = [comp.id for comp in comps]
         self.index = index = dict(zip(self.ids, range(len(comps))))
         self.idset = index.keys()

@@ -21,8 +21,6 @@ from .errors import (
 )
 from .fields import mat_rank
 
-WEIGHTS = (0, 1)
-
 
 @dataclass(frozen=True)
 class GpbClass:
@@ -49,10 +47,6 @@ class GpbClass:
             if m1 < 0 or m2 < 0 or m1 + m2 != 2 * self.rank:
                 raise InvalidInput("flag dimensions at a node must satisfy m1 + m2 = 2r")
         object.__setattr__(self, "flag_dims", dims)
-
-    @property
-    def weights(self) -> tuple:
-        return WEIGHTS
 
     @property
     def is_canonical(self) -> bool:

@@ -8,7 +8,6 @@ floating point is allowed anywhere.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 
 from .curve import Ordering, TreeLikeCurve, verify_ordering
@@ -28,21 +27,17 @@ class Polarization:
     weights: dict
 
     def __post_init__(self):
+        # checked and kept as integers: each weight times den, the lcm of the denominators
         w = {i: Fraction(v) for i, v in self.weights.items()}
-        if any(v <= 0 for v in w.values()):
+        pairs = [v.as_integer_ratio() for v in w.values()]
+        den = math.lcm(*[d for _, d in pairs])
+        scaled = [n * (den // d) for n, d in pairs]
+        if any(s <= 0 for s in scaled):
             raise InvalidInput("polarization weights must be strictly positive")
-        if sum(w.values()) != 1:
+        if sum(scaled) != den:
             raise InvalidInput("polarization weights must sum to exactly 1")
         object.__setattr__(self, "weights", w)
-
-    @cached_property
-    def _scaled(self) -> tuple:
-        """(den, {id: weight * den}): den is the lcm of the weight
-        denominators, so the scaled weights are integers; built on first
-        read and kept."""
-        pairs = [w.as_integer_ratio() for w in self.weights.values()]
-        den = math.lcm(*[d for _, d in pairs])
-        return den, dict(zip(self.weights, [n * (den // d) for n, d in pairs]))
+        object.__setattr__(self, "_scaled", (den, dict(zip(w, scaled))))
 
 
 @dataclass(frozen=True)
@@ -153,8 +148,8 @@ def seshadri_slope(c: TreeLikeCurve, bc: BundleClass, pol: Polarization) -> Frac
     c.require_valid()
     require_match(c, bc.multidegree, "multidegree")
     require_match(c, pol.weights, "polarization weights")
-    denom = sum((pol.weights[i] * bc.rank for i in c.ids), Fraction(0))
-    return Fraction(euler_char_total(c, bc)) / denom
+    # the weights sum to 1, so the weighted rank sum is the rank
+    return Fraction(euler_char_total(c, bc), bc.rank)
 
 
 def polarization_from_ample(h: AmpleDegrees) -> Polarization:
@@ -189,9 +184,8 @@ def _windows(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
     lows[i] <= den * values[i] <= lows[i] + den * r, all in integers.
     lows[i] = w(G(i)) * chi + den * r * (|G(i)| - 1) is the subtree sum of
     w_j * chi + den * r over G(i), less one den * r.
-    The ordering must already be known to belong to the curve.
+    The curve must already be valid and the ordering known to belong to it.
     """
-    c.require_valid()
     require_match(c, bc.multidegree, "multidegree")
     require_match(c, pol.weights, "polarization weights")
     r, n = bc.rank, ordering.n
@@ -235,10 +229,10 @@ def det_compatibility(c: TreeLikeCurve, bc: BundleClass, det_multidegree: dict) 
     require_match(c, bc.multidegree, "multidegree")
     if det_multidegree.keys() != c._dense.idset:
         raise DocumentMismatch("determinant multidegree keys do not match the curve")
-    mismatched = tuple(i for i in sorted(c.ids)
-                       if det_multidegree[i] != bc.multidegree[i])
-    indivisible = tuple(i for i in sorted(c.ids)
-                        if c.component(i).is_rational and det_multidegree[i] % bc.rank != 0)
+    # the dense index lists the ids and components in increasing id order
+    mismatched = tuple(i for i in c._dense.ids if det_multidegree[i] != bc.multidegree[i])
+    indivisible = tuple(comp.id for comp in c._dense.comps
+                        if comp.is_rational and det_multidegree[comp.id] % bc.rank != 0)
     return DetVerdict(passes=not mismatched and not indivisible,
                       mismatched=mismatched, indivisible=indivisible)
 

@@ -89,11 +89,11 @@ class TruncatedScalar:
 
     @property
     def is_unit(self) -> bool:
-        return self.coeffs[0] % self.p != 0
+        return self.coeffs[0] != 0
 
     @property
     def is_zero(self) -> bool:
-        return all(a % self.p == 0 for a in self.coeffs)
+        return not any(self.coeffs)
 
     def inverse(self):
         """Coefficient-by-coefficient inversion; needs a unit."""
@@ -117,9 +117,6 @@ class TruncatedScalar:
         if m < self.n:
             raise InvalidInput(f"cannot extend order {self.n} down to {m}")
         return TruncatedScalar(self.p, m, self.coeffs + (0,) * (m - self.n))
-
-    def __repr__(self):
-        return f"TruncatedScalar(p={self.p}, n={self.n}, coeffs={self.coeffs})"
 
 
 @dataclass(frozen=True)

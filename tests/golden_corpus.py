@@ -468,6 +468,17 @@ def cases():
         "--bundle", inp("path4_bundle.json"), "--pol", inp("digits_pol_lcm.json"))
     add("check-digits_bundle_rank", "check", "--curve", inp("path20.json"),
         "--bundle", inp("digits_bundle_rank.json"), "--pol", inp("path20_pol.json"))
+
+    # gpb numbers keep the documents' 1000-digit cap: the largest allowed
+    # values report at the --nodes bound, one digit more is refused
+    top, over = str(10**1000 - 1), str(10**1000)
+    add("gpb-num-digits-1000", "gpb", "--rank", top, "--degree", top, "--nodes", "10000",
+        "--genus", top)
+    add("gpb-num-digits-rank-1001", "gpb", "--rank", over, "--degree", "1", "--nodes", "2")
+    add("gpb-num-digits-degree-1001", "gpb", "--rank", "2", "--degree", "-" + over,
+        "--nodes", "2")
+    add("gpb-num-digits-genus-4299", "gpb", "--rank", "2", "--degree", "1", "--nodes", "2",
+        "--genus", "9" * 4299)
     return out
 
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from nodalstab import BundleClass, Component, Polarization, TreeLikeCurve, decompose
+from nodalstab.errors import InvalidInput
 from nodalstab.serialize import ordering_to_obj
 
 
@@ -98,6 +99,30 @@ def random_polarization(rng: random.Random, c: TreeLikeCurve) -> Polarization:
     raw = {i: rng.randint(1, 9) for i in c.ids}
     total = sum(raw.values())
     return Polarization(weights={i: Fraction(v, total) for i, v in raw.items()})
+
+
+def fraction_polarization(weights):
+    """The polarization rule on Fractions, from its definition: every
+    weight strictly positive, the weights summing to exactly 1.  Returns
+    (weights, (den, {id: weight * den})) with den the lcm of the weight
+    denominators, or raises what ``Polarization`` raises, in its order."""
+    w = {i: Fraction(v) for i, v in weights.items()}
+    if any(v <= 0 for v in w.values()):
+        raise InvalidInput("polarization weights must be strictly positive")
+    if sum(w.values()) != 1:
+        raise InvalidInput("polarization weights must sum to exactly 1")
+    den = lcm(*[v.denominator for v in w.values()])
+    return w, (den, {i: int(v * den) for i, v in w.items()})
+
+
+def det_verdict_oracle(c: TreeLikeCurve, bc: BundleClass, det: dict):
+    """(passes, mismatched, indivisible) of the determinant constraint,
+    walking the ids sorted and looking each component up by id."""
+    by_id = {comp.id: comp for comp in c.components}
+    ids = sorted(c.ids)
+    mismatched = tuple(i for i in ids if det[i] != bc.multidegree[i])
+    indivisible = tuple(i for i in ids if by_id[i].is_rational and det[i] % bc.rank != 0)
+    return not mismatched and not indivisible, mismatched, indivisible
 
 
 # ----------------------------------------------------------- graph utilities

@@ -5,7 +5,8 @@ JSON, valid fixtures with one node replaced by arbitrary JSON, and arrays
 or objects nested up to 10^5 deep; the
 polarization weights and the gluing-flag entries are also fed strings in
 and around the rational grammar, and polarizations are fed weights whose
-common denominator has up to 8,600 digits.  Each run must exit 0, 1 or 2,
+common denominator has up to 8,600 digits; ``gpb`` is fed numeric
+arguments of up to 4,299 digits.  Each run must exit 0, 1 or 2,
 print one JSON document on standard output, and raise nothing.  The
 examples are derandomized, so the suite stays deterministic; raise
 ``max_examples`` locally to search further.
@@ -191,5 +192,44 @@ def test_cli_never_crashes_on_long_weight_denominators(command, workdir):
         assert code in (0, 1, 2)
         assert isinstance(json.loads(out.getvalue()), dict)
         assert "Traceback" not in err.getvalue()
+
+    run()
+
+
+@st.composite
+def gpb_numbers(draw):
+    """--rank, --degree and --genus of 1 to 4,299 digits, either sign, and
+    --nodes up to its bound 10^4: with the rank near 4,299 digits the
+    parabolic weight nodes * rank passes the interpreter's 4300-digit
+    limit on printing an integer, and so can rank * genus."""
+    def number(signs):
+        digits = draw(st.integers(1, 1000) | st.integers(1001, 4299)
+                      | st.sampled_from([999, 1000, 1001, 4299]))
+        return draw(st.sampled_from(signs)) * (10 ** digits - draw(st.integers(1, 9)))
+
+    rank, degree, genus = number([1, 1, 1, -1]), number([1, -1]), number([1, 1, -1])
+    nodes = draw(st.integers(0, 10_000) | st.just(10_000))
+    return rank, degree, nodes, draw(st.none() | st.just(genus))
+
+
+def test_cli_never_crashes_on_long_gpb_numbers():
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(gpb_numbers())
+    def run(numbers):
+        rank, degree, nodes, genus = numbers
+        argv = ["gpb", "--rank", str(rank), "--degree", str(degree), "--nodes", str(nodes)]
+        if genus is not None:
+            argv += ["--genus", str(genus)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        report = json.loads(out.getvalue())
+        assert isinstance(report, dict)
+        assert "Traceback" not in err.getvalue()
+        # more than 1000 digits in any of them is refused before any work
+        too_long = any(v is not None and abs(v) >= 10**1000 for v in (rank, degree, genus))
+        assert code == 2 if too_long else code in (0, 2)
+        assert ("error" in report) == (code == 2)
 
     run()

@@ -341,3 +341,23 @@ def test_lazy_sets_match_decompose_at_every_position():
             assert g_b == (g, b)
             assert o.subtrees[i - 1] == tuple(sorted(g))
             assert o.boundary_edge(i) == node
+
+
+def test_component_lookup_reads_the_dense_index_on_far_ids():
+    rng = random.Random(131)
+    for shape in helpers.SHAPES:
+        for n in (1, 2, 5, 13):
+            c = helpers.relabel_far(rng, helpers.shaped_curve(rng, n, shape))
+            for comp in c.components:
+                assert c.component(comp.id) is comp
+                assert c.degree(comp.id) == len(c.neighbors[comp.id])
+            for missing in (min(c.ids) - 1, max(c.ids) + 1, 0, -1, 1):
+                with pytest.raises(IndexOutOfRange):
+                    c.component(missing)
+                with pytest.raises(IndexOutOfRange):
+                    c.degree(missing)
+    # a curve need not be a tree to look its components up
+    triangle = curve([(1, 0, 0), (2, 1, 0), (3, 0, 1)], [(1, 2), (2, 3), (1, 3)])
+    assert triangle.component(3) == Component(id=3, internal_nodes=1)
+    with pytest.raises(IndexOutOfRange):
+        triangle.component(4)

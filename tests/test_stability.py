@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -14,6 +15,7 @@ from nodalstab import (
     balance,
     decompose,
     det_compatibility,
+    euler_char_total,
     gieseker_vs_seshadri,
     lambda_check,
     polarization_from_ample,
@@ -53,6 +55,85 @@ def test_polarization_invariants():
         Polarization(weights={1: Fraction(1, 2), 2: Fraction(1, 3)})
 
 
+def _outcome(build, weights):
+    """What building from ``weights`` gives: its value, or (exception type, message)."""
+    try:
+        return build(weights)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _built(weights):
+    pol = Polarization(weights=weights)
+    return pol.weights, pol._scaled
+
+
+def _random_weights(rng):
+    """Weights on ids 1..n with denominators up to 1000 digits: a sum of exactly
+    1, or one off by 1/D or by a random amount, or with a zero or negative
+    weight; given as Fractions, ints, strings, floats or malformed strings."""
+    n = rng.randint(1, 6)
+    digits = rng.choice([1, 2, 3, 20, 300, 1000])
+    dens = [rng.randint(1, 10 ** digits) for _ in range(n - 1)]
+    w = [Fraction(rng.randint(1, d), d * n) for d in dens]
+    w.append(1 - sum(w))
+    den = lcm(*[v.denominator for v in w])
+    k = rng.randrange(n)
+    kind = rng.choice(["exact", "exact", "off", "off", "zero", "negative", "scaled"])
+    if kind == "off":
+        w[k] += rng.choice([-1, 1]) * Fraction(1, den)
+    elif kind == "zero":
+        w[k] = Fraction(0)
+    elif kind == "negative":
+        w[k] = -abs(w[k]) or Fraction(-1, 2)
+    elif kind == "scaled":
+        w = [v * rng.choice([2, Fraction(1, 2), Fraction(den + 1, den)]) for v in w]
+
+    def written(v):
+        short = v.denominator < 10**1000 and abs(v.numerator) < 10**1000
+        form = rng.choice(["fraction", "int", "str", "str", "float", "bad"])
+        if form == "int" and v.denominator == 1:
+            return int(v)
+        if form == "str" and short:
+            return str(v)
+        if form == "float" and v.denominator in (1, 2, 4):
+            return float(v)
+        if form == "bad" and rng.random() < 0.1:
+            return rng.choice(["abc", "1/0", "", "1e10000000"[:rng.randint(1, 5)]])
+        return v
+
+    return {i + 1: written(v) for i, v in enumerate(w)}
+
+
+def test_polarization_matches_the_fraction_rule():
+    rng = random.Random(113)
+    kinds = set()
+    for _ in range(800):
+        weights = _random_weights(rng)
+        expected = _outcome(helpers.fraction_polarization, weights)
+        assert _outcome(_built, weights) == expected, weights
+        kinds.add(expected[0] if isinstance(expected[0], type) else "accepted")
+    assert kinds >= {"accepted", InvalidInput, ValueError, ZeroDivisionError}
+
+
+def test_polarization_checks_the_edges_of_its_integer_rule():
+    d = 10**999 + 7
+    for weights, outcome in [
+            ({1: 1}, ({1: 1}, (1, {1: 1}))),
+            ({1: "1/2", 2: Fraction(1, 2)}, ({1: Fraction(1, 2), 2: Fraction(1, 2)},
+                                             (2, {1: 1, 2: 1}))),
+            ({1: Fraction(1, d), 2: Fraction(d - 1, d)}, (
+                {1: Fraction(1, d), 2: Fraction(d - 1, d)}, (d, {1: 1, 2: d - 1}))),
+            ({}, (InvalidInput, "polarization weights must sum to exactly 1")),
+            ({1: Fraction(1, d), 2: Fraction(d - 2, d)},
+             (InvalidInput, "polarization weights must sum to exactly 1")),
+            ({1: 0, 2: 1}, (InvalidInput, "polarization weights must be strictly positive")),
+            # a nonpositive weight is reported before a wrong sum
+            ({1: -1, 2: 5}, (InvalidInput, "polarization weights must be strictly positive"))]:
+        assert _outcome(_built, weights) == outcome
+        assert _outcome(helpers.fraction_polarization, weights) == outcome
+
+
 def test_slope_examples():
     one = curve([(1, 2, 0)], [])
     assert slope(one, BundleClass(2, {1: 3})) == Fraction(3, 2)
@@ -73,6 +154,22 @@ def test_seshadri_slope_rational_point():
     one = curve([(1, 0, 0)], [])
     pol = Polarization(weights={1: Fraction(1)})
     assert seshadri_slope(one, BundleClass(1, {1: 0}), pol) == 1
+
+
+def test_seshadri_slope_is_the_weighted_rank_sum_formula():
+    rng = random.Random(127)
+    for _ in range(200):
+        c = helpers.random_curve(rng, n_max=8)
+        if rng.random() < 0.5:
+            c = helpers.relabel_far(rng, c)
+        bc = helpers.random_bundle(rng, c, ranks=(1, 2, 3, 5))
+        pol = helpers.random_polarization(rng, c)
+        denom = sum((pol.weights[i] * bc.rank for i in c.ids), Fraction(0))
+        assert seshadri_slope(c, bc, pol) == Fraction(euler_char_total(c, bc)) / denom
+    with pytest.raises(DocumentMismatch):
+        seshadri_slope(PATH2, BC2, Polarization(weights={1: 1}))
+    with pytest.raises(DocumentMismatch):
+        seshadri_slope(PATH2, BundleClass(2, {1: 5}), HALF)
 
 
 def test_polarization_from_ample():
@@ -165,6 +262,10 @@ def test_det_compatibility_rational_divisibility():
     assert verdict.indivisible == (1,)
     good = BundleClass(2, {1: 4, 2: 0})
     assert det_compatibility(c, good, {1: 4, 2: 0}).passes
+    # geometric genus 0 with internal nodes is not rational
+    nodal = curve([(1, 0, 1), (2, 0, 0), (3, 0, 2)], [(1, 2), (2, 3)])
+    verdict = det_compatibility(nodal, BundleClass(2, {1: 1, 2: 3, 3: 5}), {1: 1, 2: 3, 3: 5})
+    assert (verdict.mismatched, verdict.indivisible) == ((), (2,))
 
 
 def test_det_compatibility_componentwise_mismatch():
@@ -188,6 +289,30 @@ def test_det_compatibility_respects_simultaneous_twists():
         after = det_compatibility(c, bc2, det2)
         assert (before.passes, before.mismatched, before.indivisible) == \
             (after.passes, after.mismatched, after.indivisible)
+
+
+def test_det_compatibility_matches_the_sorted_id_oracle_on_far_ids():
+    rng = random.Random(139)
+    genus_data = [(0, 0), (0, 0), (0, 1), (0, 2), (1, 0), (2, 1)]
+    skipped_nodal = 0
+    for shape in helpers.SHAPES:
+        for n in (1, 2, 3, 6, 11):
+            for _ in range(6):
+                comps = tuple(Component(i, *rng.choice(genus_data)) for i in range(1, n + 1))
+                edges = tuple(helpers.shaped_tree_edges(rng, n, shape))
+                c = helpers.relabel_far(rng, TreeLikeCurve(components=comps, edges=edges))
+                bc = helpers.random_bundle(rng, c, ranks=(2, 3, 4), d_bound=9)
+                det = dict(bc.multidegree)
+                if rng.random() < 0.5:
+                    det[rng.choice(c.ids)] += rng.choice([-1, 1])
+                v = det_compatibility(c, bc, det)
+                assert (v.passes, v.mismatched, v.indivisible) == \
+                    helpers.det_verdict_oracle(c, bc, det)
+                # genus-0 components with internal nodes are not rational
+                skipped_nodal += sum(1 for comp in c.components
+                                     if comp.geometric_genus == 0 and comp.internal_nodes
+                                     and det[comp.id] % bc.rank)
+    assert skipped_nodal > 0
 
 
 def test_gieseker_vs_seshadri_full_class_is_equal():

@@ -55,6 +55,23 @@ def test_scalar_non_unit_has_no_inverse():
         scalar(5, 1, 0, 3).inverse()
 
 
+def test_scalar_unit_and_zero_read_the_reduced_coefficients():
+    rng = random.Random(151)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7, 101])
+        n = rng.randint(0, 4)
+        raw = [rng.choice([0, p, -p, 2 * p]) + rng.choice([0, 0, rng.randint(-3 * p, 3 * p)])
+               for _ in range(n + 1)]
+        x = TruncatedScalar(p, n, tuple(raw))
+        assert x.is_unit == (raw[0] % p != 0)
+        assert x.is_zero == all(a % p == 0 for a in raw)
+
+
+def test_scalar_repr_is_the_dataclass_repr():
+    assert repr(TruncatedScalar(5, 2, (1, 2, 8))) == "TruncatedScalar(p=5, n=2, coeffs=(1, 2, 3))"
+    assert repr(TruncatedScalar(7, 0, (-1,))) == "TruncatedScalar(p=7, n=0, coeffs=(6,))"
+
+
 def test_pi_power_truncates():
     assert TruncatedScalar.pi_power(5, 2, 3).is_zero
     pi = TruncatedScalar.pi_power(5, 2, 1)
