@@ -9,20 +9,19 @@
     nodal-stab dvr      (--matrix FILE --field F --n N | --sl FILE | --torsor FILE)
 
 Reports go to standard output (or --out) as deterministic JSON.  Exit
-code 0 means pass/success, 1 a semantic failure, 2 a malformed input.
+code 0 means pass/success, 1 a semantic failure or a standard output
+closed before the report was written, 2 a malformed input.
 """
 
 import argparse
+import os
 import sys
 
-from . import gpb as gpb_mod
 from . import serialize as ser
-from .balance import balance as run_balance
-from .curve import prune_ordering, validate_curve
 from .errors import InvalidInput, NodalStabError
-from .fields import parse_field
-from .stability import lambda_check
-from .truncated import det_trace_identity, sl_kernel_check, torsor_correct
+
+# Each cmd_* imports the modules it runs, so a tree subcommand never loads
+# the ring half (gpb, truncated) and the other way round.
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -53,6 +52,7 @@ def _verdicts_to_obj(verdicts) -> list:
 
 
 def cmd_validate(args):
+    from .curve import validate_curve
     c = ser.parse_curve(ser.read_json(args.curve))
     report = validate_curve(c)
     obj = {"valid": report.valid,
@@ -64,6 +64,7 @@ def cmd_validate(args):
 
 
 def cmd_order(args):
+    from .curve import prune_ordering
     c = ser.parse_curve(ser.read_json(args.curve))
     return ser.ordering_to_obj(prune_ordering(c)), EXIT_OK
 
@@ -77,6 +78,8 @@ def _load_triple(args):
 
 
 def cmd_check(args):
+    from .curve import prune_ordering
+    from .stability import lambda_check
     c, bc, pol = _load_triple(args)
     verdicts = lambda_check(c, prune_ordering(c), bc, pol)
     ok = all(v.passes for v in verdicts)
@@ -88,8 +91,10 @@ def cmd_check(args):
 
 
 def cmd_balance(args):
+    from .balance import balance
+    from .stability import lambda_check
     c, bc, pol = _load_triple(args)
-    result = run_balance(c, bc, pol)
+    result = balance(c, bc, pol)
     verdicts = lambda_check(c, result.ordering, result.balanced, pol)
     obj = {
         "ordering": result.ordering.perm,
@@ -111,6 +116,8 @@ def cmd_balance(args):
 
 
 def cmd_gpb(args):
+    from . import gpb as gpb_mod
+    from .fields import parse_field
     if args.flag:
         flag = ser.parse_flag(ser.read_json(args.flag))
         proj = gpb_mod.check_projections(flag)
@@ -167,6 +174,8 @@ def cmd_gpb(args):
 
 
 def cmd_dvr(args):
+    from .fields import parse_field
+    from .truncated import det_trace_identity, sl_kernel_check, torsor_correct
     if args.matrix:
         if args.field is None or args.n is None:
             raise InvalidInput("--matrix needs --field and --n")
@@ -270,7 +279,16 @@ def run(argv=None) -> int:
 
 
 def main(argv=None) -> None:
-    raise SystemExit(run(argv))
+    try:
+        code = run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`nodal-stab ... | head`): point stdout at
+        # devnull so the flush at interpreter exit stays quiet, as the
+        # `signal` module documentation recommends
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_FAIL
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

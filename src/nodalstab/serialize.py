@@ -10,13 +10,11 @@ import math
 from fractions import Fraction
 from itertools import islice
 
-from .curve import Component, Ordering, TreeLikeCurve
 from .errors import InvalidInput, ParseError
 from .fields import RationalField, parse_field
-from .gpb import GluingFlag
-from .stability import Polarization
-from .truncated import TruncatedMatrix, TruncatedScalar
-from .twist import BundleClass, TwistDivisor
+
+# Each parser imports the model class it builds, so a subcommand loads only
+# the modules it runs; annotations name those classes as strings.
 
 frac_to_str = RationalField.format
 
@@ -104,7 +102,8 @@ def _id_map(obj, field):
     return out
 
 
-def parse_curve(obj) -> TreeLikeCurve:
+def parse_curve(obj) -> "TreeLikeCurve":
+    from .curve import Component, TreeLikeCurve
     _require(isinstance(obj, dict), "curve document must be an object")
     _require(isinstance(obj.get("components"), list), "missing components list", "components")
     comps = []
@@ -126,7 +125,7 @@ def parse_curve(obj) -> TreeLikeCurve:
     return TreeLikeCurve(components=tuple(comps), edges=tuple(edges))
 
 
-def curve_to_obj(c: TreeLikeCurve) -> dict:
+def curve_to_obj(c: "TreeLikeCurve") -> dict:
     return {
         "components": [{"id": comp.id,
                         "geometric_genus": comp.geometric_genus,
@@ -136,7 +135,8 @@ def curve_to_obj(c: TreeLikeCurve) -> dict:
     }
 
 
-def parse_bundle(obj) -> BundleClass:
+def parse_bundle(obj) -> "BundleClass":
+    from .twist import BundleClass
     _require(isinstance(obj, dict), "bundle document must be an object")
     rank = _small_int(obj.get("rank"), "rank")
     md = _id_map(obj.get("multidegree"), "multidegree")
@@ -144,12 +144,13 @@ def parse_bundle(obj) -> BundleClass:
                        multidegree={i: _small_int(v, f"multidegree.{i}") for i, v in md.items()})
 
 
-def bundle_to_obj(bc: BundleClass) -> dict:
+def bundle_to_obj(bc: "BundleClass") -> dict:
     return {"rank": bc.rank,
             "multidegree": {str(i): d for i, d in sorted(bc.multidegree.items())}}
 
 
-def parse_polarization(obj) -> Polarization:
+def parse_polarization(obj) -> "Polarization":
+    from .stability import Polarization
     _require(isinstance(obj, dict), "polarization document must be an object")
     w = _id_map(obj.get("weights"), "weights")
     weights = {i: frac_from_str(v) for i, v in w.items()}
@@ -163,21 +164,22 @@ def parse_polarization(obj) -> Polarization:
     return Polarization(weights=weights)
 
 
-def polarization_to_obj(pol: Polarization) -> dict:
+def polarization_to_obj(pol: "Polarization") -> dict:
     return {"weights": {str(i): frac_to_str(v) for i, v in sorted(pol.weights.items())}}
 
 
-def parse_twist(obj) -> TwistDivisor:
+def parse_twist(obj) -> "TwistDivisor":
+    from .twist import TwistDivisor
     _require(isinstance(obj, dict), "twist document must be an object")
     coeffs = _id_map(obj.get("coeffs"), "coeffs")
     return TwistDivisor(coeffs={i: _int(v, f"coeffs.{i}") for i, v in coeffs.items()})
 
 
-def twist_to_obj(t: TwistDivisor) -> dict:
+def twist_to_obj(t: "TwistDivisor") -> dict:
     return {"coeffs": {str(i): a for i, a in sorted(t.coeffs.items())}}
 
 
-def ordering_to_obj(o: Ordering) -> dict:
+def ordering_to_obj(o: "Ordering") -> dict:
     """G(i) is written as its subtree tuple, B(i) as the ids of the whole
     curve, ``subtrees[-1]``, outside it (both sorted)."""
     whole = o.subtrees[-1]
@@ -191,7 +193,8 @@ def ordering_to_obj(o: Ordering) -> dict:
     }
 
 
-def parse_flag(obj) -> GluingFlag:
+def parse_flag(obj) -> "GluingFlag":
+    from .gpb import GluingFlag
     _require(isinstance(obj, dict), "flag document must be an object")
     _require(isinstance(obj.get("field"), str), "missing field descriptor", "field")
     field = parse_field(obj["field"])
@@ -213,7 +216,7 @@ def parse_flag(obj) -> GluingFlag:
     return GluingFlag(field=field, rank=len(parsed), basis_matrix=parsed)
 
 
-def flag_to_obj(flag: GluingFlag) -> dict:
+def flag_to_obj(flag: "GluingFlag") -> dict:
     return {"field": flag.field.name,
             "basis_matrix": [[flag.field.format(x) for x in row]
                              for row in flag.basis_matrix]}
@@ -229,8 +232,9 @@ def parse_int_matrix(obj, field="matrix") -> list:
     return rows
 
 
-def parse_truncated_matrix(obj) -> TruncatedMatrix:
+def parse_truncated_matrix(obj) -> "TruncatedMatrix":
     """Matrix document: {"field": "F5", "n": 1, "entries": [[[c0, c1], ...], ...]}."""
+    from .truncated import TruncatedMatrix, TruncatedScalar
     _require(isinstance(obj, dict), "truncated matrix document must be an object")
     _require(isinstance(obj.get("field"), str), "missing field descriptor", "field")
     field = parse_field(obj["field"])
@@ -259,6 +263,7 @@ def _parse_torsor(obj):
     Returns (cocycle, gammas); each gamma is a coefficient vector in the
     ring of the first cocycle matrix.
     """
+    from .truncated import TruncatedScalar
     if not isinstance(obj, dict) or "cocycle" not in obj or "gammas" not in obj:
         raise InvalidInput("torsor document needs cocycle and gammas")
     _require(isinstance(obj["cocycle"], list), "cocycle must be an array", "cocycle")
@@ -274,10 +279,10 @@ def _parse_torsor(obj):
     return cocycle, gammas
 
 
-def truncated_scalar_to_obj(x: TruncatedScalar) -> list:
+def truncated_scalar_to_obj(x: "TruncatedScalar") -> list:
     return list(x.coeffs)
 
 
-def truncated_matrix_to_obj(m: TruncatedMatrix) -> dict:
+def truncated_matrix_to_obj(m: "TruncatedMatrix") -> dict:
     return {"field": f"F{m.p}", "n": m.n,
             "entries": [[list(x.coeffs) for x in row] for row in m.entries]}

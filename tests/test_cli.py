@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -455,3 +456,26 @@ def test_order_report_is_streamed_in_bounded_memory(tmp_path):
     code, peak_kib = map(int, proc.stderr.split())
     assert code == 0
     assert peak_kib < 100 * 1024
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # the check report of a 300-component path is far larger than a 64 KiB
+    # pipe buffer, so the child is still writing when the reader goes away
+    n = 300
+    docs = {"curve": {"components": [{"id": i} for i in range(1, n + 1)],
+                      "edges": [[i, i + 1] for i in range(1, n)]},
+            "bundle": {"rank": 2, "multidegree": {str(i): 0 for i in range(1, n + 1)}},
+            "pol": {"weights": {str(i): f"1/{n}" for i in range(1, n + 1)}}}
+    argv = [sys.executable, "-m", "nodalstab.cli", "check"]
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        argv += [f"--{name}", str(path)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = os.read(proc.stdout.fileno(), 10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code == 1
+    assert head == b'{\n  "indic'
+    assert err == b""
