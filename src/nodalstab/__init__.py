@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 # exported name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in (
-    ("balance", ("BalanceResult", "balance", "balance_step", "unbalance_report")),
+    ("balance", ("BalanceResult", "balance", "balance_step")),
     ("curve", ("Component", "Ordering", "TreeLikeCurve", "arithmetic_genus", "decompose",
                "prune_ordering", "validate_curve", "verify_ordering")),
     ("fields", ("PrimeField", "RationalField", "parse_field")),

@@ -88,7 +88,3 @@ def balance(c: TreeLikeCurve, bc: BundleClass, pol: Polarization) -> BalanceResu
                 lows[n - 2::-1], repeat(den), repeat(r), repeat(ordering))
     return BalanceResult(ordering=ordering, twist=t, balanced=balanced, steps=tuple(steps))
 
-
-def unbalance_report(c: TreeLikeCurve, bc: BundleClass, pol: Polarization) -> list:
-    """Every position's window under the pruning order, for its ``distance``."""
-    return lambda_check(c, prune_ordering(c), bc, pol)

@@ -4,9 +4,9 @@ A curve is stored purely combinatorially: one vertex per irreducible
 component (decorated with the geometric genus of its normalization and
 its number of self-nodes) and one edge per node joining two distinct
 components.  Tree-likeness (connected, acyclic, no multi-edges) is what
-the ordering and balancing machinery relies on, so it is checked
-explicitly by :func:`validate_curve` and demanded by every other
-operation.
+the ordering and balancing machinery relies on, so a curve is checked
+once, when it is built; :func:`validate_curve` reports the result and
+every other operation demands it.
 """
 
 from dataclasses import dataclass
@@ -52,7 +52,10 @@ class TreeLikeCurve:
 
     ``edges`` keeps the raw (normalized) pair list so that validation can
     still report duplicate edges; every operation other than
-    :func:`validate_curve` requires the curve to be a tree.
+    :func:`validate_curve` requires the curve to be a tree.  The
+    constructor builds everything derived from the two fields in one
+    pass: ``ids`` in component order, the ``simple_edges`` set, the dense
+    index and the validation report.
     """
 
     components: tuple
@@ -60,29 +63,25 @@ class TreeLikeCurve:
 
     def __post_init__(self):
         comps = tuple(self.components)
-        ids = [c.id for c in comps]
-        if not ids:
+        if not comps:
             raise ParseError("a curve needs at least one component", field="components")
-        known = set(ids)
-        if len(known) != len(ids):
+        dense = _DenseIndex(comps)
+        index = dense.index
+        if len(index) != len(comps):
             raise ParseError("component ids must be unique", field="components")
         norm = []
         for e in self.edges:
             a, b = e
-            if a not in known or b not in known:
+            if a not in index or b not in index:
                 raise ParseError(f"edge {list(e)} references unknown component id", field="edges")
             norm.append((a, b) if a <= b else (b, a))
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "edges", tuple(norm))
-
-    @cached_property
-    def ids(self) -> tuple:
-        return tuple(c.id for c in self.components)
-
-    @cached_property
-    def _dense(self) -> "_DenseIndex":
-        """The component ids as indices 0..N-1, built on first read and kept."""
-        return _DenseIndex(self)
+        simple = frozenset(e for e in norm if e[0] != e[1])
+        dense.number_edges(simple)
+        for name, value in (("components", comps), ("edges", tuple(norm)),
+                            ("ids", tuple(comp.id for comp in comps)),
+                            ("simple_edges", simple), ("_dense", dense)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_validation", _validate(self))
 
     def component(self, comp_id: int) -> Component:
         dense = self._dense
@@ -91,25 +90,12 @@ class TreeLikeCurve:
         except KeyError:
             raise IndexOutOfRange(f"no component with id {comp_id}") from None
 
-    @cached_property
-    def simple_edges(self) -> frozenset:
-        return frozenset(e for e in self.edges if e[0] != e[1])
-
-    @cached_property
-    def neighbors(self) -> dict:
-        adj = {i: set() for i in self.ids}
-        for a, b in self.simple_edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return {i: frozenset(v) for i, v in adj.items()}
-
     def degree(self, comp_id: int) -> int:
         self.component(comp_id)
-        return len(self.neighbors[comp_id])
+        return self._dense.deg[self._dense.index[comp_id]]
 
     def require_valid(self) -> None:
-        # a validated curve answers from its stored report, without another call
-        report = vars(self).get("_validation") or validate_curve(self)
+        report = self._validation
         if not report.valid:
             code, detail = report.errors[0]
             raise {"CycleDetected": CycleDetected,
@@ -122,22 +108,31 @@ class _DenseIndex:
 
     ``comps[k]`` is the component with index k, ``ids[k]`` its id, and
     ``index`` maps ids back; ``idset`` is the set of ids (the index's key
-    view), ``genus[k]`` the arithmetic genus of comps[k], and ``edges``
-    the simple edges as index pairs (x, y), x < y, in the iteration order
-    of ``simple_edges``.  Index order is id order, so sorting indices sorts
-    ids.  The tree passes run on int lists over these indices; ids appear
-    only where results leave them.
+    view), ``genus[k]`` the arithmetic genus of comps[k], ``edges`` the
+    simple edges as index pairs (x, y), x < y, in the iteration order of
+    ``simple_edges``, and ``deg[k]`` the number of neighbors of comps[k].
+    Index order is id order, so sorting indices sorts ids.  The tree
+    passes run on int lists over these indices; ids appear only where
+    results leave them.
     """
 
-    __slots__ = ("comps", "ids", "index", "idset", "genus", "edges")
+    __slots__ = ("comps", "ids", "index", "idset", "genus", "edges", "deg")
 
-    def __init__(self, c):
-        self.comps = comps = sorted(c.components, key=attrgetter("id"))
+    def __init__(self, comps):
+        self.comps = comps = sorted(comps, key=attrgetter("id"))
         self.ids = [comp.id for comp in comps]
-        self.index = index = dict(zip(self.ids, range(len(comps))))
-        self.idset = index.keys()
+        self.index = dict(zip(self.ids, range(len(comps))))
+        self.idset = self.index.keys()
         self.genus = [comp.arithmetic_genus for comp in comps]
-        self.edges = [(index[a], index[b]) for a, b in c.simple_edges]
+
+    def number_edges(self, simple_edges) -> None:
+        # the second step, once the curve's constructor has checked the edges
+        index = self.index
+        self.edges = edges = [(index[a], index[b]) for a, b in simple_edges]
+        self.deg = deg = [0] * len(self.ids)
+        for x, y in edges:
+            deg[x] += 1
+            deg[y] += 1
 
 
 @dataclass(frozen=True)
@@ -164,8 +159,9 @@ class Ordering:
 
     ``subtrees`` lists G(i) at every position, derived from ``perm`` and
     ``nu`` when first read; B(i) is the whole curve, ``subtrees[-1]``,
-    minus G(i).  It takes O(N * depth) space, so nothing that only needs
-    window sums reads it.
+    minus G(i).  It takes O(N * depth) space and only reports read it, so
+    it is the one view built lazily: nothing that only needs window sums
+    pays for it.
     """
 
     perm: tuple
@@ -199,16 +195,16 @@ def validate_curve(c: TreeLikeCurve) -> ValidationReport:
     """Check the tree axioms and report the arithmetic genus.
 
     Accepts iff the dual graph is connected and acyclic.  The genus
-    hypothesis p_a >= 2 is reported, never enforced.  The report is
-    computed once per curve and kept on it, where ``require_valid``
-    reads it too.
+    hypothesis p_a >= 2 is reported, never enforced.  The curve's
+    constructor computes the report, so this returns it.
     """
-    report = vars(c).get("_validation")
-    if report is not None:
-        return report
+    return c._validation
+
+
+def _validate(c: TreeLikeCurve) -> ValidationReport:
+    """The report of a curve whose constructor has built its dense index."""
     errors = []
-    simple = c.simple_edges
-    if len(simple) != len(c.edges):    # some edge is a self-loop or repeated
+    if len(c.simple_edges) != len(c.edges):    # some edge is a self-loop or repeated
         seen = set()
         for e in c.edges:
             if e[0] == e[1]:
@@ -245,16 +241,13 @@ def validate_curve(c: TreeLikeCurve) -> ValidationReport:
 
     valid = not errors
     p_a = sum(dense.genus) if valid else None
-    report = ValidationReport(
+    return ValidationReport(
         valid=valid,
         errors=tuple(errors),
         n_components=len(c.components),
         p_a=p_a,
         genus_at_least_two=(p_a >= 2) if valid else None,
     )
-    # stored like a cached property: the curve is frozen, its fields are not touched
-    vars(c)["_validation"] = report
-    return report
 
 
 def arithmetic_genus(c: TreeLikeCurve) -> int:
@@ -265,19 +258,7 @@ def arithmetic_genus(c: TreeLikeCurve) -> int:
     class.
     """
     c.require_valid()
-    return sum(c._dense.genus)
-
-
-def _split_off(c: TreeLikeCurve, removed: int, seed: int) -> frozenset:
-    """Ids of the connected piece of the curve minus ``removed`` containing ``seed``."""
-    stack, seen = [seed], {seed}
-    while stack:
-        v = stack.pop()
-        for w in c.neighbors[v]:
-            if w != removed and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
+    return c._validation.p_a
 
 
 def prune_ordering(c: TreeLikeCurve) -> Ordering:
@@ -286,19 +267,17 @@ def prune_ordering(c: TreeLikeCurve) -> Ordering:
     Leaves are peeled round by round: all current leaves, in increasing
     id order, then the leaves of what remains, and so on; the final
     surviving component takes position N.  One pass over the dense
-    indices does it: degrees and the XOR of each component's neighbor
-    indices are read off the edge list, so a leaf's one surviving
-    neighbor is its XOR.  Removing a leaf XORs it out of that neighbor
+    indices does it: degrees come from the index and the XOR of each
+    component's neighbor indices is read off the edge list, so a leaf's
+    one surviving neighbor is its XOR.  Removing a leaf XORs it out of that neighbor
     and lowers its degree; the neighbor joins the next round's queue once
     it is a leaf itself, and becomes nu at the removed leaf's position.
     """
     c.require_valid()
     dense = c._dense
     n = len(dense.ids)
-    deg, acc = [0] * n, [0] * n
+    deg, acc = dense.deg[:], [0] * n
     for x, y in dense.edges:
-        deg[x] += 1
-        deg[y] += 1
         acc[x] ^= y
         acc[y] ^= x
     # indices, like ids, from here on; index order is id order
@@ -344,11 +323,23 @@ def decompose(c: TreeLikeCurve, ordering: Ordering, i: int):
     if i == n:
         return everything, frozenset(), None
     y = ordering.perm[i - 1]
-    anchor = ordering.perm[ordering.nu[i - 1] - 1]
-    if anchor not in c.neighbors[y]:
+    edge = ordering.boundary_edge(i)
+    if edge not in c.simple_edges:
         raise OrderingMismatch(f"nu({i}) is not adjacent to component {y}")
-    b = _split_off(c, y, anchor)
-    return everything - b, b, ordering.boundary_edge(i)
+    # B(i) is the piece of the curve minus y that holds nu(i)
+    adj = {v: [] for v in c.ids}
+    for u, v in c.simple_edges:
+        if y != u and y != v:
+            adj[u].append(v)
+            adj[v].append(u)
+    anchor = ordering.perm[ordering.nu[i - 1] - 1]
+    branch, stack = {anchor}, [anchor]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in branch:
+                branch.add(w)
+                stack.append(w)
+    return everything - branch, frozenset(branch), edge
 
 
 def verify_ordering(c: TreeLikeCurve, ordering: Ordering) -> None:

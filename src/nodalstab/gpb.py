@@ -11,7 +11,6 @@ tested by rank computations on the two node projections.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import (
     DegreeBound,
@@ -94,18 +93,16 @@ class GluingFlag:
         object.__setattr__(self, "basis_matrix", rows)
         if mat_rank(self.field, rows) != self.rank:
             raise InvalidInput("flag rows must be linearly independent")
+        # the ranks of the p-side and q-side blocks, each eliminated once,
+        # answer both node checks
+        object.__setattr__(self, "_block_ranks", (mat_rank(self.field, self.left_block()),
+                                                  mat_rank(self.field, self.right_block())))
 
     def left_block(self):
         return [list(row[:self.rank]) for row in self.basis_matrix]
 
     def right_block(self):
         return [list(row[self.rank:]) for row in self.basis_matrix]
-
-    @cached_property
-    def _block_ranks(self) -> tuple:
-        """Ranks of the p-side and q-side blocks, each eliminated once."""
-        return (mat_rank(self.field, self.left_block()),
-                mat_rank(self.field, self.right_block()))
 
 
 @dataclass(frozen=True)

@@ -57,15 +57,16 @@ def intersection(c: TreeLikeCurve, i: int, j: int) -> int:
     c.component(j)
     if i == j:
         return -c.degree(i)
-    return 1 if j in c.neighbors[i] else 0
+    return 1 if (i, j) in c.simple_edges or (j, i) in c.simple_edges else 0
 
 
 def intersection_matrix(c: TreeLikeCurve) -> dict:
     """Full intersection matrix as a nested dict keyed by component ids."""
     c.require_valid()
-    return {i: {j: (-c.degree(i) if i == j else (1 if j in c.neighbors[i] else 0))
-                for j in c.ids}
-            for i in c.ids}
+    ids, edges = c.ids, c.simple_edges
+    return {i: {j: -c.degree(i) if i == j else 1 if (i, j) in edges or (j, i) in edges else 0
+                for j in ids}
+            for i in ids}
 
 
 def _chi(degrees, rank: int, genera) -> list:

@@ -127,7 +127,9 @@ def det_verdict_oracle(c: TreeLikeCurve, bc: BundleClass, det: dict):
 
 # ----------------------------------------------------------- graph utilities
 
-def adjacency(c: TreeLikeCurve):
+def neighbors(c: TreeLikeCurve) -> dict:
+    """Each component's set of neighbors, read off the raw edge list: a
+    self-loop adds none and a repeated node adds its neighbor once."""
     adj = {i: set() for i in c.ids}
     for a, b in c.edges:
         if a != b:
@@ -140,7 +142,7 @@ def induced_connected(c: TreeLikeCurve, subset) -> bool:
     subset = set(subset)
     if not subset:
         return False
-    adj = adjacency(c)
+    adj = neighbors(c)
     seen = {next(iter(subset))}
     stack = list(seen)
     while stack:
@@ -168,7 +170,7 @@ def ordering_satisfies_one_branch(c: TreeLikeCurve, perm) -> bool:
     for every position i < N the higher-positioned components induce a
     connected subtree and component i has exactly one neighbor there."""
     pos = {cid: k + 1 for k, cid in enumerate(perm)}
-    adj = adjacency(c)
+    adj = neighbors(c)
     n = len(perm)
     for k in range(n - 1):
         i = k + 1
@@ -187,7 +189,7 @@ def round_prune_ordering(c: TreeLikeCurve):
     survivor goes to position N, and nu records each leaf's surviving
     neighbor.  This is the rule ``prune_ordering`` implements in one pass.
     """
-    adj = adjacency(c)
+    adj = neighbors(c)
     deg = {i: len(adj[i]) for i in c.ids}
     alive = set(c.ids)
     perm, parent = [], {}
@@ -221,7 +223,7 @@ def window_data(c: TreeLikeCurve, ordering, bc, pol):
     inequalities, derived from the definitions with cleared denominators."""
     ids = sorted(c.ids)
     idx = {cid: k for k, cid in enumerate(ids)}
-    adj = adjacency(c)
+    adj = neighbors(c)
     r = bc.rank
     rho = {comp.id: comp.arithmetic_genus for comp in c.components}
     chi_comp = {i: bc.multidegree[i] + r * (1 - rho[i]) for i in ids}

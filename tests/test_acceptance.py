@@ -136,7 +136,7 @@ def test_chi_invariance(balance_corpus):
             t = TwistDivisor(coeffs={i: rng.randint(-5, 5) for i in c.ids})
             assert euler_char_total(c, twist(c, bc, t)) == chi
         for z in helpers.connected_subcurves(c):
-            boundary = {i for i in z if c.neighbors[i] - z}
+            boundary = {i for i in z if helpers.neighbors(c)[i] - z}
             interior = sorted(z - boundary)
             if not interior:
                 continue

@@ -16,7 +16,6 @@ from nodalstab import (
     lambda_check,
     lambda_check_passes,
     prune_ordering,
-    unbalance_report,
     validate_curve,
 )
 from nodalstab.stability import Window
@@ -142,20 +141,20 @@ def test_balance_agrees_with_brute_force_small():
             assert result.twist.coeffs in sols
 
 
-def test_unbalance_report_examples():
-    report = unbalance_report(PATH2, BC2, HALF)
+def test_pruning_order_distances_examples():
+    report = lambda_check(PATH2, prune_ordering(PATH2), BC2, HALF)
     assert [e.distance for e in report] == [2, 0]
     balanced = balance(PATH2, BC2, HALF).balanced
-    assert all(e.distance == 0 for e in unbalance_report(PATH2, balanced, HALF))
+    assert all(e.distance == 0 for e in lambda_check(PATH2, prune_ordering(PATH2), balanced, HALF))
 
 
-def test_unbalance_report_zero_iff_passes():
+def test_pruning_order_distances_zero_iff_passes():
     rng = random.Random(53)
     for _ in range(150):
         c = helpers.random_curve(rng, n_max=7)
         bc = helpers.random_bundle(rng, c)
         pol = helpers.random_polarization(rng, c)
-        report = unbalance_report(c, bc, pol)
+        report = lambda_check(c, prune_ordering(c), bc, pol)
         all_zero = all(e.distance == 0 for e in report)
         assert all_zero == lambda_check_passes(c, prune_ordering(c), bc, pol)
 
@@ -249,16 +248,26 @@ def test_balance_agrees_with_brute_force_with_far_ids():
 
 
 def test_one_dense_index_per_balance_call(monkeypatch):
+    # a curve's constructor builds its one index and one report; the tree
+    # passes read them and build neither
     curve_mod = importlib.import_module("nodalstab.curve")
-    real, built = curve_mod._DenseIndex, []
+    built = []
 
-    def counting_index(c):
-        built.append(c)
-        return real(c)
-    monkeypatch.setattr(curve_mod, "_DenseIndex", counting_index)
+    def counting(cls):
+        def make(*args, **kwargs):
+            built.append(cls.__name__)
+            return cls(*args, **kwargs)
+        return make
     rng = random.Random(113)
-    c = helpers.relabel_far(rng, helpers.shaped_curve(rng, 15, "caterpillar"))
-    bc = helpers.random_bundle(rng, c)
-    pol = helpers.random_polarization(rng, c)
+    shaped = helpers.relabel_far(rng, helpers.shaped_curve(rng, 15, "caterpillar"))
+    bc = helpers.random_bundle(rng, shaped)
+    pol = helpers.random_polarization(rng, shaped)
+    for name in ("_DenseIndex", "ValidationReport"):
+        monkeypatch.setattr(curve_mod, name, counting(getattr(curve_mod, name)))
+    c = TreeLikeCurve(components=shaped.components, edges=shaped.edges)
+    assert built == ["_DenseIndex", "ValidationReport"]
+    built.clear()
+    assert validate_curve(c).valid
+    lambda_check(c, prune_ordering(c), bc, pol)
     balance(c, bc, pol)
-    assert built == [c]
+    assert built == []

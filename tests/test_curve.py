@@ -13,6 +13,8 @@ from nodalstab import (
     arithmetic_genus,
     decompose,
     euler_char_total,
+    intersection,
+    intersection_matrix,
     prune_ordering,
     validate_curve,
     verify_ordering,
@@ -350,7 +352,7 @@ def test_component_lookup_reads_the_dense_index_on_far_ids():
             c = helpers.relabel_far(rng, helpers.shaped_curve(rng, n, shape))
             for comp in c.components:
                 assert c.component(comp.id) is comp
-                assert c.degree(comp.id) == len(c.neighbors[comp.id])
+                assert c.degree(comp.id) == len(helpers.neighbors(c)[comp.id])
             for missing in (min(c.ids) - 1, max(c.ids) + 1, 0, -1, 1):
                 with pytest.raises(IndexOutOfRange):
                     c.component(missing)
@@ -361,3 +363,50 @@ def test_component_lookup_reads_the_dense_index_on_far_ids():
     assert triangle.component(3) == Component(id=3, internal_nodes=1)
     with pytest.raises(IndexOutOfRange):
         triangle.component(4)
+
+
+def _piece(adj, removed, seed):
+    """The ids reachable from ``seed`` without passing through ``removed``."""
+    seen, stack = {seed}, [seed]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w != removed and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return frozenset(seen)
+
+
+def test_graph_reads_match_the_neighbor_oracle_with_far_ids():
+    rng = random.Random(137)
+    for shape in helpers.SHAPES:
+        for n in (1, 2, 3, 8, 21, 60):
+            c = helpers.relabel_far(rng, helpers.shaped_curve(rng, n, shape))
+            adj = helpers.neighbors(c)
+            matrix = intersection_matrix(c)
+            for i in c.ids:
+                assert c.degree(i) == len(adj[i])
+                for j in c.ids:
+                    expect = -len(adj[i]) if i == j else (1 if j in adj[i] else 0)
+                    assert intersection(c, i, j) == matrix[i][j] == expect
+            o = prune_ordering(c)
+            everything = frozenset(c.ids)
+            for k, y in enumerate(o.perm[:-1]):
+                anchor = o.perm[o.nu[k] - 1]
+                b = _piece(adj, y, anchor)
+                assert decompose(c, o, k + 1) == (everything - b, b, tuple(sorted((y, anchor))))
+            assert decompose(c, o, n) == (everything, frozenset(), None)
+
+
+def test_degree_matches_the_neighbor_oracle_on_multigraphs():
+    # degree needs no tree: self-loops and repeated nodes count no neighbor twice
+    rng = random.Random(139)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        ids = rng.sample(range(2**64, 2**64 + 10**6), n)
+        edges = [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 2 * n))]
+        a, b = rng.choice(ids), rng.choice(ids)
+        edges += [(a, a), (a, b), (b, a)]
+        rng.shuffle(edges)
+        c = TreeLikeCurve(components=tuple(Component(id=i) for i in ids), edges=tuple(edges))
+        adj = helpers.neighbors(c)
+        assert [c.degree(i) for i in ids] == [len(adj[i]) for i in ids]

@@ -250,17 +250,20 @@ def test_both_flag_checks_share_two_block_eliminations(monkeypatch):
         calls.append(rows)
         return real(field, rows)
 
-    flag = build_rational_flag(PrimeField(7), 4, 9, 2)
+    # the constructor makes all three: the full-rank check and one per block
     monkeypatch.setattr(gpb_mod, "mat_rank", counting)
+    flag = build_rational_flag(PrimeField(7), 4, 9, 2)
+    assert len(calls) == 3
     proj = check_projections(flag)
     kern = check_no_kernel_section(flag)
-    assert len(calls) == 2
+    assert len(calls) == 3
     assert proj.locally_free and kern.passes
     # both blocks singular over Q: the verdicts still come from the two ranks
     rows = [[1, 2, 0, 0], [2, 4, 1, 3]]
-    flag = GluingFlag(field=Q, rank=2, basis_matrix=rows)
     calls.clear()
+    flag = GluingFlag(field=Q, rank=2, basis_matrix=rows)
+    assert len(calls) == 3
     kern, proj = check_no_kernel_section(flag), check_projections(flag)
-    assert len(calls) == 2
+    assert len(calls) == 3
     assert (proj.pr1_iso, proj.pr2_iso) == (False, False)
     assert (kern.dim_meet_p_side, kern.dim_meet_q_side) == (1, 1)

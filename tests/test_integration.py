@@ -35,7 +35,7 @@ def ordering_from_perm(c, perm):
     for k in range(len(perm) - 1):
         y = perm[k]
         higher = {cid for cid in c.ids if pos[cid] > k + 1}
-        anchors = c.neighbors[y] & higher
+        anchors = helpers.neighbors(c)[y] & higher
         assert len(anchors) == 1, "perm is not a leaf-pruning order"
         nu.append(pos[next(iter(anchors))])
     return Ordering(perm=tuple(perm), nu=tuple(nu))
@@ -48,7 +48,7 @@ def random_pruning_perm(rng, c):
     perm = []
     while len(alive) > 1:
         v = rng.choice(sorted(i for i in alive if deg[i] == 1))
-        w = next(u for u in c.neighbors[v] if u in alive)
+        w = next(u for u in helpers.neighbors(c)[v] if u in alive)
         perm.append(v)
         alive.discard(v)
         deg[w] -= 1

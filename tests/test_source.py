@@ -14,6 +14,25 @@ def assert_lines(source: str) -> list:
             if isinstance(node, ast.Assert)]
 
 
+def lazy_state(source: str) -> list:
+    """Where a module builds state lazily: ``Class.method`` for each method
+    that ``cached_property`` decorates, ``cached_property:<line>`` for any
+    other use of it, and ``vars:<line>`` for each ``vars(...)`` call."""
+    tree = ast.parse(source)
+    decorated = {id(d): f"{cls.name}.{fn.name}" for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for fn in cls.body
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for d in fn.decorator_list}
+    found = []
+    for node in ast.walk(tree):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name == "cached_property":
+            found.append(decorated.get(id(node), f"cached_property:{node.lineno}"))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars":
+            found.append(f"vars:{node.lineno}")
+    return sorted(found)
+
+
 def test_the_assert_finder_finds_asserts():
     assert assert_lines("x = 1\nif x:\n    assert x, 'x'\n") == [3]
     assert assert_lines("def f(assert_=1):\n    return 'assert'\n") == []
@@ -24,3 +43,26 @@ def test_no_module_relies_on_assert():
     found = [f"{path.name}:{line}" for path in sorted(SRC.rglob("*.py"))
              for line in assert_lines(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def test_the_lazy_state_finder_finds_cached_properties_and_vars():
+    source = ("import functools\n"
+              "from functools import cached_property\n"
+              "class A:\n"
+              "    @cached_property\n"
+              "    def x(self):\n"
+              "        return vars(self).get('x')\n"
+              "    @functools.cached_property\n"
+              "    def y(self):\n"
+              "        vars(self)['z'] = 1\n"
+              "    w = cached_property(len)\n")
+    assert lazy_state(source) == ["A.x", "A.y", "cached_property:10", "vars:6", "vars:9"]
+    assert lazy_state("def vars_(x, cached=1):\n    return 'vars(x) cached_property'\n") == []
+
+
+def test_only_ordering_subtrees_is_built_lazily():
+    # a model object builds its derived state in its constructor; the one
+    # lazy view is the O(N * depth) subtree table that only reports read
+    found = [f"{path.name}:{site}" for path in sorted(SRC.rglob("*.py"))
+             for site in lazy_state(path.read_text(encoding="utf-8"))]
+    assert found == ["curve.py:Ordering.subtrees"]

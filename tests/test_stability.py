@@ -23,7 +23,6 @@ from nodalstab import (
     seshadri_slope,
     slope,
     twist,
-    unbalance_report,
 )
 from nodalstab.stability import Window
 from nodalstab.errors import (
@@ -391,7 +390,7 @@ def test_window_records_match_a_scan_of_the_fraction_bounds():
         o = prune_ordering(c)
         _, den, r, rows = helpers.window_data(c, o, bc, pol)
         windows = (lambda_check(c, o, bc, pol) + list(balance(c, bc, pol).steps)
-                   + unbalance_report(c, bc, pol))
+                   + lambda_check(c, prune_ordering(c), bc, pol))
         assert len(windows) == 3 * len(rows) - 1
         for w in windows:
             lower = Fraction(rows[w.i - 1][2], den)

@@ -190,7 +190,7 @@ def test_chi_invariance_on_connected_subcurves():
         c = helpers.random_curve(rng, n_max=6)
         bc = helpers.random_bundle(rng, c, ranks=(1, 2, 3), d_bound=9)
         for z in helpers.connected_subcurves(c):
-            boundary = {i for i in z if c.neighbors[i] - z}
+            boundary = {i for i in z if helpers.neighbors(c)[i] - z}
             interior = sorted(z - boundary)
             if not interior:
                 continue
