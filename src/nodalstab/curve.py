@@ -50,49 +50,67 @@ class Component:
 class TreeLikeCurve:
     """Decorated dual graph of a nodal curve.
 
-    ``edges`` keeps the raw (normalized) pair list so that validation can
+    The constructor sorts ``components`` by id, so ``components``,
+    ``ids`` and the dense index share one order whatever order the
+    document used, and normalizes each edge to (smaller id, larger id).
+    ``edges`` keeps the raw normalized pair list so that validation can
     still report duplicate edges; every operation other than
-    :func:`validate_curve` requires the curve to be a tree.  The
-    constructor builds everything derived from the two fields in one
-    pass: ``ids`` in component order, the ``simple_edges`` set, the dense
-    index and the validation report.
+    :func:`validate_curve` requires the curve to be a tree.
+
+    One walk over ``edges``, in document order, builds the rest:
+    ``simple_edges``, the set of nodes; ``_edges``, each node once as an
+    index pair (x, y), x < y, in the order the document first lists it;
+    and ``_deg[k]``, the number of neighbors of ``components[k]``.
+    ``_index`` maps each id to its position k and ``_genus[k]`` is the
+    arithmetic genus of ``components[k]``.  Index order is id order, so
+    sorting indices sorts ids; the tree passes run on int lists over
+    these indices.  The validation report is built last.
     """
 
     components: tuple
     edges: tuple
 
     def __post_init__(self):
-        comps = tuple(self.components)
+        comps = tuple(sorted(self.components, key=attrgetter("id")))
         if not comps:
             raise ParseError("a curve needs at least one component", field="components")
-        dense = _DenseIndex(comps)
-        index = dense.index
-        if len(index) != len(comps):
+        ids = tuple(comp.id for comp in comps)
+        index = dict(zip(ids, range(len(ids))))
+        if len(index) != len(ids):
             raise ParseError("component ids must be unique", field="components")
-        norm = []
+        norm, simple, pairs, deg = [], set(), [], [0] * len(ids)
         for e in self.edges:
             a, b = e
-            if a not in index or b not in index:
-                raise ParseError(f"edge {list(e)} references unknown component id", field="edges")
-            norm.append((a, b) if a <= b else (b, a))
-        simple = frozenset(e for e in norm if e[0] != e[1])
-        dense.number_edges(simple)
-        for name, value in (("components", comps), ("edges", tuple(norm)),
-                            ("ids", tuple(comp.id for comp in comps)),
-                            ("simple_edges", simple), ("_dense", dense)):
+            try:
+                x, y = index[a], index[b]
+            except KeyError:
+                raise ParseError(f"edge {list(e)} references unknown component id",
+                                 field="edges") from None
+            if x > y:
+                a, b, x, y = b, a, y, x
+            e = (a, b)
+            norm.append(e)
+            if x != y and e not in simple:
+                simple.add(e)
+                pairs.append((x, y))
+                deg[x] += 1
+                deg[y] += 1
+        for name, value in (("components", comps), ("edges", tuple(norm)), ("ids", ids),
+                            ("simple_edges", frozenset(simple)), ("_index", index),
+                            ("_genus", [comp.arithmetic_genus for comp in comps]),
+                            ("_edges", pairs), ("_deg", deg)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_validation", _validate(self))
 
     def component(self, comp_id: int) -> Component:
-        dense = self._dense
         try:
-            return dense.comps[dense.index[comp_id]]
+            return self.components[self._index[comp_id]]
         except KeyError:
             raise IndexOutOfRange(f"no component with id {comp_id}") from None
 
     def degree(self, comp_id: int) -> int:
         self.component(comp_id)
-        return self._dense.deg[self._dense.index[comp_id]]
+        return self._deg[self._index[comp_id]]
 
     def require_valid(self) -> None:
         report = self._validation
@@ -101,38 +119,6 @@ class TreeLikeCurve:
             raise {"CycleDetected": CycleDetected,
                    "Disconnected": Disconnected,
                    "MultiEdge": MultiEdge}[code](detail)
-
-
-class _DenseIndex:
-    """The component ids numbered 0..N-1 in increasing id order.
-
-    ``comps[k]`` is the component with index k, ``ids[k]`` its id, and
-    ``index`` maps ids back; ``idset`` is the set of ids (the index's key
-    view), ``genus[k]`` the arithmetic genus of comps[k], ``edges`` the
-    simple edges as index pairs (x, y), x < y, in the iteration order of
-    ``simple_edges``, and ``deg[k]`` the number of neighbors of comps[k].
-    Index order is id order, so sorting indices sorts ids.  The tree
-    passes run on int lists over these indices; ids appear only where
-    results leave them.
-    """
-
-    __slots__ = ("comps", "ids", "index", "idset", "genus", "edges", "deg")
-
-    def __init__(self, comps):
-        self.comps = comps = sorted(comps, key=attrgetter("id"))
-        self.ids = [comp.id for comp in comps]
-        self.index = dict(zip(self.ids, range(len(comps))))
-        self.idset = self.index.keys()
-        self.genus = [comp.arithmetic_genus for comp in comps]
-
-    def number_edges(self, simple_edges) -> None:
-        # the second step, once the curve's constructor has checked the edges
-        index = self.index
-        self.edges = edges = [(index[a], index[b]) for a, b in simple_edges]
-        self.deg = deg = [0] * len(self.ids)
-        for x, y in edges:
-            deg[x] += 1
-            deg[y] += 1
 
 
 @dataclass(frozen=True)
@@ -202,7 +188,7 @@ def validate_curve(c: TreeLikeCurve) -> ValidationReport:
 
 
 def _validate(c: TreeLikeCurve) -> ValidationReport:
-    """The report of a curve whose constructor has built its dense index."""
+    """The report of a curve whose constructor has walked its edges."""
     errors = []
     if len(c.simple_edges) != len(c.edges):    # some edge is a self-loop or repeated
         seen = set()
@@ -214,14 +200,14 @@ def _validate(c: TreeLikeCurve) -> ValidationReport:
                                f"components {e[0]} and {e[1]} meet in more than one node"))
             seen.add(e)
 
-    # union-find over the simple edges catches any remaining cycle; each
-    # successful union joins two pieces, so N minus the unions is the count
-    dense = c._dense
-    parent = list(range(len(dense.ids)))
+    # union-find over the nodes, in document order, catches any remaining
+    # cycle; each successful union joins two pieces, so N minus the unions
+    # is the count
+    parent = list(range(len(c.ids)))
     pieces = len(parent)
     # a closing edge is reported only while no cycle has been reported
     cycle_reported = any(code == "CycleDetected" for code, _ in errors)
-    for u, v in dense.edges:
+    for u, v in c._edges:
         x = u
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
@@ -230,8 +216,7 @@ def _validate(c: TreeLikeCurve) -> ValidationReport:
             parent[y] = y = parent[parent[y]]
         if x == y:
             if not cycle_reported:
-                ids = dense.ids
-                errors.append(("CycleDetected", f"edge {[ids[u], ids[v]]} closes a cycle"))
+                errors.append(("CycleDetected", f"edge {[c.ids[u], c.ids[v]]} closes a cycle"))
                 cycle_reported = True
         else:
             parent[x] = y
@@ -240,7 +225,7 @@ def _validate(c: TreeLikeCurve) -> ValidationReport:
         errors.append(("Disconnected", f"dual graph has {pieces} connected pieces"))
 
     valid = not errors
-    p_a = sum(dense.genus) if valid else None
+    p_a = sum(c._genus) if valid else None
     return ValidationReport(
         valid=valid,
         errors=tuple(errors),
@@ -266,18 +251,17 @@ def prune_ordering(c: TreeLikeCurve) -> Ordering:
 
     Leaves are peeled round by round: all current leaves, in increasing
     id order, then the leaves of what remains, and so on; the final
-    surviving component takes position N.  One pass over the dense
-    indices does it: degrees come from the index and the XOR of each
+    surviving component takes position N.  One pass over the
+    indices does it: degrees come from the curve and the XOR of each
     component's neighbor indices is read off the edge list, so a leaf's
     one surviving neighbor is its XOR.  Removing a leaf XORs it out of that neighbor
     and lowers its degree; the neighbor joins the next round's queue once
     it is a leaf itself, and becomes nu at the removed leaf's position.
     """
     c.require_valid()
-    dense = c._dense
-    n = len(dense.ids)
-    deg, acc = dense.deg[:], [0] * n
-    for x, y in dense.edges:
+    n = len(c.ids)
+    deg, acc = c._deg[:], [0] * n
+    for x, y in c._edges:
         acc[x] ^= y
         acc[y] ^= x
     # indices, like ids, from here on; index order is id order
@@ -302,7 +286,7 @@ def prune_ordering(c: TreeLikeCurve) -> Ordering:
     pos = [0] * n
     for k, v in enumerate(perm, 1):
         pos[v] = k
-    return Ordering(perm=tuple(map(dense.ids.__getitem__, perm)),
+    return Ordering(perm=tuple(map(c.ids.__getitem__, perm)),
                     nu=tuple(map(pos.__getitem__, parent)))
 
 
@@ -317,7 +301,7 @@ def decompose(c: TreeLikeCurve, ordering: Ordering, i: int):
     n = ordering.n
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"order index {i} out of range 1..{n}")
-    if set(ordering.perm) != c._dense.idset:
+    if set(ordering.perm) != c._index.keys():
         raise OrderingMismatch("ordering does not belong to this curve")
     everything = frozenset(c.ids)
     if i == n:
@@ -354,7 +338,7 @@ def verify_ordering(c: TreeLikeCurve, ordering: Ordering) -> None:
     """
     n = len(c.components)
     perm, nu = ordering.perm, ordering.nu
-    if len(perm) != n or set(perm) != c._dense.idset:
+    if len(perm) != n or set(perm) != c._index.keys():
         raise OrderingMismatch("perm is not a permutation of the curve's component ids")
     if len(nu) != n - 1:
         raise OrderingMismatch(f"nu has {len(nu)} entries, need {n - 1}")

@@ -98,7 +98,11 @@ def _id_map(obj, field):
     for k, v in obj.items():
         _require(isinstance(k, str) and k.isascii() and k.isdigit() and k[0] != "0",
                  f"bad component id key {k!r}", field)
-        out[int(k)] = v
+        try:
+            out[int(k)] = v
+        except ValueError:   # over the interpreter's digit limit, as for a JSON integer
+            raise ParseError(f"a component id key has {len(k)} digits, too many for an integer",
+                             field=field) from None
     return out
 
 
@@ -123,16 +127,6 @@ def parse_curve(obj) -> "TreeLikeCurve":
         _require(isinstance(e, list) and len(e) == 2, "edge must be a pair", where)
         edges.append((_int(e[0], where), _int(e[1], where)))
     return TreeLikeCurve(components=tuple(comps), edges=tuple(edges))
-
-
-def curve_to_obj(c: "TreeLikeCurve") -> dict:
-    return {
-        "components": [{"id": comp.id,
-                        "geometric_genus": comp.geometric_genus,
-                        "internal_nodes": comp.internal_nodes}
-                       for comp in c.components],
-        "edges": [list(e) for e in c.edges],
-    }
 
 
 def parse_bundle(obj) -> "BundleClass":
@@ -162,10 +156,6 @@ def parse_polarization(obj) -> "Polarization":
                  f"the weights' common denominator has more than {_MAX_DIGITS} digits",
                  "weights")
     return Polarization(weights=weights)
-
-
-def polarization_to_obj(pol: "Polarization") -> dict:
-    return {"weights": {str(i): frac_to_str(v) for i, v in sorted(pol.weights.items())}}
 
 
 def parse_twist(obj) -> "TwistDivisor":

@@ -167,9 +167,8 @@ def _chi_sums(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass) -> list:
     then read off at every position.  The caller checks the class
     against the curve.
     """
-    dense = c._dense
-    chi = _chi(map(bc.multidegree.__getitem__, dense.ids), bc.rank, dense.genus)
-    values = list(map(chi.__getitem__, map(dense.index.__getitem__, ordering.perm)))
+    chi = _chi(map(bc.multidegree.__getitem__, c.ids), bc.rank, c._genus)
+    values = list(map(chi.__getitem__, map(c._index.__getitem__, ordering.perm)))
     for k, p in enumerate(ordering.nu):
         values[p - 1] += values[k]
     return values
@@ -227,11 +226,11 @@ def det_compatibility(c: TreeLikeCurve, bc: BundleClass, det_multidegree: dict) 
     rational component's degree is a multiple of the rank."""
     c.require_valid()
     require_match(c, bc.multidegree, "multidegree")
-    if det_multidegree.keys() != c._dense.idset:
+    if det_multidegree.keys() != c._index.keys():
         raise DocumentMismatch("determinant multidegree keys do not match the curve")
-    # the dense index lists the ids and components in increasing id order
-    mismatched = tuple(i for i in c._dense.ids if det_multidegree[i] != bc.multidegree[i])
-    indivisible = tuple(comp.id for comp in c._dense.comps
+    # a curve lists its ids and components in increasing id order
+    mismatched = tuple(i for i in c.ids if det_multidegree[i] != bc.multidegree[i])
+    indivisible = tuple(comp.id for comp in c.components
                         if comp.is_rational and det_multidegree[comp.id] % bc.rank != 0)
     return DetVerdict(passes=not mismatched and not indivisible,
                       mismatched=mismatched, indivisible=indivisible)
@@ -248,7 +247,7 @@ def gieseker_vs_seshadri(c: TreeLikeCurve, bc: BundleClass, h: AmpleDegrees,
     c.require_valid()
     require_match(c, bc.multidegree, "multidegree")
     require_match(c, h.degrees, "ample degrees")
-    if multirank.keys() != c._dense.idset:
+    if multirank.keys() != c._index.keys():
         raise DocumentMismatch("multirank keys do not match the curve")
     for i, ri in multirank.items():
         if not 0 <= ri <= bc.rank:

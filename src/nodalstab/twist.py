@@ -41,7 +41,7 @@ class TwistDivisor:
 
 
 def require_match(c: TreeLikeCurve, mapping: dict, what: str) -> None:
-    if mapping.keys() != c._dense.idset:
+    if mapping.keys() != c._index.keys():
         raise DocumentMismatch(f"{what} keys do not match the curve's component ids")
 
 
@@ -86,9 +86,8 @@ def euler_char_total(c: TreeLikeCurve, bc: BundleClass) -> int:
     """chi on the whole curve: component sum minus r per connecting node."""
     c.require_valid()
     require_match(c, bc.multidegree, "multidegree")
-    dense = c._dense
-    total = sum(_chi(map(bc.multidegree.__getitem__, dense.ids), bc.rank, dense.genus))
-    return total - bc.rank * (len(dense.ids) - 1)
+    total = sum(_chi(map(bc.multidegree.__getitem__, c.ids), bc.rank, c._genus))
+    return total - bc.rank * (len(c.ids) - 1)
 
 
 def twist(c: TreeLikeCurve, bc: BundleClass, t: TwistDivisor) -> BundleClass:
@@ -102,11 +101,10 @@ def twist(c: TreeLikeCurve, bc: BundleClass, t: TwistDivisor) -> BundleClass:
     c.require_valid()
     require_match(c, bc.multidegree, "multidegree")
     require_match(c, t.coeffs, "twist coefficients")
-    dense = c._dense
-    ids, r = dense.ids, bc.rank
+    ids, r = c.ids, bc.rank
     new = list(map(bc.multidegree.__getitem__, ids))
     a = list(map(t.coeffs.__getitem__, ids))
-    for x, y in dense.edges:
+    for x, y in c._edges:
         moved = r * (a[y] - a[x])
         new[x] += moved
         new[y] -= moved
@@ -122,10 +120,10 @@ def chi_subcurve_sum(c: TreeLikeCurve, bc: BundleClass, subcurve) -> int:
     ids = set(subcurve)
     if not ids:
         raise EmptySubcurve("subcurve must contain at least one component")
-    unknown = ids - c._dense.idset
+    unknown = ids - c._index.keys()
     if unknown:
         raise IndexOutOfRange(f"unknown component ids in subcurve: {sorted(unknown)}")
     c.require_valid()
     require_match(c, bc.multidegree, "multidegree")
-    genus, index = c._dense.genus, c._dense.index
+    genus, index = c._genus, c._index
     return sum(_chi([bc.multidegree[i] for i in ids], bc.rank, [genus[index[i]] for i in ids]))

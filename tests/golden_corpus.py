@@ -206,6 +206,8 @@ def inputs():
         "bad_pol_exponent.json": {"weights": {"1": "1e10000000", "2": "1/2"}},
         "bad_flag_q_exponent.json": {"field": "Q", "basis_matrix": [["1e10000000", "1"]]},
         "bad_deep_nesting.json": b"[" * 100_000,
+        "bad_bundle_key_digits.json": {"rank": 2, "multidegree": {"1" + "0" * 5000: 1}},
+        "bad_pol_key_digits.json": {"weights": {"1" + "0" * 5000: "1"}},
     })
 
     # dvr --matrix
@@ -479,6 +481,12 @@ def cases():
         "--nodes", "2")
     add("gpb-num-digits-genus-4299", "gpb", "--rank", "2", "--degree", "1", "--nodes", "2",
         "--genus", "9" * 4299)
+
+    # id keys past the interpreter's digit limit are refused like JSON integers
+    add("check-bad_bundle_key_digits", "check", "--curve", f"{FIX}/curves/path2_g11.json",
+        "--bundle", inp("bad_bundle_key_digits.json"), "--pol", f"{FIX}/path2_pol.json")
+    add("balance-bad_pol_key_digits", "balance", "--curve", f"{FIX}/curves/path2_g11.json",
+        "--bundle", f"{FIX}/path2_bundle.json", "--pol", inp("bad_pol_key_digits.json"))
     return out
 
 

@@ -215,6 +215,8 @@ def test_balance_steps_match_window_integers_of_the_fraction_bounds():
 
 
 def test_one_validation_per_curve(monkeypatch):
+    # a curve's constructor builds its one report; validate_curve and the
+    # tree passes read it and build none
     curve_mod = importlib.import_module("nodalstab.curve")
     real, made = curve_mod.ValidationReport, []
 
@@ -222,15 +224,19 @@ def test_one_validation_per_curve(monkeypatch):
         made.append(fields)
         return real(**fields)
     monkeypatch.setattr(curve_mod, "ValidationReport", counting_report)
-    rng = random.Random(73)
-    c = helpers.shaped_curve(rng, 12, "prufer")
-    bc = helpers.random_bundle(rng, c)
-    pol = helpers.random_polarization(rng, c)
-    assert validate_curve(c).valid
-    lambda_check(c, prune_ordering(c), bc, pol)
-    balance(c, bc, pol)
-    assert validate_curve(c) is validate_curve(c)
-    assert len(made) == 1
+    rng = random.Random(113)
+    for shape in helpers.SHAPES:
+        shaped = helpers.relabel_far(rng, helpers.shaped_curve(rng, 15, shape))
+        bc = helpers.random_bundle(rng, shaped)
+        pol = helpers.random_polarization(rng, shaped)
+        made.clear()
+        c = TreeLikeCurve(components=shaped.components, edges=shaped.edges)
+        assert len(made) == 1
+        assert validate_curve(c).valid
+        lambda_check(c, prune_ordering(c), bc, pol)
+        balance(c, bc, pol)
+        assert validate_curve(c) is validate_curve(c)
+        assert len(made) == 1
 
 
 def test_balance_agrees_with_brute_force_with_far_ids():
@@ -245,29 +251,3 @@ def test_balance_agrees_with_brute_force_with_far_ids():
             sols = helpers.brute_force_solutions(c, result.ordering, bc, pol, bound=bound)
             assert result.twist.coeffs in sols
             assert lambda_check_passes(c, result.ordering, result.balanced, pol)
-
-
-def test_one_dense_index_per_balance_call(monkeypatch):
-    # a curve's constructor builds its one index and one report; the tree
-    # passes read them and build neither
-    curve_mod = importlib.import_module("nodalstab.curve")
-    built = []
-
-    def counting(cls):
-        def make(*args, **kwargs):
-            built.append(cls.__name__)
-            return cls(*args, **kwargs)
-        return make
-    rng = random.Random(113)
-    shaped = helpers.relabel_far(rng, helpers.shaped_curve(rng, 15, "caterpillar"))
-    bc = helpers.random_bundle(rng, shaped)
-    pol = helpers.random_polarization(rng, shaped)
-    for name in ("_DenseIndex", "ValidationReport"):
-        monkeypatch.setattr(curve_mod, name, counting(getattr(curve_mod, name)))
-    c = TreeLikeCurve(components=shaped.components, edges=shaped.edges)
-    assert built == ["_DenseIndex", "ValidationReport"]
-    built.clear()
-    assert validate_curve(c).valid
-    lambda_check(c, prune_ordering(c), bc, pol)
-    balance(c, bc, pol)
-    assert built == []

@@ -1,8 +1,9 @@
 """Property test: no input document makes the CLI crash.
 
 Every subcommand that reads a document is fed arbitrary bytes, arbitrary
-JSON, valid fixtures with one node replaced by arbitrary JSON, and arrays
-or objects nested up to 10^5 deep; the
+JSON, valid fixtures with one node replaced by arbitrary JSON, valid
+fixtures with a component-id key of up to 4,400 digits added to each
+id-keyed map, and arrays or objects nested up to 10^5 deep; the
 polarization weights and the gluing-flag entries are also fed strings in
 and around the rational grammar, and polarizations are fed weights whose
 common denominator has up to 8,600 digits; ``gpb`` is fed numeric
@@ -77,8 +78,24 @@ def deep_nesting(draw):
     return (opener * depth + "0" + tail).encode()
 
 
+ID_MAPS = ("multidegree", "weights", "coeffs")
+LONG_KEYS = st.integers(4290, 4400).map(lambda n: "1" + "0" * (n - 1))
+
+
+@st.composite
+def long_id_keys(draw, doc):
+    """The document with a key of 4,290 to 4,400 digits added to each of its
+    id-keyed maps: past 4,300 digits the interpreter refuses to read it as an
+    int.  A document without such a map is replaced by arbitrary JSON."""
+    if not isinstance(doc, dict) or not any(isinstance(doc.get(k), dict) for k in ID_MAPS):
+        return draw(json_values)
+    return {k: dict(v, **{draw(LONG_KEYS): draw(json_values)})
+            if k in ID_MAPS and isinstance(v, dict) else v for k, v in doc.items()}
+
+
 def documents(valid):
-    as_bytes = st.builds(lambda v: json.dumps(v).encode(), json_values | mutated(valid))
+    as_bytes = st.builds(lambda v: json.dumps(v).encode(),
+                         json_values | mutated(valid) | long_id_keys(valid))
     return st.binary(max_size=120) | as_bytes | deep_nesting()
 
 
@@ -106,6 +123,30 @@ def test_cli_never_crashes_on_any_document(target, workdir):
         assert "Traceback" not in err.getvalue()
 
     run()
+
+
+@pytest.mark.parametrize("target", ["check-bundle", "balance-pol"])
+@pytest.mark.parametrize("digits", [4300, 4301, 5000])
+def test_cli_refuses_over_long_id_keys(target, digits, workdir):
+    # one JSON error on an id key of any length; past the interpreter's
+    # 4,300-digit limit it names the map and the digit count, not the key
+    argv, option, valid_path = TARGETS[target]
+    doc = json.loads(valid_path.read_text(encoding="utf-8"))
+    slot = "multidegree" if "multidegree" in doc else "weights"
+    key = "1" + "0" * (digits - 1)
+    doc[slot][key] = doc[slot]["1"]
+    path = workdir / f"long-key-{target}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv + [option, str(path)])
+    error = json.loads(out.getvalue())["error"]
+    assert code == 2
+    assert err.getvalue() == ""
+    assert key not in error["detail"]
+    if digits > 4300:
+        assert error["code"] == "ParseError" and error["field"] == slot
+        assert f"{digits} digits" in error["detail"]
 
 
 SIGNS = st.sampled_from(["", "+", "-"])

@@ -11,10 +11,12 @@ from nodalstab import (
     Ordering,
     TreeLikeCurve,
     arithmetic_genus,
+    balance,
     decompose,
     euler_char_total,
     intersection,
     intersection_matrix,
+    lambda_check,
     prune_ordering,
     validate_curve,
     verify_ordering,
@@ -81,7 +83,8 @@ def test_validate_self_loop_is_cycle():
 
 def _errors_by_rescan(c):
     """The validation errors by the rule as first written: a closing edge
-    is reported after a scan of every error so far finds no cycle."""
+    is reported after a scan of every error so far finds no cycle.  The
+    nodes are walked in the order the document first lists them."""
     errors, seen = [], set()
     for e in c.edges:
         if e[0] == e[1]:
@@ -96,7 +99,7 @@ def _errors_by_rescan(c):
             x = parent[x]
         return x
 
-    for a, b in c.simple_edges:
+    for a, b in dict.fromkeys(e for e in c.edges if e[0] != e[1]):
         ra, rb = find(a), find(b)
         if ra == rb:
             if not any(code == "CycleDetected" for code, _ in errors):
@@ -410,3 +413,55 @@ def test_degree_matches_the_neighbor_oracle_on_multigraphs():
         c = TreeLikeCurve(components=tuple(Component(id=i) for i in ids), edges=tuple(edges))
         adj = helpers.neighbors(c)
         assert [c.degree(i) for i in ids] == [len(adj[i]) for i in ids]
+
+
+def _documents(rng):
+    """(components, edges) of trees of the four shapes and of random
+    multigraphs, with far ids and each edge's ends in random order."""
+    shaped = [helpers.shaped_curve(rng, n, shape)
+              for shape in helpers.SHAPES for n in (1, 2, 3, 8, 21)]
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        edges = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 14))]
+        shaped.append(curve([(i, rng.randint(0, 2), rng.randint(0, 1))
+                             for i in range(1, n + 1)], edges))
+    for c in shaped:
+        c = helpers.relabel_far(rng, c)
+        yield list(c.components), [e[::rng.choice((1, -1))] for e in c.edges]
+
+
+def _index_oracle(comps, edges):
+    """(_edges, _deg) read straight off a document: the ids ranked by
+    value, each node once as a rank pair in the order the document first
+    lists it, and each component's count of distinct neighbors."""
+    rank = {i: k for k, i in enumerate(sorted(comp.id for comp in comps))}
+    nodes = []
+    for a, b in edges:
+        pair = tuple(sorted((rank[a], rank[b])))
+        if a != b and pair not in nodes:
+            nodes.append(pair)
+    deg = [len(({b for a, b in edges if a == i} | {a for a, b in edges if b == i}) - {i})
+           for i in sorted(rank)]
+    return nodes, deg
+
+
+def test_component_order_does_not_change_the_curve():
+    rng = random.Random(149)
+    trees = 0
+    for comps, edges in _documents(rng):
+        one, two = (TreeLikeCurve(components=tuple(rng.sample(comps, len(comps))),
+                                  edges=tuple(edges)) for _ in range(2))
+        assert one == two
+        assert one.ids == two.ids == tuple(sorted(comp.id for comp in comps))
+        assert validate_curve(one) == validate_curve(two)
+        assert (one._edges, one._deg) == (two._edges, two._deg) == _index_oracle(comps, edges)
+        if not validate_curve(one).valid:
+            continue
+        trees += 1
+        bc = helpers.random_bundle(rng, one)
+        pol = helpers.random_polarization(rng, one)
+        o = prune_ordering(one)
+        assert o == prune_ordering(two)
+        assert lambda_check(one, o, bc, pol) == lambda_check(two, o, bc, pol)
+        assert balance(one, bc, pol) == balance(two, bc, pol)
+    assert trees >= 20
