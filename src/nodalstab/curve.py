@@ -9,7 +9,6 @@ once, when it is built; :func:`validate_curve` reports the result and
 every other operation demands it.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 
@@ -20,22 +19,24 @@ from .errors import (
     MultiEdge,
     OrderingMismatch,
     ParseError,
+    Record,
+    _set,
 )
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Record):
     """One irreducible component: genus data only, no embedded geometry."""
 
-    id: int
-    geometric_genus: int = 0
-    internal_nodes: int = 0
+    __slots__ = _fields = ("id", "geometric_genus", "internal_nodes")
 
-    def __post_init__(self):
-        if self.id < 1:
+    def __init__(self, id: int, geometric_genus: int = 0, internal_nodes: int = 0):
+        if id < 1:
             raise ParseError("component ids must be positive integers", field="components.id")
-        if self.geometric_genus < 0 or self.internal_nodes < 0:
-            raise ParseError("genus data must be nonnegative", field=f"components[{self.id}]")
+        if geometric_genus < 0 or internal_nodes < 0:
+            raise ParseError("genus data must be nonnegative", field=f"components[{id}]")
+        _set(self, "id", id)
+        _set(self, "geometric_genus", geometric_genus)
+        _set(self, "internal_nodes", internal_nodes)
 
     @property
     def arithmetic_genus(self) -> int:
@@ -46,8 +47,7 @@ class Component:
         return self.geometric_genus == 0 and self.internal_nodes == 0
 
 
-@dataclass(frozen=True)
-class TreeLikeCurve:
+class TreeLikeCurve(Record):
     """Decorated dual graph of a nodal curve.
 
     The constructor sorts ``components`` by id, so ``components``,
@@ -67,11 +67,12 @@ class TreeLikeCurve:
     these indices.  The validation report is built last.
     """
 
-    components: tuple
-    edges: tuple
+    _fields = ("components", "edges")
+    __slots__ = _fields + ("ids", "simple_edges", "_index", "_genus", "_edges", "_deg",
+                           "_validation")
 
-    def __post_init__(self):
-        comps = tuple(sorted(self.components, key=attrgetter("id")))
+    def __init__(self, components: tuple, edges: tuple):
+        comps = tuple(sorted(components, key=attrgetter("id")))
         if not comps:
             raise ParseError("a curve needs at least one component", field="components")
         ids = tuple(comp.id for comp in comps)
@@ -79,7 +80,7 @@ class TreeLikeCurve:
         if len(index) != len(ids):
             raise ParseError("component ids must be unique", field="components")
         norm, simple, pairs, deg = [], set(), [], [0] * len(ids)
-        for e in self.edges:
+        for e in edges:
             a, b = e
             try:
                 x, y = index[a], index[b]
@@ -99,8 +100,8 @@ class TreeLikeCurve:
                             ("simple_edges", frozenset(simple)), ("_index", index),
                             ("_genus", [comp.arithmetic_genus for comp in comps]),
                             ("_edges", pairs), ("_deg", deg)):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_validation", _validate(self))
+            _set(self, name, value)
+        _set(self, "_validation", _validate(self))
 
     def component(self, comp_id: int) -> Component:
         try:
@@ -121,17 +122,13 @@ class TreeLikeCurve:
                    "MultiEdge": MultiEdge}[code](detail)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    valid: bool
-    errors: tuple            # (code, detail) pairs
-    n_components: int
-    p_a: int | None          # arithmetic genus, only when the curve is a tree
-    genus_at_least_two: bool | None
+class ValidationReport(Record):
+    # errors: (code, detail) pairs; p_a: the arithmetic genus, and
+    # genus_at_least_two, only when the curve is a tree (else None)
+    __slots__ = _fields = ("valid", "errors", "n_components", "p_a", "genus_at_least_two")
 
 
-@dataclass(frozen=True)
-class Ordering:
+class Ordering(Record):
     """A component ordering with the one-branch property, as a parent array.
 
     ``perm[k]`` is the component id at order position k+1.  For every
@@ -150,8 +147,12 @@ class Ordering:
     pays for it.
     """
 
-    perm: tuple
-    nu: tuple
+    # no __slots__: the cached subtrees live in the instance __dict__
+    _fields = ("perm", "nu")
+
+    def __init__(self, perm: tuple, nu: tuple):
+        _set(self, "perm", perm)
+        _set(self, "nu", nu)
 
     @property
     def n(self) -> int:

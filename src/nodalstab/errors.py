@@ -1,4 +1,55 @@
-"""Exception types shared across the package."""
+"""Exception types, and the base of the value records, shared across the package."""
+
+# a record's constructor sets its fields with this, past its refusing __setattr__
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the package's value records: immutable, equal by value.
+
+    A subclass names its fields in ``_fields``; ``==``, ``hash``, ``repr``
+    and pickling read those fields and nothing else, so attributes a
+    constructor derives stay out of them.  Records of different classes
+    are never equal, and assigning or deleting any attribute raises
+    AttributeError.  This base constructor takes the fields by position or
+    keyword; a record that checks its input or is built on a hot path
+    defines its own.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(names)}")
+        for name in names:
+            _set(self, name, values[name])
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class NodalStabError(Exception):

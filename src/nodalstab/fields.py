@@ -222,14 +222,16 @@ class RationalField:
 
 
 def parse_field(name: str):
-    """Build a field from a descriptor string: "Q" or "F<p>"."""
-    name = name.strip()
+    """Build a field from a descriptor string: exactly "Q", or "F" and p in
+    ASCII digits without a leading zero.  Nothing else is read as a field,
+    so the descriptor a report prints is the one the input gave."""
     if name == "Q":
         return RationalField()
-    if name.startswith("F") and name[1:].isascii() and name[1:].isdigit():
+    digits = name[1:]
+    if name[:1] == "F" and digits.isascii() and digits.isdigit() and digits[0] != "0":
         if len(name) > 100:
             raise InvalidInput("field descriptor too long: p must be below 2^64")
-        return PrimeField(int(name[1:]))
+        return PrimeField(int(digits))
     raise InvalidInput(f"unknown field descriptor {name!r}")
 
 

@@ -9,43 +9,43 @@ row-span matrices over an exact field, and descent to the nodal curve is
 tested by rank computations on the two node projections.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     DegreeBound,
     DimensionBound,
     InvalidInput,
+    Record,
     SingularProjection,
+    _set,
 )
 from .fields import mat_rank
 
 
-@dataclass(frozen=True)
-class GpbClass:
+class GpbClass(Record):
     """Numerical data of a generalized parabolic bundle with weights (0, 1)."""
 
-    rank: int
-    degree: int
-    nodes: int
-    flag_dims: tuple = None   # per node (m1, m2); defaults to the canonical (r, r)
+    __slots__ = _fields = ("rank", "degree", "nodes", "flag_dims")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, degree: int, nodes: int, flag_dims: tuple = None):
+        # flag_dims: per node (m1, m2); defaults to the canonical (r, r)
+        if rank < 1:
             raise InvalidInput("rank must be positive")
-        if self.nodes < 0:
+        if nodes < 0:
             raise InvalidInput("node count must be nonnegative")
-        dims = self.flag_dims
-        if dims is None:
-            dims = tuple((self.rank, self.rank) for _ in range(self.nodes))
+        if flag_dims is None:
+            dims = tuple((rank, rank) for _ in range(nodes))
         else:
-            dims = tuple((int(a), int(b)) for a, b in dims)
-        if len(dims) != self.nodes:
+            dims = tuple((int(a), int(b)) for a, b in flag_dims)
+        if len(dims) != nodes:
             raise InvalidInput("need one flag dimension pair per node")
         for m1, m2 in dims:
-            if m1 < 0 or m2 < 0 or m1 + m2 != 2 * self.rank:
+            if m1 < 0 or m2 < 0 or m1 + m2 != 2 * rank:
                 raise InvalidInput("flag dimensions at a node must satisfy m1 + m2 = 2r")
-        object.__setattr__(self, "flag_dims", dims)
+        _set(self, "rank", rank)
+        _set(self, "degree", degree)
+        _set(self, "nodes", nodes)
+        _set(self, "flag_dims", dims)
 
     @property
     def is_canonical(self) -> bool:
@@ -61,42 +61,36 @@ class GpbClass:
         return self.degree + self.weight
 
 
-@dataclass(frozen=True)
-class SubbundleVerdict:
-    sub_slope: Fraction
-    total_slope: Fraction
-    le: bool
-    chain_mid: Fraction          # (d' + gamma * r') / r'
-    slope_condition: bool        # d'/r' <= d/r
-    chain_holds: bool
+class SubbundleVerdict(Record):
+    # chain_mid: (d' + gamma * r') / r'; slope_condition: d'/r' <= d/r
+    __slots__ = _fields = ("sub_slope", "total_slope", "le", "chain_mid", "slope_condition",
+                           "chain_holds")
 
 
-@dataclass(frozen=True)
-class PhiNumbers:
-    rank: int
-    degree: int
-    chi: int
+class PhiNumbers(Record):
+    __slots__ = _fields = ("rank", "degree", "chi")
 
 
-@dataclass(frozen=True)
-class GluingFlag:
+class GluingFlag(Record):
     """Row span of the flag inside E(p) + E(q), in the fixed bases."""
 
-    field: object
-    rank: int
-    basis_matrix: tuple   # r rows of length 2r, entries in the field
+    _fields = ("field", "rank", "basis_matrix")
+    __slots__ = _fields + ("_block_ranks",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(self.field.element(x) for x in row) for row in self.basis_matrix)
-        if len(rows) != self.rank or any(len(row) != 2 * self.rank for row in rows):
+    def __init__(self, field, rank: int, basis_matrix: tuple):
+        # basis_matrix: r rows of length 2r, entries in the field
+        rows = tuple(tuple(field.element(x) for x in row) for row in basis_matrix)
+        if len(rows) != rank or any(len(row) != 2 * rank for row in rows):
             raise InvalidInput("flag matrix must be rank x 2*rank")
-        object.__setattr__(self, "basis_matrix", rows)
-        if mat_rank(self.field, rows) != self.rank:
+        _set(self, "field", field)
+        _set(self, "rank", rank)
+        _set(self, "basis_matrix", rows)
+        if mat_rank(field, rows) != rank:
             raise InvalidInput("flag rows must be linearly independent")
         # the ranks of the p-side and q-side blocks, each eliminated once,
         # answer both node checks
-        object.__setattr__(self, "_block_ranks", (mat_rank(self.field, self.left_block()),
-                                                  mat_rank(self.field, self.right_block())))
+        _set(self, "_block_ranks", (mat_rank(field, self.left_block()),
+                                    mat_rank(field, self.right_block())))
 
     def left_block(self):
         return [list(row[:self.rank]) for row in self.basis_matrix]
@@ -105,20 +99,24 @@ class GluingFlag:
         return [list(row[self.rank:]) for row in self.basis_matrix]
 
 
-@dataclass(frozen=True)
-class ProjectionVerdict:
-    pr1_iso: bool
-    pr2_iso: bool
+class ProjectionVerdict(Record):
+    __slots__ = _fields = ("pr1_iso", "pr2_iso")
+
+    def __init__(self, pr1_iso: bool, pr2_iso: bool):
+        _set(self, "pr1_iso", pr1_iso)
+        _set(self, "pr2_iso", pr2_iso)
 
     @property
     def locally_free(self) -> bool:
         return self.pr1_iso and self.pr2_iso
 
 
-@dataclass(frozen=True)
-class KernelSectionVerdict:
-    dim_meet_p_side: int
-    dim_meet_q_side: int
+class KernelSectionVerdict(Record):
+    __slots__ = _fields = ("dim_meet_p_side", "dim_meet_q_side")
+
+    def __init__(self, dim_meet_p_side: int, dim_meet_q_side: int):
+        _set(self, "dim_meet_p_side", dim_meet_p_side)
+        _set(self, "dim_meet_q_side", dim_meet_q_side)
 
     @property
     def passes(self) -> bool:

@@ -7,21 +7,32 @@ keys and a fixed layout so identical inputs give byte-identical output.
 
 import json
 import math
-from fractions import Fraction
+from functools import cache
 from itertools import islice
 
 from .errors import InvalidInput, ParseError
-from .fields import RationalField, parse_field
 
-# Each parser imports the model class it builds, so a subcommand loads only
-# the modules it runs; annotations name those classes as strings.
+# Each parser imports the model class it builds, and the field and rational
+# codecs import the fields module, so a subcommand loads only the modules it
+# runs: validate and order load neither fields nor fractions.  Annotations
+# name those classes as strings.
 
-frac_to_str = RationalField.format
+
+@cache
+def _rationals():
+    """``fields.RationalField``, the one rational codec, imported on first
+    use: an import statement in every codec call would nearly double its cost."""
+    from .fields import RationalField
+    return RationalField
 
 
-def frac_from_str(s) -> Fraction:
+def frac_to_str(a) -> str:
+    return _rationals().format(a)
+
+
+def frac_from_str(s) -> "Fraction":
     try:
-        return RationalField.parse(s)
+        return _rationals().parse(s)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"not a rational number: {s!r}") from None
 
@@ -184,6 +195,7 @@ def ordering_to_obj(o: "Ordering") -> dict:
 
 
 def parse_flag(obj) -> "GluingFlag":
+    from .fields import parse_field
     from .gpb import GluingFlag
     _require(isinstance(obj, dict), "flag document must be an object")
     _require(isinstance(obj.get("field"), str), "missing field descriptor", "field")
@@ -224,6 +236,7 @@ def parse_int_matrix(obj, field="matrix") -> list:
 
 def parse_truncated_matrix(obj) -> "TruncatedMatrix":
     """Matrix document: {"field": "F5", "n": 1, "entries": [[[c0, c1], ...], ...]}."""
+    from .fields import parse_field
     from .truncated import TruncatedMatrix, TruncatedScalar
     _require(isinstance(obj, dict), "truncated matrix document must be an object")
     _require(isinstance(obj.get("field"), str), "missing field descriptor", "field")

@@ -6,7 +6,6 @@ floating point is allowed anywhere.
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 
@@ -14,21 +13,23 @@ from .curve import Ordering, TreeLikeCurve, verify_ordering
 from .errors import (
     DocumentMismatch,
     InvalidInput,
+    Record,
     WrongArity,
     ZeroMultirank,
+    _set,
 )
 from .twist import BundleClass, _chi, euler_char_total, require_match
 
 
-@dataclass(frozen=True)
-class Polarization:
+class Polarization(Record):
     """Positive rational weights on the components, summing to exactly 1."""
 
-    weights: dict
+    _fields = ("weights",)
+    __slots__ = _fields + ("_scaled",)
 
-    def __post_init__(self):
+    def __init__(self, weights: dict):
         # checked and kept as integers: each weight times den, the lcm of the denominators
-        w = {i: Fraction(v) for i, v in self.weights.items()}
+        w = {i: Fraction(v) for i, v in weights.items()}
         pairs = [v.as_integer_ratio() for v in w.values()]
         den = math.lcm(*[d for _, d in pairs])
         scaled = [n * (den // d) for n, d in pairs]
@@ -36,19 +37,19 @@ class Polarization:
             raise InvalidInput("polarization weights must be strictly positive")
         if sum(scaled) != den:
             raise InvalidInput("polarization weights must sum to exactly 1")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_scaled", (den, dict(zip(w, scaled))))
+        _set(self, "weights", w)
+        _set(self, "_scaled", (den, dict(zip(w, scaled))))
 
 
-@dataclass(frozen=True)
-class AmpleDegrees:
+class AmpleDegrees(Record):
     """Positive integer degrees of a fixed ample class on each component."""
 
-    degrees: dict
+    __slots__ = _fields = ("degrees",)
 
-    def __post_init__(self):
-        if any(int(v) < 1 for v in self.degrees.values()):
+    def __init__(self, degrees: dict):
+        if any(int(v) < 1 for v in degrees.values()):
             raise InvalidInput("ample degrees must be positive integers")
+        _set(self, "degrees", degrees)
 
 
 def _chosen(top: int, width: int) -> int:
@@ -61,8 +62,7 @@ def _candidates(top: int, width: int) -> tuple:
     return tuple(range(_chosen(top, width), top // width + 1))
 
 
-@dataclass(slots=True)
-class Window:
+class Window(Record):
     """The window inequality at order position i, stored as integers.
 
     ``value`` is the chi sum over G(i); the position passes iff
@@ -70,17 +70,26 @@ class Window:
     weight denominators.  Every other attribute is derived when read:
     the bounds lower = lo/den and upper = lower + rank, the twist
     coefficients a that move value - rank*a into the window, the
-    distance to the window, and G(i) from the ordering.  A plain slotted
-    record, cheap to build; records compare by value but are not hashable.
+    distance to the window, and G(i) from the ordering.  The one mutable
+    record, slotted and cheap to build: windows compare by value, leaving
+    out the ordering, and are not hashable.
     """
 
-    i: int
-    component: int
-    value: int
-    lo: int
-    den: int
-    rank: int
-    ordering: Ordering = field(compare=False, repr=False)
+    _fields = ("i", "component", "value", "lo", "den", "rank")
+    __slots__ = _fields + ("ordering",)
+    # mutable: plain attribute stores, the default pickling and no hash
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __reduce__, __hash__ = object.__reduce__, None
+
+    def __init__(self, i: int, component: int, value: int, lo: int, den: int, rank: int,
+                 ordering: Ordering):
+        self.i = i
+        self.component = component
+        self.value = value
+        self.lo = lo
+        self.den = den
+        self.rank = rank
+        self.ordering = ordering
 
     @property
     def lower(self) -> Fraction:
@@ -116,18 +125,14 @@ class Window:
         return self.ordering.subtrees[self.i - 1]
 
 
-@dataclass(frozen=True)
-class DetVerdict:
-    passes: bool
-    mismatched: tuple      # ids where det degree differs from the bundle degree
-    indivisible: tuple     # rational ids where rank does not divide the degree
+class DetVerdict(Record):
+    # mismatched: ids where the det degree differs from the bundle degree;
+    # indivisible: rational ids where the rank does not divide the degree
+    __slots__ = _fields = ("passes", "mismatched", "indivisible")
 
 
-@dataclass(frozen=True)
-class SlopeComparison:
-    sub_slope: Fraction
-    total_slope: Fraction
-    relation: str          # "<", "=", or ">"
+class SlopeComparison(Record):
+    __slots__ = _fields = ("sub_slope", "total_slope", "relation")   # relation: "<", "=" or ">"
 
     @property
     def le(self) -> bool:

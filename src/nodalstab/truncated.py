@@ -10,9 +10,7 @@ multiplies a cocycle of invertible matrices by trace-section lifts so
 its determinant picks up a prescribed unit.
 """
 
-from dataclasses import dataclass
-
-from .errors import InvalidInput, NotUnit
+from .errors import InvalidInput, NotUnit, Record, _set
 from .fields import _is_prime
 
 
@@ -28,23 +26,22 @@ def _dot(p: int, n: int, xs, ys) -> list:
     return [c % p for c in acc]
 
 
-@dataclass(frozen=True)
-class TruncatedScalar:
+class TruncatedScalar(Record):
     """Element of k[pi]/(pi^(n+1)) over k = F_p; coeffs[k] multiplies pi^k."""
 
-    p: int
-    n: int
-    coeffs: tuple
+    __slots__ = _fields = ("p", "n", "coeffs")
 
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise InvalidInput(f"{self.p} is not prime")
-        if self.n < 0:
+    def __init__(self, p: int, n: int, coeffs: tuple):
+        if not _is_prime(p):
+            raise InvalidInput(f"{p} is not prime")
+        if n < 0:
             raise InvalidInput("truncation order must be nonnegative")
-        cs = tuple(int(x) % self.p for x in self.coeffs)
-        if len(cs) != self.n + 1:
-            raise InvalidInput(f"need {self.n + 1} coefficients, got {len(cs)}")
-        object.__setattr__(self, "coeffs", cs)
+        cs = tuple(int(x) % p for x in coeffs)
+        if len(cs) != n + 1:
+            raise InvalidInput(f"need {n + 1} coefficients, got {len(cs)}")
+        _set(self, "p", p)
+        _set(self, "n", n)
+        _set(self, "coeffs", cs)
 
     @classmethod
     def zero(cls, p, n):
@@ -119,29 +116,28 @@ class TruncatedScalar:
         return TruncatedScalar(self.p, m, self.coeffs + (0,) * (m - self.n))
 
 
-@dataclass(frozen=True)
-class TruncatedMatrix:
+class TruncatedMatrix(Record):
     """Square matrix of truncated scalars in one common ring."""
 
-    p: int
-    n: int
-    entries: tuple
+    __slots__ = _fields = ("p", "n", "entries")
 
-    def __post_init__(self):
+    def __init__(self, p: int, n: int, entries: tuple):
         rows = []
-        for row in self.entries:
+        for row in entries:
             cells = []
             for x in row:
                 if not isinstance(x, TruncatedScalar):
-                    x = TruncatedScalar(self.p, self.n, x)
-                if (x.p, x.n) != (self.p, self.n):
+                    x = TruncatedScalar(p, n, x)
+                if (x.p, x.n) != (p, n):
                     raise InvalidInput("matrix entries belong to different rings")
                 cells.append(x)
             rows.append(tuple(cells))
         r = len(rows)
         if r == 0 or any(len(row) != r for row in rows):
             raise InvalidInput("matrix must be square and nonempty")
-        object.__setattr__(self, "entries", tuple(rows))
+        _set(self, "p", p)
+        _set(self, "n", n)
+        _set(self, "entries", tuple(rows))
 
     @property
     def r(self) -> int:
@@ -215,21 +211,28 @@ class TruncatedMatrix:
             tuple(x.extend(m) for x in row) for row in self.entries))
 
 
-@dataclass(frozen=True)
-class DetTraceVerdict:
-    lhs: TruncatedScalar   # det(I + pi^n A)
-    rhs: TruncatedScalar   # 1 + pi^n tr(A)
-    holds: bool
+class DetTraceVerdict(Record):
+    __slots__ = _fields = ("lhs", "rhs", "holds")
+
+    def __init__(self, lhs: TruncatedScalar, rhs: TruncatedScalar, holds: bool):
+        _set(self, "lhs", lhs)   # det(I + pi^n A)
+        _set(self, "rhs", rhs)   # 1 + pi^n tr(A)
+        _set(self, "holds", holds)
 
 
-@dataclass(frozen=True)
-class SlKernelVerdict:
-    det_is_one: bool
-    reduces_to_identity: bool
-    trace_residue: int | None   # tr(B) mod p when M = I + pi^n B, else None
-    in_kernel: bool             # det_is_one and reduces_to_identity
-    trace_condition: bool       # reduces_to_identity and trace_residue == 0
-    biconditional_holds: bool
+class SlKernelVerdict(Record):
+    __slots__ = _fields = ("det_is_one", "reduces_to_identity", "trace_residue", "in_kernel",
+                           "trace_condition", "biconditional_holds")
+
+    def __init__(self, det_is_one: bool, reduces_to_identity: bool, trace_residue: int | None,
+                 in_kernel: bool, trace_condition: bool, biconditional_holds: bool):
+        _set(self, "det_is_one", det_is_one)
+        _set(self, "reduces_to_identity", reduces_to_identity)
+        # tr(B) mod p when M = I + pi^n B, else None
+        _set(self, "trace_residue", trace_residue)
+        _set(self, "in_kernel", in_kernel)               # det_is_one and reduces_to_identity
+        _set(self, "trace_condition", trace_condition)   # reduces_to_identity and residue 0
+        _set(self, "biconditional_holds", biconditional_holds)
 
 
 def one_plus_pi_n(p: int, n: int, A) -> TruncatedMatrix:

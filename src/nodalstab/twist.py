@@ -8,33 +8,33 @@ integer combination of components moves degree through the intersection
 matrix of the dual tree and never changes the total.
 """
 
-from dataclasses import dataclass
-
 from .curve import TreeLikeCurve
-from .errors import DocumentMismatch, EmptySubcurve, IndexOutOfRange, InvalidInput
+from .errors import DocumentMismatch, EmptySubcurve, IndexOutOfRange, InvalidInput, Record, _set
 
 
-@dataclass(frozen=True)
-class BundleClass:
+class BundleClass(Record):
     """Numerical class of a locally free sheaf: rank plus per-component degrees."""
 
-    rank: int
-    multidegree: dict
+    __slots__ = _fields = ("rank", "multidegree")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, multidegree: dict):
+        if rank < 1:
             raise InvalidInput("rank must be a positive integer")
+        _set(self, "rank", rank)
+        _set(self, "multidegree", multidegree)
 
     @property
     def total_degree(self) -> int:
         return sum(self.multidegree.values())
 
 
-@dataclass(frozen=True)
-class TwistDivisor:
+class TwistDivisor(Record):
     """Integer coefficients of a fibral divisor, keyed by component id."""
 
-    coeffs: dict
+    __slots__ = _fields = ("coeffs",)
+
+    def __init__(self, coeffs: dict):
+        _set(self, "coeffs", coeffs)
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs.values())

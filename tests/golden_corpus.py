@@ -487,6 +487,10 @@ def cases():
         "--bundle", inp("bad_bundle_key_digits.json"), "--pol", f"{FIX}/path2_pol.json")
     add("balance-bad_pol_key_digits", "balance", "--curve", f"{FIX}/curves/path2_g11.json",
         "--bundle", f"{FIX}/path2_bundle.json", "--pol", inp("bad_pol_key_digits.json"))
+
+    # a field descriptor is read exactly: padding and leading zeros are refused
+    add("dvr-matrix-field-padded-zeros", "dvr", "--matrix", f"{FIX}/dvr_matrix.json",
+        "--field", " F005 ", "--n", "1")
     return out
 
 

@@ -49,6 +49,14 @@ def test_huge_prime_is_refused():
         parse_field("F١١")   # Arabic-Indic digits are not a prime
 
 
+@pytest.mark.parametrize("name", [" F5", "F5 ", "F05", "F0", "F", " Q ", "q", "f5", "F+5"])
+def test_a_field_descriptor_is_read_exactly(name):
+    # padding and leading zeros are refused, never normalised away
+    with pytest.raises(InvalidInput, match="unknown field descriptor"):
+        parse_field(name)
+    assert parse_field("F5") == PrimeField(5) and parse_field("Q") == RationalField()
+
+
 def smallest_roots(p, r):
     """{a: smallest b with b^r = a} by scanning every b in F_p^x."""
     out = {}

@@ -40,9 +40,11 @@ def fresh(code: str) -> subprocess.CompletedProcess:
 
 # ------------------------------------------------------------ import surface
 
-# modules every subcommand loads: the package, the entry point's own two
-# and the rational codec that serialize is built on
-BASE = {"nodalstab", "nodalstab.serialize", "nodalstab.errors", "nodalstab.fields"}
+# modules every subcommand loads: the package and the entry point's own two;
+# fields only where a rational is printed or a field descriptor read
+BASE = {"nodalstab", "nodalstab.serialize", "nodalstab.errors"}
+# the records are plain classes: no module generates their methods at import
+NEVER = {"dataclasses", "inspect"}
 TRIPLE = ["--curve", str(CURVES / "path2_g11.json"),
           "--bundle", str(FIXTURES / "path2_bundle.json"),
           "--pol", str(FIXTURES / "path2_pol.json")]
@@ -51,12 +53,15 @@ TRIPLE = ["--curve", str(CURVES / "path2_g11.json"),
 @pytest.mark.parametrize("argv, own", [
     (["validate", "--curve", str(CURVES / "path3.json")], {"curve"}),
     (["order", "--curve", str(CURVES / "path3.json")], {"curve"}),
-    (["check", *TRIPLE], {"curve", "twist", "stability"}),
-    (["balance", *TRIPLE], {"curve", "twist", "stability", "balance"}),
-    (["gpb", "--flag", str(FIXTURES / "flag_f5_r2.json")], {"gpb"}),
-    (["gpb", "--rank", "2", "--degree", "3", "--nodes", "1"], {"gpb"}),
-    (["dvr", "--sl", str(FIXTURES / "dvr_sl_kernel.json")], {"truncated"}),
-], ids=["validate", "order", "check", "balance", "gpb-flag", "gpb-numbers", "dvr"])
+    (["check", *TRIPLE], {"curve", "twist", "stability", "fields"}),
+    (["balance", *TRIPLE], {"curve", "twist", "stability", "balance", "fields"}),
+    (["gpb", "--flag", str(FIXTURES / "flag_f5_r2.json")], {"gpb", "fields"}),
+    (["gpb", "--rank", "2", "--degree", "3", "--nodes", "1"], {"gpb", "fields"}),
+    (["dvr", "--sl", str(FIXTURES / "dvr_sl_kernel.json")], {"truncated", "fields"}),
+    (["dvr", "--matrix", str(FIXTURES / "dvr_matrix.json"), "--field", "F5", "--n", "1"],
+     {"truncated", "fields"}),
+], ids=["validate", "order", "check", "balance", "gpb-flag", "gpb-numbers", "dvr",
+        "dvr-matrix"])
 def test_each_subcommand_imports_only_its_own_modules(argv, own):
     # -X importtime names every module the process imports, on stderr;
     # under -m the entry point itself runs as __main__, not nodalstab.cli
@@ -70,6 +75,15 @@ def test_each_subcommand_imports_only_its_own_modules(argv, own):
     loaded = {line.split("|")[2].strip() for line in lines[1:]}
     assert {m for m in loaded if m.split(".")[0] == "nodalstab"} == \
         BASE | {f"nodalstab.{m}" for m in own}
+    assert not loaded & NEVER
+
+
+def test_every_export_loads_without_dataclasses_or_inspect():
+    proc = fresh("import sys, nodalstab\n"
+                 "for name in nodalstab.__all__:\n"
+                 "    getattr(nodalstab, name)\n"
+                 f"print(sorted(m for m in {sorted(NEVER)} if m in sys.modules))")
+    assert (proc.stdout, proc.stderr) == ("[]\n", "")
 
 
 def test_bare_package_import_loads_no_submodule():

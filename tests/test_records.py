@@ -1,0 +1,109 @@
+"""The value-record contract every exported model and result class keeps."""
+
+import copy
+import pickle
+
+import pytest
+
+import nodalstab
+from nodalstab import (
+    AmpleDegrees,
+    BalanceResult,
+    BundleClass,
+    Component,
+    GluingFlag,
+    GpbClass,
+    Ordering,
+    Polarization,
+    PrimeField,
+    TreeLikeCurve,
+    TruncatedMatrix,
+    TruncatedScalar,
+    TwistDivisor,
+    Window,
+)
+from nodalstab.errors import Record
+from nodalstab.gpb import PhiNumbers
+
+# class -> (a builder called twice, the dataclass-form repr, hashable)
+RECORDS = {
+    Component: (lambda: Component(3, geometric_genus=1),
+                "Component(id=3, geometric_genus=1, internal_nodes=0)", True),
+    TreeLikeCurve: (lambda: TreeLikeCurve(components=(Component(2), Component(1)),
+                                          edges=((2, 1),)),
+                    "TreeLikeCurve(components=(Component(id=1, geometric_genus=0, "
+                    "internal_nodes=0), Component(id=2, geometric_genus=0, "
+                    "internal_nodes=0)), edges=((1, 2),))", True),
+    Ordering: (lambda: Ordering(perm=(2, 1), nu=(2,)), "Ordering(perm=(2, 1), nu=(2,))", True),
+    BundleClass: (lambda: BundleClass(2, {1: 3}), "BundleClass(rank=2, multidegree={1: 3})",
+                  False),
+    TwistDivisor: (lambda: TwistDivisor(coeffs={1: -1}), "TwistDivisor(coeffs={1: -1})", False),
+    Polarization: (lambda: Polarization({1: "1"}), "Polarization(weights={1: Fraction(1, 1)})",
+                   False),
+    AmpleDegrees: (lambda: AmpleDegrees(degrees={1: 2}), "AmpleDegrees(degrees={1: 2})", False),
+    Window: (lambda: Window(1, 7, 3, -2, 5, 2, None),
+             "Window(i=1, component=7, value=3, lo=-2, den=5, rank=2)", False),
+    BalanceResult: (lambda: BalanceResult(Ordering((1,), ()), TwistDivisor({1: 0}),
+                                          BundleClass(1, {1: 0}), ()),
+                    "BalanceResult(ordering=Ordering(perm=(1,), nu=()), "
+                    "twist=TwistDivisor(coeffs={1: 0}), "
+                    "balanced=BundleClass(rank=1, multidegree={1: 0}), steps=())", False),
+    GpbClass: (lambda: GpbClass(2, 3, nodes=1),
+               "GpbClass(rank=2, degree=3, nodes=1, flag_dims=((2, 2),))", True),
+    GluingFlag: (lambda: GluingFlag(PrimeField(5), 1, [[1, 6]]),
+                 "GluingFlag(field=PrimeField(5), rank=1, basis_matrix=((1, 1),))", False),
+    TruncatedScalar: (lambda: TruncatedScalar(5, 1, (1, 7)),
+                      "TruncatedScalar(p=5, n=1, coeffs=(1, 2))", True),
+    TruncatedMatrix: (lambda: TruncatedMatrix(5, 0, [[(6,)]]),
+                      "TruncatedMatrix(p=5, n=0, entries=((TruncatedScalar(p=5, n=0, "
+                      "coeffs=(1,)),),))", True),
+}
+
+
+def test_every_exported_record_class_is_listed():
+    exported = {obj for obj in map(nodalstab.__getattribute__, nodalstab.__all__)
+                if isinstance(obj, type) and issubclass(obj, Record)}
+    assert exported == set(RECORDS)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_contract(cls):
+    build, text, hashable = RECORDS[cls]
+    a, b = build(), build()
+    assert type(a) is cls and a is not b
+    assert a == b and not a != b
+    assert repr(a) == text
+    # same fields, another class: never equal
+    twin = type(cls.__name__, (cls,), {"__slots__": ()})
+    other = twin.__new__(twin)
+    for name in cls._fields:
+        object.__setattr__(other, name, getattr(a, name))
+    assert a != other and other != a
+    assert a.__eq__(other) is NotImplemented
+    if hashable:
+        assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert copy.copy(a) == a
+    if cls is Window:   # the one mutable record
+        a.value += 1
+        assert a != b
+        return
+    for name in cls._fields + ("not_a_field",):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+        if name in cls._fields:
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+    assert a == b
+
+
+def test_the_base_constructor_takes_each_field_once():
+    assert PhiNumbers(1, 2, chi=3) == PhiNumbers(rank=1, degree=2, chi=3)
+    assert repr(PhiNumbers(1, 2, 3)) == "PhiNumbers(rank=1, degree=2, chi=3)"
+    for args, kwargs in (((1, 2), {}), ((1, 2, 3, 4), {}), ((1, 2), {"rank": 1}),
+                         ((1, 2, 3), {"chi": 3}), ((), {"rank": 1, "degree": 2, "phi": 3})):
+        with pytest.raises(TypeError, match="PhiNumbers takes the fields rank, degree, chi"):
+            PhiNumbers(*args, **kwargs)

@@ -14,6 +14,17 @@ def assert_lines(source: str) -> list:
             if isinstance(node, ast.Assert)]
 
 
+def imported_modules(source: str) -> set:
+    """The top-level names of every module a source imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
 def lazy_state(source: str) -> list:
     """Where a module builds state lazily: ``Class.method`` for each method
     that ``cached_property`` decorates, ``cached_property:<line>`` for any
@@ -42,6 +53,23 @@ def test_no_module_relies_on_assert():
     # python -O strips asserts, so an invariant must raise a package error
     found = [f"{path.name}:{line}" for path in sorted(SRC.rglob("*.py"))
              for line in assert_lines(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_the_import_finder_finds_both_import_forms():
+    source = ("import json, os.path as p\n"
+              "from dataclasses import dataclass\n"
+              "def f():\n"
+              "    from . import errors\n"
+              "    from .fields import parse_field\n")
+    assert imported_modules(source) == {"json", "os", "dataclasses"}
+
+
+def test_no_module_imports_dataclasses():
+    # the records are plain classes: importing dataclasses (and inspect with
+    # it) and generating their methods would cost every process at start-up
+    found = [path.name for path in sorted(SRC.rglob("*.py"))
+             if "dataclasses" in imported_modules(path.read_text(encoding="utf-8"))]
     assert found == []
 
 
