@@ -8,7 +8,7 @@ computations and for root searches.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvalidInput, NoRoot
 
@@ -67,18 +67,10 @@ class PrimeField:
         self.one = 1
 
     def element(self, x) -> int:
-        return int(x) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of 0 in " + self.name)
-        return pow(a, self.p - 2, self.p)
+        """x mod p for an int x; anything else is refused, never truncated."""
+        if not isinstance(x, int):
+            raise InvalidInput(f"{x!r} is not an integer, so not an element of {self.name}")
+        return x % self.p
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
@@ -170,17 +162,6 @@ class RationalField:
     def element(self, x) -> Fraction:
         return Fraction(x)
 
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / Fraction(a)
-
     def is_zero(self, a) -> bool:
         return a == 0
 
@@ -236,25 +217,36 @@ def parse_field(name: str):
 
 
 def mat_rank(field, rows) -> int:
-    """Rank of a dense matrix (list of rows) by Gaussian elimination."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    col = 0
-    while rank < len(m) and col < ncols:
-        pivot = next((i for i in range(rank, len(m)) if not field.is_zero(m[i][col])), None)
-        if pivot is None:
-            col += 1
+    """Rank of a dense matrix (a list of rows) by elimination below each pivot,
+    until the rank equals the number of rows.  Over F_p a row is cleared on
+    ints by pivot * row - x * top mod p.  Over Q each row is scaled to ints
+    by the lcm of its denominators and cleared by Bareiss's fraction-free
+    step, dividing exactly by the previous pivot (Math. Comp. 22, 1968).
+    """
+    p = getattr(field, "p", 0)
+    if p:
+        m = [[x % p for x in row] for row in rows]
+    else:
+        m = []
+        for row in rows:
+            d = lcm(*(x.denominator for x in row))
+            m.append([x.numerator * (d // x.denominator) for x in row])
+    rank, prev = 0, 1
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = field.inv(m[rank][col])
-        m[rank] = [field.mul(inv, x) for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and not field.is_zero(m[i][col]):
-                f = m[i][col]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[rank])]
-        rank += 1
-        col += 1
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank]
+        a = top[col]
+        for i in range(rank + 1, len(m)):
+            b = m[i][col]
+            if p:
+                if b:
+                    m[i] = [(a * x - b * y) % p for x, y in zip(m[i], top)]
+            else:
+                m[i] = [(a * x - b * y) // prev for x, y in zip(m[i], top)]
+        prev, rank = a, rank + 1
+        if rank == len(m):
+            break
     return rank

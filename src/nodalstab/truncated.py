@@ -11,7 +11,7 @@ its determinant picks up a prescribed unit.
 """
 
 from .errors import InvalidInput, NotUnit, Record, _set
-from .fields import _is_prime
+from .fields import PrimeField, _is_prime, mat_rank
 
 
 def _dot(p: int, n: int, xs, ys) -> list:
@@ -24,6 +24,17 @@ def _dot(p: int, n: int, xs, ys) -> list:
                 for j in range(n + 1 - i):
                     acc[i + j] += a * y[j]
     return [c % p for c in acc]
+
+
+def _inverse(p: int, n: int, cs) -> list:
+    """Inverse of a unit coefficient vector cs of k[pi]/(pi^(n+1)), coefficient
+    by coefficient, skipping zero coefficients: O(nnz * n)."""
+    c0_inv = pow(cs[0], p - 2, p)
+    nz = [(i, a) for i, a in enumerate(cs[1:], 1) if a]
+    out = [c0_inv]
+    for k in range(1, n + 1):
+        out.append(-c0_inv * sum(a * out[k - i] for i, a in nz if i <= k) % p)
+    return out
 
 
 class TruncatedScalar(Record):
@@ -93,15 +104,10 @@ class TruncatedScalar(Record):
         return not any(self.coeffs)
 
     def inverse(self):
-        """Coefficient-by-coefficient inversion; needs a unit."""
+        """The inverse of a unit; see ``_inverse``."""
         if not self.is_unit:
             raise NotUnit("scalar with zero constant term has no inverse")
-        c0_inv = pow(self.coeffs[0], self.p - 2, self.p)
-        out = [c0_inv]
-        for k in range(1, self.n + 1):
-            acc = sum(self.coeffs[i] * out[k - i] for i in range(1, k + 1))
-            out.append((-c0_inv * acc) % self.p)
-        return TruncatedScalar(self.p, self.n, tuple(out))
+        return TruncatedScalar(self.p, self.n, _inverse(self.p, self.n, self.coeffs))
 
     def reduce(self, m: int):
         """Image in k[pi]/(pi^(m+1)) for m <= n."""
@@ -173,34 +179,40 @@ class TruncatedMatrix(Record):
                    TruncatedScalar.zero(self.p, self.n))
 
     def det(self) -> TruncatedScalar:
-        """Berkowitz's division-free determinant: O(r^4) ring products.
+        """Gaussian elimination over the chain ring: O(r^3) products in ``_dot``.
 
-        The characteristic polynomial of the leading k x k block follows from
-        that of the (k-1) x (k-1) block A' by a Toeplitz product with column
-        (1, -a_kk, -R C, -R A' C, ..., -R A'^(k-2) C), where R and C are the
-        new row and column; det = (-1)^r times the last coefficient (S. J.
-        Berkowitz, Inf. Process. Lett. 18, 1984).  The products run on
-        coefficient lists mod p, O(n^2) each, and one scalar is built at the end.
+        Column c pivots on the first row at or below c of least pi-adic
+        valuation v, so each entry x below is q times the pivot, with
+        q = (x / pi^v)(pivot / pi^v)^-1 at order n - v padded with v zeros.
+        det is the sign of the row swaps times the product of the pivots,
+        or 0 once a column has no nonzero entry left.
         """
-        p, n = self.p, self.n
+        p, n, r = self.p, self.n, self.r
         A = [[x.coeffs for x in row] for row in self.entries]
-        one = (1,) + (0,) * n
-        poly = [one]
-        for k in range(self.r):
-            row, v = A[k][:k], [A[i][k] for i in range(k)]
-            col = [one, A[k][k]]
-            for _ in range(k):
-                col.append(_dot(p, n, row, v))
-                v = [_dot(p, n, A[i][:k], v) for i in range(k)]
-            col[1:] = [[-c % p for c in x] for x in col[1:]]
-            poly = [_dot(p, n, col[i::-1], poly) for i in range(k + 2)]
-        last = poly[-1] if self.r % 2 == 0 else [-c % p for c in poly[-1]]
-        return TruncatedScalar(p, n, tuple(last))
+        det, sign = [1] + [0] * n, 1
+        for c in range(r):
+            vals = [next((k for k, a in enumerate(row[c]) if a), n + 1) for row in A[c:]]
+            v = min(vals)
+            if v > n:
+                return TruncatedScalar.zero(p, n)
+            piv = c + vals.index(v)
+            if piv != c:
+                A[c], A[piv], sign = A[piv], A[c], -sign
+            top = A[c]
+            neg_inv = [-a for a in _inverse(p, n - v, top[c][v:])]
+            for row in A[c + 1:]:
+                if any(row[c]):   # row += q * top with q = -x / pivot
+                    q = _dot(p, n - v, (row[c][v:],), (neg_inv,)) + [0] * v
+                    row[c + 1:] = [[(a + b) % p for a, b in zip(x, _dot(p, n, (q,), (y,)))]
+                                   for x, y in zip(row[c + 1:], top[c + 1:])]
+            det = _dot(p, n, (det,), (top[c],))
+        return TruncatedScalar(p, n, tuple(det if sign > 0 else [-a % p for a in det]))
 
     @property
     def is_invertible(self) -> bool:
         """Invertible iff the constant-term matrix is invertible over k."""
-        return self.det().is_unit
+        return mat_rank(PrimeField(self.p), [[x.coeffs[0] for x in row]
+                                              for row in self.entries]) == self.r
 
     def reduce(self, m: int):
         return TruncatedMatrix(self.p, m, tuple(

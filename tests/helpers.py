@@ -5,7 +5,9 @@ through the package's own code paths wherever it serves as an oracle:
 the ordering property checker walks the graph directly, the balancing
 oracle enumerates twist vectors against the window inequalities spelled
 out with cleared denominators, and the truncated determinant oracle is a
-permutation-sum over integer polynomial vectors.
+permutation-sum over integer polynomial vectors.  The kernels that
+elimination replaced, Berkowitz's determinant and Gauss-Jordan rank, are
+kept at the end as second oracles.
 """
 
 import itertools
@@ -312,3 +314,68 @@ def leibniz_det(entries):
 def truncate_mod(poly, p, n):
     out = [x % p for x in poly[:n + 1]]
     return tuple(out + [0] * (n + 1 - len(out)))
+
+
+# --------------------------------- the kernels elimination replaced, as oracles
+
+def dot(p, n, xs, ys):
+    """Sum of xs[k] * ys[k] over coefficient vectors truncated at pi^n, mod p."""
+    acc = [0] * (n + 1)
+    for x, y in zip(xs, ys):
+        for i, a in enumerate(x):
+            if a:
+                for j in range(n + 1 - i):
+                    acc[i + j] += a * y[j]
+    return [c % p for c in acc]
+
+
+def berkowitz_det(p, n, entries):
+    """Division-free determinant over k[pi]/(pi^(n+1)) in O(r^4) products of
+    ``dot``: the characteristic polynomial of each leading block follows from
+    the previous one by a Toeplitz product (S. J. Berkowitz, Inf. Process.
+    Lett. 18, 1984).  Returns the coefficient tuple."""
+    A = [[tuple(x) for x in row] for row in entries]
+    r = len(A)
+    one = (1,) + (0,) * n
+    poly = [one]
+    for k in range(r):
+        row, v = A[k][:k], [A[i][k] for i in range(k)]
+        col = [one, A[k][k]]
+        for _ in range(k):
+            col.append(dot(p, n, row, v))
+            v = [dot(p, n, A[i][:k], v) for i in range(k)]
+        col[1:] = [[-c % p for c in x] for x in col[1:]]
+        poly = [dot(p, n, col[i::-1], poly) for i in range(k + 2)]
+    last = poly[-1] if r % 2 == 0 else [-c % p for c in poly[-1]]
+    return tuple(c % p for c in last)
+
+
+def gauss_jordan_rank(p, rows):
+    """Rank by Gauss-Jordan elimination above and below each pivot, over F_p
+    on ints, or over Q on Fractions when p is None."""
+    if p is None:
+        m = [[Fraction(x) for x in row] for row in rows]
+        is_zero, inv = (lambda a: a == 0), (lambda a: 1 / a)
+        mul, sub = (lambda a, b: a * b), (lambda a, b: a - b)
+    else:
+        m = [[x % p for x in row] for row in rows]
+        is_zero, inv = (lambda a: a % p == 0), (lambda a: pow(a, p - 2, p))
+        mul, sub = (lambda a, b: a * b % p), (lambda a, b: (a - b) % p)
+    if not m:
+        return 0
+    rank = col = 0
+    while rank < len(m) and col < len(m[0]):
+        pivot = next((i for i in range(rank, len(m)) if not is_zero(m[i][col])), None)
+        if pivot is None:
+            col += 1
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        f = inv(m[rank][col])
+        m[rank] = [mul(f, x) for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and not is_zero(m[i][col]):
+                f = m[i][col]
+                m[i] = [sub(x, mul(f, y)) for x, y in zip(m[i], m[rank])]
+        rank += 1
+        col += 1
+    return rank

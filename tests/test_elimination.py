@@ -1,0 +1,183 @@
+"""Differential and growth tests of the elimination kernels: the pivoted
+determinant over k[pi]/(pi^(n+1)) and the forward-elimination rank."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import helpers
+from nodalstab import truncated
+from nodalstab.fields import PrimeField, RationalField, mat_rank
+from nodalstab.truncated import TruncatedMatrix, det_trace_identity, one_plus_pi_n
+
+PRIMES = (2, 3, 7, 10007)
+
+
+def entry(rng, p, n, low):
+    """A random coefficient vector whose valuation is at least low."""
+    return [0] * min(low, n + 1) + [rng.randrange(p) for _ in range(n + 1 - low)]
+
+
+def family(rng, p, n, r, kind):
+    """One r x r coefficient matrix of the named kind."""
+    if kind == "dense":
+        return [[entry(rng, p, n, 0) for _ in range(r)] for _ in range(r)]
+    if kind == "sparse":
+        return [[[rng.randrange(p) if rng.random() < 0.3 else 0 for _ in range(n + 1)]
+                 for _ in range(r)] for _ in range(r)]
+    if kind == "no-unit-first":
+        # column 0 has no unit; its least valuation sits in a later row
+        m = [[entry(rng, p, n, 0) for _ in range(r)] for _ in range(r)]
+        low = rng.randrange(r)
+        for i in range(r):
+            m[i][0] = entry(rng, p, n, 1 if i == low else 2)
+            if i == low and n >= 1:
+                m[i][0][1] = rng.randrange(1, p)
+        return m
+    if kind == "zero-column":
+        m = [[entry(rng, p, n, 0) for _ in range(r)] for _ in range(r)]
+        col = rng.randrange(r)
+        for row in m:
+            row[col] = [0] * (n + 1)
+        return m
+    if kind == "nilpotent":
+        # strictly upper triangular, conjugated by a permutation
+        perm = list(range(r))
+        rng.shuffle(perm)
+        u = [[entry(rng, p, n, 0) if j > i else [0] * (n + 1) for j in range(r)]
+             for i in range(r)]
+        return [[u[perm[i]][perm[j]] for j in range(r)] for i in range(r)]
+    # "pi-multiple": every entry a non-unit
+    return [[entry(rng, p, n, 1) for _ in range(r)] for _ in range(r)]
+
+
+KINDS = ("dense", "sparse", "no-unit-first", "zero-column", "nilpotent", "pi-multiple")
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_det_matches_berkowitz_and_leibniz(p):
+    rng = random.Random(p)
+    for n in range(5):
+        for r in range(1, 8):
+            for kind in KINDS:
+                m = family(rng, p, n, r, kind)
+                got = TruncatedMatrix(p, n, m).det().coeffs
+                assert got == helpers.berkowitz_det(p, n, m), (p, n, r, kind)
+                if r <= 4 or (r <= 6 and n <= 1 and kind == "dense"):
+                    want = helpers.truncate_mod(helpers.leibniz_det(m), p, n)
+                    assert got == want, (p, n, r, kind)
+
+
+def test_det_of_a_seven_by_seven_matches_leibniz():
+    rng = random.Random(77)
+    for kind in ("dense", "no-unit-first"):
+        m = family(rng, 3, 2, 7, kind)
+        assert TruncatedMatrix(3, 2, m).det().coeffs == \
+            helpers.truncate_mod(helpers.leibniz_det(m), 3, 2)
+
+
+def test_det_trace_identity_up_to_rank_16():
+    rng = random.Random(16)
+    for p in PRIMES:
+        for r in range(1, 17):
+            n = rng.choice((1, 2, 5))
+            A = [[rng.randrange(-p, 2 * p) for _ in range(r)] for _ in range(r)]
+            verdict = det_trace_identity(p, A, n)
+            assert verdict.holds, (p, r, n)
+
+
+def test_is_invertible_reads_the_constant_terms():
+    rng = random.Random(9)
+    for p in (2, 3, 7):
+        for r in range(1, 6):
+            for kind in KINDS:
+                m = TruncatedMatrix(p, 2, family(rng, p, 2, r, kind))
+                assert m.is_invertible == m.det().is_unit
+
+
+def counted_products(monkeypatch, module, name, run):
+    """Number of coefficient-vector pairs that run() multiplies through the
+    product kernel module.name."""
+    real, count = getattr(module, name), [0]
+
+    def counting(p, n, xs, ys):
+        xs = list(xs)
+        count[0] += len(xs)
+        return real(p, n, xs, ys)
+    monkeypatch.setattr(module, name, counting)
+    run()
+    return count[0]
+
+
+def test_det_makes_at_most_r_cubed_products(monkeypatch):
+    r, p, n = 16, 7, 2
+    rng = random.Random(1)
+    A = [[rng.randrange(p) for _ in range(r)] for _ in range(r)]
+    m = one_plus_pi_n(p, n, A)
+    dense = TruncatedMatrix(p, n, family(rng, p, n, r, "dense"))
+    for matrix in (m, dense):
+        got = counted_products(monkeypatch, truncated, "_dot", matrix.det)
+        assert got <= r ** 3
+    # Berkowitz, which det used before, makes 16,608 products here, about r^4/4
+    entries = [[x.coeffs for x in row] for row in m.entries]
+    assert counted_products(monkeypatch, helpers, "dot",
+                            lambda: helpers.berkowitz_det(p, n, entries)) == 16608
+
+
+# ------------------------------------------------------------------ mat_rank
+
+def low_rank(rng, rows, cols, rank, value):
+    """rows x cols product of a rows x rank and a rank x cols random factor."""
+    left = [[value() for _ in range(rank)] for _ in range(rows)]
+    right = [[value() for _ in range(cols)] for _ in range(rank)]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+SHAPES = [(0, 0), (1, 0), (3, 0), (1, 1), (2, 5), (3, 8), (4, 12), (8, 3), (12, 4),
+          (5, 5), (7, 7), (6, 9)]
+
+
+def test_mat_rank_over_q_matches_gauss_jordan():
+    rng = random.Random(2)
+    field = RationalField()
+
+    def value():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.8 else 0
+    for rows, cols in SHAPES:
+        for trial in range(20):
+            if trial % 2 and rows and cols:
+                m = low_rank(rng, rows, cols, rng.randint(0, min(rows, cols)), value)
+            else:
+                m = [[value() for _ in range(cols)] for _ in range(rows)]
+            if trial % 5 == 4 and rows > 1:
+                m[-1] = [2 * x - y for x, y in zip(m[0], m[1])]
+            got = mat_rank(field, [[field.element(x) for x in row] for row in m])
+            assert got == helpers.gauss_jordan_rank(None, m), (rows, cols, m)
+
+
+@pytest.mark.parametrize("p", (2, 3, 10007))
+def test_mat_rank_over_f_p_matches_gauss_jordan(p):
+    rng = random.Random(p)
+    field = PrimeField(p)
+
+    def value():
+        return rng.randrange(p) if rng.random() < 0.7 else 0
+    for rows, cols in SHAPES:
+        for trial in range(30):
+            if trial % 2 and rows and cols:
+                m = low_rank(rng, rows, cols, rng.randint(0, min(rows, cols)), value)
+            else:
+                m = [[value() for _ in range(cols)] for _ in range(rows)]
+            m = [[field.element(x) for x in row] for row in m]
+            assert mat_rank(field, m) == helpers.gauss_jordan_rank(p, m), (rows, cols, m)
+
+
+def test_mat_rank_of_integer_rows_over_q_and_unreduced_ints_over_f_p():
+    # Q rows may hold ints; F_p rows need not be reduced mod p first
+    assert mat_rank(RationalField(), [[2, -4], [-1, 2]]) == 1
+    assert mat_rank(RationalField(), [[2, -4], [-1, 3]]) == 2
+    assert mat_rank(PrimeField(5), [[5, 10], [-5, 7]]) == 1
+    assert mat_rank(PrimeField(2), [[3, 5, 7], [1, 1, -1]]) == 1
+    assert mat_rank(PrimeField(2), []) == 0
+    assert mat_rank(RationalField(), [[], []]) == 0

@@ -1,6 +1,7 @@
 """Differential tests of the prime-field primitives against brute force."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -132,3 +133,20 @@ def test_singular_flag_closed_form_matches_rank():
                     build_rational_flag(field, r, r, 1)
             else:
                 assert build_rational_flag(field, r, r, 1).rank == r
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 2), Fraction(4, 1), 2.7, 2.0, "3", None])
+def test_prime_field_element_refuses_non_integers(x):
+    # a Fraction or a float used to be truncated to an int without a word
+    with pytest.raises(InvalidInput, match="not an integer"):
+        PrimeField(7).element(x)
+    assert PrimeField(7).element(-1) == 6 and PrimeField(7).parse("10") == 3
+
+
+def test_flag_and_roots_refuse_non_integer_entries_over_f_p():
+    from nodalstab import GluingFlag, picard_rth_root
+    with pytest.raises(InvalidInput, match="not an integer"):
+        GluingFlag(field=PrimeField(7), rank=1, basis_matrix=[[Fraction(1, 2), 1]])
+    with pytest.raises(InvalidInput, match="not an integer"):
+        picard_rth_root(PrimeField(7), 2, [2.7])
+    assert picard_rth_root(PrimeField(7), 2, [2]) == [3]
