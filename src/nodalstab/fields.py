@@ -160,7 +160,7 @@ class RationalField:
         self.one = Fraction(1)
 
     def element(self, x) -> Fraction:
-        return Fraction(x)
+        return x if isinstance(x, Fraction) else Fraction(x)
 
     def is_zero(self, a) -> bool:
         return a == 0

@@ -79,18 +79,18 @@ class GluingFlag(Record):
 
     def __init__(self, field, rank: int, basis_matrix: tuple):
         # basis_matrix: r rows of length 2r, entries in the field
-        rows = tuple(tuple(field.element(x) for x in row) for row in basis_matrix)
+        rows = tuple(tuple(map(field.element, row)) for row in basis_matrix)
         if len(rows) != rank or any(len(row) != 2 * rank for row in rows):
             raise InvalidInput("flag matrix must be rank x 2*rank")
         _set(self, "field", field)
         _set(self, "rank", rank)
         _set(self, "basis_matrix", rows)
-        if mat_rank(field, rows) != rank:
+        # the ranks of the p-side and q-side blocks, each eliminated once, answer
+        # both node checks; a block of rank r already makes the rows independent
+        blocks = (mat_rank(field, self.left_block()), mat_rank(field, self.right_block()))
+        if rank not in blocks and mat_rank(field, rows) != rank:
             raise InvalidInput("flag rows must be linearly independent")
-        # the ranks of the p-side and q-side blocks, each eliminated once,
-        # answer both node checks
-        _set(self, "_block_ranks", (mat_rank(field, self.left_block()),
-                                    mat_rank(field, self.right_block())))
+        _set(self, "_block_ranks", blocks)
 
     def left_block(self):
         return [list(row[:self.rank]) for row in self.basis_matrix]

@@ -237,27 +237,25 @@ def parse_int_matrix(obj, field="matrix") -> list:
 def parse_truncated_matrix(obj) -> "TruncatedMatrix":
     """Matrix document: {"field": "F5", "n": 1, "entries": [[[c0, c1], ...], ...]}."""
     from .fields import parse_field
-    from .truncated import TruncatedMatrix, TruncatedScalar
+    from .truncated import TruncatedMatrix
     _require(isinstance(obj, dict), "truncated matrix document must be an object")
     _require(isinstance(obj.get("field"), str), "missing field descriptor", "field")
     field = parse_field(obj["field"])
     _require(hasattr(field, "p"), "truncated rings need a prime field", "field")
-    p = field.p
     n = _int(obj.get("n"), "n")
     entries = obj.get("entries")
     _require(isinstance(entries, list) and entries, "missing entries array", "entries")
-    rows = []
-    for i, row in enumerate(entries):
+
+    # each row and entry is checked as the constructor reaches it, so the
+    # first bad entry in document order is the one reported
+    def cells(i, row):
         _require(isinstance(row, list) and len(row) == len(entries),
                  "entries must form a square matrix", f"entries[{i}]")
-        cells = []
         for j, coeffs in enumerate(row):
             _require(isinstance(coeffs, list),
                      "each entry is a coefficient vector", f"entries[{i}][{j}]")
-            cells.append(TruncatedScalar(p, n, [
-                _int(x, f"entries[{i}][{j}]") for x in coeffs]))
-        rows.append(tuple(cells))
-    return TruncatedMatrix(p=p, n=n, entries=tuple(rows))
+            yield [_int(x, f"entries[{i}][{j}]") for x in coeffs]
+    return TruncatedMatrix(field.p, n, (cells(i, row) for i, row in enumerate(entries)))
 
 
 def _parse_torsor(obj):
@@ -288,4 +286,4 @@ def truncated_scalar_to_obj(x: "TruncatedScalar") -> list:
 
 def truncated_matrix_to_obj(m: "TruncatedMatrix") -> dict:
     return {"field": f"F{m.p}", "n": m.n,
-            "entries": [[list(x.coeffs) for x in row] for row in m.entries]}
+            "entries": [[list(x) for x in row] for row in m.rows]}

@@ -11,7 +11,7 @@ its determinant picks up a prescribed unit.
 """
 
 from .errors import InvalidInput, NotUnit, Record, _set
-from .fields import PrimeField, _is_prime, mat_rank
+from .fields import PrimeField, mat_rank
 
 
 def _dot(p: int, n: int, xs, ys) -> list:
@@ -37,22 +37,40 @@ def _inverse(p: int, n: int, cs) -> list:
     return out
 
 
+def _field(p: int, n: int) -> PrimeField:
+    """k = F_p, once k[pi]/(pi^(n+1)) is known to be a ring: p prime, n >= 0."""
+    k = PrimeField(p)
+    if n < 0:
+        raise InvalidInput("truncation order must be nonnegative")
+    return k
+
+
+def _coeffs(k: PrimeField, n: int, xs) -> tuple:
+    """The coefficient sequence xs of k[pi]/(pi^(n+1)): n + 1 elements of k,
+    each an int reduced mod p (anything else is refused, never truncated)."""
+    cs = tuple(map(k.element, xs))
+    if len(cs) != n + 1:
+        raise InvalidInput(f"need {n + 1} coefficients, got {len(cs)}")
+    return cs
+
+
+def _like(ring, other):
+    """other, when it is a scalar of ring's k[pi]/(pi^(n+1))."""
+    if not isinstance(other, TruncatedScalar) or (other.p, other.n) != (ring.p, ring.n):
+        raise InvalidInput("scalars belong to different truncated rings")
+    return other
+
+
 class TruncatedScalar(Record):
     """Element of k[pi]/(pi^(n+1)) over k = F_p; coeffs[k] multiplies pi^k."""
 
     __slots__ = _fields = ("p", "n", "coeffs")
 
     def __init__(self, p: int, n: int, coeffs: tuple):
-        if not _is_prime(p):
-            raise InvalidInput(f"{p} is not prime")
-        if n < 0:
-            raise InvalidInput("truncation order must be nonnegative")
-        cs = tuple(int(x) % p for x in coeffs)
-        if len(cs) != n + 1:
-            raise InvalidInput(f"need {n + 1} coefficients, got {len(cs)}")
+        coeffs = _coeffs(_field(p, n), n, coeffs)
         _set(self, "p", p)
         _set(self, "n", n)
-        _set(self, "coeffs", cs)
+        _set(self, "coeffs", coeffs)
 
     @classmethod
     def zero(cls, p, n):
@@ -72,18 +90,13 @@ class TruncatedScalar(Record):
     def constant(cls, p, n, value):
         return cls(p, n, (value,) + (0,) * n)
 
-    def _like(self, other):
-        if not isinstance(other, TruncatedScalar) or (other.p, other.n) != (self.p, self.n):
-            raise InvalidInput("scalars belong to different truncated rings")
-        return other
-
     def __add__(self, other):
-        self._like(other)
+        _like(self, other)
         return TruncatedScalar(self.p, self.n,
                                tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
-        self._like(other)
+        _like(self, other)
         return TruncatedScalar(self.p, self.n,
                                tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
@@ -91,7 +104,7 @@ class TruncatedScalar(Record):
         return TruncatedScalar(self.p, self.n, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
-        self._like(other)
+        _like(self, other)
         return TruncatedScalar(self.p, self.n,
                                _dot(self.p, self.n, (self.coeffs,), (other.coeffs,)))
 
@@ -122,61 +135,90 @@ class TruncatedScalar(Record):
         return TruncatedScalar(self.p, m, self.coeffs + (0,) * (m - self.n))
 
 
+def _scalar(p: int, n: int, cs: tuple) -> TruncatedScalar:
+    """The scalar with coefficient tuple cs, already checked and reduced mod p."""
+    x = object.__new__(TruncatedScalar)
+    _set(x, "p", p)
+    _set(x, "n", n)
+    _set(x, "coeffs", cs)
+    return x
+
+
+def _matrix(p: int, n: int, rows: tuple, m=None):
+    """Fill m, or a new matrix, with square coefficient rows already reduced mod p."""
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise InvalidInput("matrix must be square and nonempty")
+    m = object.__new__(TruncatedMatrix) if m is None else m
+    _set(m, "p", p)
+    _set(m, "n", n)
+    _set(m, "rows", rows)
+    return m
+
+
 class TruncatedMatrix(Record):
-    """Square matrix of truncated scalars in one common ring."""
+    """Square matrix over k[pi]/(pi^(n+1)), held as coefficient rows: rows[i][j]
+    is the coefficient tuple of entry (i, j), reduced mod p.  The entries may be
+    given as scalars or coefficient sequences; scalars are built when ``entries``
+    is read."""
 
-    __slots__ = _fields = ("p", "n", "entries")
+    __slots__ = _fields = ("p", "n", "rows")
 
-    def __init__(self, p: int, n: int, entries: tuple):
-        rows = []
+    def __init__(self, p: int, n: int, entries):
+        rows, k = [], None
         for row in entries:
             cells = []
             for x in row:
-                if not isinstance(x, TruncatedScalar):
-                    x = TruncatedScalar(p, n, x)
-                if (x.p, x.n) != (p, n):
-                    raise InvalidInput("matrix entries belong to different rings")
-                cells.append(x)
+                if isinstance(x, TruncatedScalar):
+                    if (x.p, x.n) != (p, n):
+                        raise InvalidInput("matrix entries belong to different rings")
+                    cells.append(x.coeffs)
+                else:   # p and n are checked at the first coefficient sequence
+                    k = k or _field(p, n)
+                    cells.append(_coeffs(k, n, x))
             rows.append(tuple(cells))
-        r = len(rows)
-        if r == 0 or any(len(row) != r for row in rows):
-            raise InvalidInput("matrix must be square and nonempty")
-        _set(self, "p", p)
-        _set(self, "n", n)
-        _set(self, "entries", tuple(rows))
+        _matrix(p, n, tuple(rows), self)
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(tuple(_scalar(self.p, self.n, x) for x in row) for row in self.rows)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(p={self.p!r}, n={self.n!r}, entries={self.entries!r})"
 
     @property
     def r(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     @classmethod
     def identity(cls, p, n, r):
-        one, zero = TruncatedScalar.one(p, n), TruncatedScalar.zero(p, n)
-        return cls(p, n, tuple(tuple(one if i == j else zero for j in range(r))
-                               for i in range(r)))
+        _field(p, n)
+        one, zero = (1,) + (0,) * n, (0,) * (n + 1)
+        return _matrix(p, n, tuple(tuple(one if i == j else zero for j in range(r))
+                                   for i in range(r)))
 
     def __matmul__(self, other):
         if (other.p, other.n, other.r) != (self.p, self.n, self.r):
             raise InvalidInput("matrix shapes or rings differ")
-        rows = [[x.coeffs for x in row] for row in self.entries]
-        cols = list(zip(*([x.coeffs for x in row] for row in other.entries)))
-        return TruncatedMatrix(self.p, self.n, tuple(
-            tuple(_dot(self.p, self.n, row, col) for col in cols) for row in rows))
+        p, n, cols = self.p, self.n, list(zip(*other.rows))
+        return _matrix(p, n, tuple(tuple(tuple(_dot(p, n, row, col)) for col in cols)
+                                   for row in self.rows))
 
     def __add__(self, other):
         if (other.p, other.n, other.r) != (self.p, self.n, self.r):
             raise InvalidInput("matrix shapes or rings differ")
-        return TruncatedMatrix(self.p, self.n, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+        p = self.p
+        return _matrix(p, self.n, tuple(
+            tuple(tuple([(a + b) % p for a, b in zip(x, y)]) for x, y in zip(ra, rb))
+            for ra, rb in zip(self.rows, other.rows)))
 
     def scale(self, s: TruncatedScalar):
-        return TruncatedMatrix(self.p, self.n, tuple(
-            tuple(s * x for x in row) for row in self.entries))
+        p, n, c = self.p, self.n, _like(self, s).coeffs
+        return _matrix(p, n, tuple(tuple(tuple(_dot(p, n, (c,), (x,))) for x in row)
+                                   for row in self.rows))
 
     def trace(self) -> TruncatedScalar:
-        return sum((self.entries[i][i] for i in range(self.r)),
-                   TruncatedScalar.zero(self.p, self.n))
+        diagonal = zip(*(self.rows[i][i] for i in range(self.r)))
+        return TruncatedScalar(self.p, self.n, [sum(cs) for cs in diagonal])
 
     def det(self) -> TruncatedScalar:
         """Gaussian elimination over the chain ring: O(r^3) products in ``_dot``.
@@ -188,7 +230,7 @@ class TruncatedMatrix(Record):
         or 0 once a column has no nonzero entry left.
         """
         p, n, r = self.p, self.n, self.r
-        A = [[x.coeffs for x in row] for row in self.entries]
+        A = [list(row) for row in self.rows]
         det, sign = [1] + [0] * n, 1
         for c in range(r):
             vals = [next((k for k, a in enumerate(row[c]) if a), n + 1) for row in A[c:]]
@@ -211,16 +253,18 @@ class TruncatedMatrix(Record):
     @property
     def is_invertible(self) -> bool:
         """Invertible iff the constant-term matrix is invertible over k."""
-        return mat_rank(PrimeField(self.p), [[x.coeffs[0] for x in row]
-                                              for row in self.entries]) == self.r
+        return mat_rank(PrimeField(self.p), [[x[0] for x in row] for row in self.rows]) == self.r
 
     def reduce(self, m: int):
-        return TruncatedMatrix(self.p, m, tuple(
-            tuple(x.reduce(m) for x in row) for row in self.entries))
+        if not 0 <= m <= self.n:
+            raise InvalidInput(f"cannot reduce order {self.n} to order {m}")
+        return _matrix(self.p, m, tuple(tuple(x[:m + 1] for x in row) for row in self.rows))
 
     def extend(self, m: int):
-        return TruncatedMatrix(self.p, m, tuple(
-            tuple(x.extend(m) for x in row) for row in self.entries))
+        if m < self.n:
+            raise InvalidInput(f"cannot extend order {self.n} down to {m}")
+        pad = (0,) * (m - self.n)
+        return _matrix(self.p, m, tuple(tuple(x + pad for x in row) for row in self.rows))
 
 
 class DetTraceVerdict(Record):
@@ -248,11 +292,14 @@ class SlKernelVerdict(Record):
 
 
 def one_plus_pi_n(p: int, n: int, A) -> TruncatedMatrix:
-    """The matrix I + pi^n A for an integer matrix A over k."""
-    return TruncatedMatrix(p, n, tuple(
-        tuple([(i == j) * (k == 0) + int(x) * (k == n) for k in range(n + 1)]
-              for j, x in enumerate(row))
-        for i, row in enumerate(A)))
+    """The matrix I + pi^n A for a matrix A over k, given as ints."""
+    eye, k = TruncatedMatrix.identity(p, n, len(A)).rows, PrimeField(p)
+    if any(len(row) != len(A) for row in A):
+        raise InvalidInput("matrix must be square and nonempty")
+    # entry (i, j) is the identity's with A[i][j] added to its pi^n coefficient
+    return _matrix(p, n, tuple(
+        tuple(e[:n] + ((e[n] + k.element(x)) % p,) for e, x in zip(ones, row))
+        for ones, row in zip(eye, A)))
 
 
 def det_trace_identity(p: int, A, n: int) -> DetTraceVerdict:
@@ -262,9 +309,8 @@ def det_trace_identity(p: int, A, n: int) -> DetTraceVerdict:
     if not A or any(len(row) != len(A) for row in A):
         raise InvalidInput("A must be square and nonempty")
     lhs = one_plus_pi_n(p, n, A).det()
-    tr = sum(A[i][i] for i in range(len(A))) % p
-    rhs = TruncatedScalar.one(p, n) + TruncatedScalar(
-        p, n, tuple(tr if k == n else 0 for k in range(n + 1)))
+    tr = sum(A[i][i] for i in range(len(A)))
+    rhs = TruncatedScalar(p, n, (1,) + (0,) * (n - 1) + (tr,))
     return DetTraceVerdict(lhs=lhs, rhs=rhs, holds=lhs == rhs)
 
 
@@ -279,11 +325,11 @@ def sl_kernel_check(M: TruncatedMatrix) -> SlKernelVerdict:
     if M.n < 1:
         raise InvalidInput("kernel test needs truncation order n >= 1")
     n, p, r = M.n, M.p, M.r
-    det_is_one = M.det() == TruncatedScalar.one(p, n)
+    det_is_one = M.det().coeffs == (1,) + (0,) * n
     reduces = M.reduce(n - 1) == TruncatedMatrix.identity(p, n - 1, r)
     trace_residue = None
     if reduces:
-        trace_residue = sum(M.entries[i][i].coeffs[n] for i in range(r)) % p
+        trace_residue = sum(M.rows[i][i][n] for i in range(r)) % p
     in_kernel = det_is_one and reduces
     trace_condition = reduces and trace_residue == 0
     return SlKernelVerdict(det_is_one=det_is_one, reduces_to_identity=reduces,
@@ -296,9 +342,8 @@ def trace_section(lam: TruncatedScalar, r: int) -> TruncatedMatrix:
     """Section of the trace map: lam in the (1,1) slot, zeros elsewhere."""
     if r < 1:
         raise InvalidInput("matrix size must be positive")
-    zero = TruncatedScalar.zero(lam.p, lam.n)
-    return TruncatedMatrix(lam.p, lam.n, tuple(
-        tuple(lam if i == j == 0 else zero for j in range(r)) for i in range(r)))
+    zero = (0,) * (lam.n + 1)
+    return _matrix(lam.p, lam.n, ((lam.coeffs,) + (zero,) * (r - 1),) + ((zero,) * r,) * (r - 1))
 
 
 def det_section(u: TruncatedScalar, r: int) -> TruncatedMatrix:
@@ -307,10 +352,8 @@ def det_section(u: TruncatedScalar, r: int) -> TruncatedMatrix:
         raise InvalidInput("matrix size must be positive")
     if not u.is_unit:
         raise NotUnit("determinant section needs a unit scalar")
-    one, zero = TruncatedScalar.one(u.p, u.n), TruncatedScalar.zero(u.p, u.n)
-    return TruncatedMatrix(u.p, u.n, tuple(
-        tuple((u if i == 0 else one) if i == j else zero for j in range(r))
-        for i in range(r)))
+    rows = TruncatedMatrix.identity(u.p, u.n, r).rows
+    return _matrix(u.p, u.n, ((u.coeffs,) + rows[0][1:],) + rows[1:])
 
 
 def torsor_correct(cocycle, gammas) -> list:
@@ -335,8 +378,8 @@ def torsor_correct(cocycle, gammas) -> list:
             raise InvalidInput("cocycle matrices must be invertible")
         if gamma.coeffs[0] != 1 or any(gamma.coeffs[k] != 0 for k in range(1, n)):
             raise InvalidInput("units must lie in 1 + pi^n R")
-        first = tuple(gamma * x for x in F.entries[0])
-        out.append(TruncatedMatrix(p, n, (first,) + F.entries[1:]))
+        first = tuple(tuple(_dot(p, n, (gamma.coeffs,), (x,))) for x in F.rows[0])
+        out.append(_matrix(p, n, (first,) + F.rows[1:]))
     return out
 
 
@@ -347,9 +390,9 @@ def sl_lift(M: TruncatedMatrix) -> TruncatedMatrix:
     of the padded determinant (a unit in 1 + pi^(n+1) R), which fixes the
     determinant without disturbing the reduction.
     """
-    if M.det() != TruncatedScalar.one(M.p, M.n):
+    if M.det().coeffs != (1,) + (0,) * M.n:
         raise InvalidInput("sl_lift needs a determinant-1 matrix")
     padded = M.extend(M.n + 1)
-    v = padded.det().inverse()
-    return TruncatedMatrix(padded.p, padded.n, tuple(
-        (row[0] * v,) + row[1:] for row in padded.entries))
+    p, n, v = padded.p, padded.n, padded.det().inverse().coeffs
+    return _matrix(p, n, tuple((tuple(_dot(p, n, (row[0],), (v,))),) + row[1:]
+                               for row in padded.rows))

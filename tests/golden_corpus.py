@@ -232,6 +232,8 @@ def inputs():
         "bad_sl_coeff_len.json": _tdoc(5, 1, [[[1, 0, 0]]]),
         "bad_sl_coeff_float.json": _tdoc(5, 1, [[[1.5, 0]]]),
         "bad_sl_ragged.json": _tdoc(5, 1, [[[1, 0], [0, 0]], [[0, 0]]]),
+        # entry [0][0] has the wrong length, entry [0][1] a float
+        "bad_sl_len_then_float.json": _tdoc(5, 1, [[[1, 0, 0], [1.5, 0]], [[0, 0], [1, 0]]]),
         "bad_sl_entry_int.json": _tdoc(5, 1, [[1]]),
         "bad_sl_n_str.json": {"field": "F5", "n": "1", "entries": [[[1, 0]]]},
         "bad_sl_noentries.json": {"field": "F5", "n": 1},
@@ -491,6 +493,9 @@ def cases():
     # a field descriptor is read exactly: padding and leading zeros are refused
     add("dvr-matrix-field-padded-zeros", "dvr", "--matrix", f"{FIX}/dvr_matrix.json",
         "--field", " F005 ", "--n", "1")
+
+    # a matrix document reports its first bad entry in document order
+    add("dvr-sl-bad_sl_len_then_float", "dvr", "--sl", inp("bad_sl_len_then_float.json"))
     return out
 
 

@@ -7,7 +7,8 @@ oracle enumerates twist vectors against the window inequalities spelled
 out with cleared denominators, and the truncated determinant oracle is a
 permutation-sum over integer polynomial vectors.  The kernels that
 elimination replaced, Berkowitz's determinant and Gauss-Jordan rank, are
-kept at the end as second oracles.
+kept as second oracles, and the row-held truncated matrices are checked
+against a scalar-by-scalar reference built on them at the end.
 """
 
 import itertools
@@ -379,3 +380,60 @@ def gauss_jordan_rank(p, rows):
         rank += 1
         col += 1
     return rank
+
+
+# --------------------------- scalar-by-scalar reference for the row-held matrices
+
+def ref_matmul(p, n, a, b):
+    """a @ b over k[pi]/(pi^(n+1)), one ``dot`` per entry."""
+    return [[tuple(dot(p, n, row, col)) for col in zip(*b)] for row in a]
+
+
+def ref_add(p, n, a, b):
+    return [[tuple((u + v) % p for u, v in zip(x, y)) for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
+
+
+def ref_scale(p, n, s, a):
+    return [[tuple(dot(p, n, [s], [x])) for x in row] for row in a]
+
+
+def ref_trace(p, n, a):
+    return tuple(dot(p, n, [(1,) + (0,) * n] * len(a), [a[i][i] for i in range(len(a))]))
+
+
+def ref_reduce(a, m):
+    return [[tuple(x[:m + 1]) for x in row] for row in a]
+
+
+def ref_extend(a, m):
+    return [[tuple(x) + (0,) * (m + 1 - len(x)) for x in row] for row in a]
+
+
+def ref_sl_kernel(p, n, a):
+    """The six fields of an SL kernel verdict, from the definitions."""
+    r = len(a)
+    det_is_one = berkowitz_det(p, n, a) == (1,) + (0,) * n
+    eye = [[(int(i == j),) + (0,) * (n - 1) for j in range(r)] for i in range(r)]
+    reduces = ref_reduce(a, n - 1) == eye
+    residue = sum(a[i][i][n] for i in range(r)) % p if reduces else None
+    in_kernel = det_is_one and reduces
+    trace_condition = reduces and residue == 0
+    return (det_is_one, reduces, residue, in_kernel, trace_condition,
+            in_kernel == trace_condition)
+
+
+def ref_torsor(p, n, a, gamma):
+    """diag(gamma, 1, ..., 1) @ a: the first row scaled by gamma."""
+    return [[tuple(dot(p, n, [gamma], [x])) for x in a[0]]] + [[tuple(x) for x in row]
+                                                              for row in a[1:]]
+
+
+def ref_sl_lift(p, n, a):
+    """a padded to order n + 1, its first column divided by the padded determinant."""
+    padded = ref_extend(a, n + 1)
+    det = berkowitz_det(p, n + 1, padded)
+    inv = [pow(det[0], p - 2, p)]
+    for k in range(1, n + 2):   # inv * det = 1, solved coefficient by coefficient
+        inv.append(-inv[0] * sum(det[i] * inv[k - i] for i in range(1, k + 1)) % p)
+    return [[tuple(dot(p, n + 1, [row[0]], [inv]))] + row[1:] for row in padded]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
 from nodalstab import (
     GluingFlag,
     GpbClass,
@@ -250,15 +251,17 @@ def test_both_flag_checks_share_two_block_eliminations(monkeypatch):
         calls.append(rows)
         return real(field, rows)
 
-    # the constructor makes all three: the full-rank check and one per block
+    # the constructor eliminates each block once; a block of full rank already
+    # makes the rows independent, so the full 2r-column elimination is skipped
     monkeypatch.setattr(gpb_mod, "mat_rank", counting)
     flag = build_rational_flag(PrimeField(7), 4, 9, 2)
-    assert len(calls) == 3
+    assert len(calls) == 2
     proj = check_projections(flag)
     kern = check_no_kernel_section(flag)
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert proj.locally_free and kern.passes
-    # both blocks singular over Q: the verdicts still come from the two ranks
+    # both blocks singular over Q: the full-rank check runs as a third
+    # elimination, and the verdicts still come from the two block ranks
     rows = [[1, 2, 0, 0], [2, 4, 1, 3]]
     calls.clear()
     flag = GluingFlag(field=Q, rank=2, basis_matrix=rows)
@@ -267,3 +270,76 @@ def test_both_flag_checks_share_two_block_eliminations(monkeypatch):
     assert len(calls) == 3
     assert (proj.pr1_iso, proj.pr2_iso) == (False, False)
     assert (kern.dim_meet_p_side, kern.dim_meet_q_side) == (1, 1)
+
+
+# ------------------------------------------- block ranks against Gauss-Jordan
+
+FLAG_FIELDS = [(PrimeField(2), 2), (PrimeField(3), 3), (PrimeField(10007), 10007), (Q, None)]
+
+
+def random_flag_rows(rng, r, p, shape):
+    """r x 2r rows over F_p (p None: Q): random, with a deficient left or right
+    block, with both blocks deficient, or with dependent rows."""
+    def value():
+        if rng.random() < 0.4:
+            return 0
+        return rng.randrange(p) if p else Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    rows = [[value() for _ in range(2 * r)] for _ in range(r)]
+    half = [(0, r), (r, 2 * r)]
+    sides = {"left": half[:1], "right": half[1:], "both": half}.get(shape, [])
+    for lo, hi in sides:   # copy row 0's half into the last row: that block is deficient
+        if r > 1:
+            rows[-1][lo:hi] = rows[0][lo:hi]
+    if shape == "dependent" and r > 1:
+        rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1 % r])]
+    return rows
+
+
+@pytest.mark.parametrize("field, p", FLAG_FIELDS, ids=lambda f: getattr(f, "name", None))
+def test_flag_block_ranks_match_gauss_jordan(field, p):
+    rng = random.Random(p or 0)
+    seen = set()
+    for trial in range(400):
+        r = rng.randint(1, 6)
+        shape = ("random", "left", "right", "both", "dependent")[trial % 5]
+        rows = random_flag_rows(rng, r, p, shape)
+        full = helpers.gauss_jordan_rank(p, rows)
+        left = helpers.gauss_jordan_rank(p, [row[:r] for row in rows])
+        right = helpers.gauss_jordan_rank(p, [row[r:] for row in rows])
+        if full < r:
+            with pytest.raises(InvalidInput, match="^flag rows must be linearly independent$"):
+                GluingFlag(field=field, rank=r, basis_matrix=rows)
+            seen.add("dependent")
+            continue
+        flag = GluingFlag(field=field, rank=r, basis_matrix=rows)
+        proj, kern = check_projections(flag), check_no_kernel_section(flag)
+        assert (proj.pr1_iso, proj.pr2_iso) == (left == r, right == r)
+        assert (kern.dim_meet_p_side, kern.dim_meet_q_side) == (r - right, r - left)
+        if left < r and right < r:
+            seen.add("independent, both blocks deficient")
+    assert seen == {"dependent", "independent, both blocks deficient"}
+
+
+def test_both_blocks_deficient_but_independent_rows():
+    for field in (PrimeField(2), PrimeField(10007), Q):
+        flag = GluingFlag(field=field, rank=2, basis_matrix=[[1, 0, 0, 0], [0, 0, 0, 1]])
+        proj, kern = check_projections(flag), check_no_kernel_section(flag)
+        assert (proj.pr1_iso, proj.pr2_iso) == (False, False)
+        assert (kern.dim_meet_p_side, kern.dim_meet_q_side) == (1, 1)
+        with pytest.raises(InvalidInput, match="^flag rows must be linearly independent$"):
+            GluingFlag(field=field, rank=2, basis_matrix=[[1, 0, 0, 0], [3, 0, 0, 0]])
+
+
+def test_flag_entries_are_refused_at_the_first_bad_one():
+    with pytest.raises(InvalidInput, match=r"^1\.5 is not an integer, so not an element of F5$"):
+        GluingFlag(PrimeField(5), 2, [[1, 0, 0, 1], [0, 1.5, "x", 0]])
+    with pytest.raises(InvalidInput, match="^'x' is not an integer, so not an element of F5$"):
+        GluingFlag(PrimeField(5), 2, [[1, 0, "x", 1], [0, 1.5, 1, 0]])
+    assert GluingFlag(PrimeField(5), 1, [[True, 7]]).basis_matrix == ((1, 2),)
+
+
+def test_rational_flag_entries_are_kept_as_given():
+    half = Fraction(1, 2)
+    flag = GluingFlag(Q, 1, [[half, 3]])
+    assert flag.basis_matrix == ((half, Fraction(3)),)
+    assert flag.basis_matrix[0][0] is half

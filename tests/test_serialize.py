@@ -11,7 +11,7 @@ import helpers
 from golden_corpus import load_cases
 from nodalstab import Component, decompose, prune_ordering
 from nodalstab import serialize as ser
-from nodalstab.errors import ParseError
+from nodalstab.errors import InvalidInput, ParseError
 from nodalstab.fields import RationalField
 
 
@@ -144,6 +144,24 @@ def test_truncated_matrix_round_trip():
     assert ser.truncated_matrix_to_obj(m) == doc
     with pytest.raises(ParseError):
         ser.parse_truncated_matrix({"field": "Q", "n": 1, "entries": [[[1, 0]]]})
+
+
+@pytest.mark.parametrize("entries, error, message", [
+    # wrong length at [0][0] before a float at [0][1]: the length is reported
+    ([[[1, 0, 0], [1.5, 0]], [[0, 0], [1, 0]]], InvalidInput, "need 2 coefficients, got 3"),
+    ([[[1.5, 0], [1, 0, 0]], [[0, 0], [1, 0]]], ParseError,
+     "expected an integer, got 1.5; field=entries[0][0]"),
+    ([[[1, 0, 0], [1, 0]], [[0, 0]]], InvalidInput, "need 2 coefficients, got 3"),
+    ([[[1, 0], [1, 0]], [[0, 0]]], ParseError,
+     "entries must form a square matrix; field=entries[1]"),
+    ([[[1, 0, 0], 7], [[0, 0], [1, 0]]], InvalidInput, "need 2 coefficients, got 3"),
+    ([[[1, 0], 7], [[0, 0], [1, 0, 0]]], ParseError,
+     "each entry is a coefficient vector; field=entries[0][1]"),
+])
+def test_truncated_matrix_reports_its_first_bad_entry(entries, error, message):
+    with pytest.raises(error) as info:
+        ser.parse_truncated_matrix({"field": "F5", "n": 1, "entries": entries})
+    assert type(info.value) is error and str(info.value) == message
 
 
 def report_text(obj) -> str:
