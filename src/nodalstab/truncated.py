@@ -10,31 +10,63 @@ multiplies a cocycle of invertible matrices by trace-section lifts so
 its determinant picks up a prescribed unit.
 """
 
+from itertools import compress, repeat
+
 from .errors import InvalidInput, NotUnit, Record, _set
 from .fields import PrimeField, mat_rank
 
 
-def _dot(p: int, n: int, xs, ys) -> list:
-    """Sum of xs[k] * ys[k] over coefficient vectors of k[pi]/(pi^(n+1)), mod p:
-    the one truncated product loop, O(n^2) per pair, skipping zeros on the left."""
-    acc = [0] * (n + 1)
-    for x, y in zip(xs, ys):
-        for i, a in enumerate(x):
-            if a:
-                for j in range(n + 1 - i):
-                    acc[i + j] += a * y[j]
-    return [c % p for c in acc]
+def _axpy(p: int, n: int, q, ys, xs=None) -> list:
+    """The one product kernel: x + q y mod p for each pair (x, y) of a row of
+    k[pi]/(pi^(n+1)) vectors (x = 0 without xs; q and y may be short).  A few
+    nonzero coefficients of q run the sparse loop, more Kronecker substitution."""
+    nz = [(i, q[i]) for i in compress(range(n + 1), q)]   # Kronecker wins past about 12
+    return _kronecker(p, n, q, ys, xs) if len(nz) > 12 else _sparse(p, n, nz, ys, xs)
 
 
-def _inverse(p: int, n: int, cs) -> list:
-    """Inverse of a unit coefficient vector cs of k[pi]/(pi^(n+1)), coefficient
-    by coefficient, skipping zero coefficients: O(nnz * n)."""
-    c0_inv = pow(cs[0], p - 2, p)
-    nz = [(i, a) for i, a in enumerate(cs[1:], 1) if a]
-    out = [c0_inv]
-    for k in range(1, n + 1):
-        out.append(-c0_inv * sum(a * out[k - i] for i, a in nz if i <= k) % p)
+def _sparse(p: int, n: int, nz, ys, xs) -> list:
+    """The kernel as a loop over the pairs of nonzero coefficients of q and y."""
+    out = []
+    for x, y in zip(xs or repeat((0,) * (n + 1)), ys):
+        acc = list(x)
+        for i, a in nz:
+            for j in compress(range(i, n + 1), y):
+                acc[j] = (acc[j] + a * y[j - i]) % p
+        out.append(tuple(acc))
     return out
+
+
+def _kronecker(p: int, n: int, q, ys, xs) -> list:
+    """The kernel by Kronecker substitution at 2^b and -2^b (KS2 of D. Harvey,
+    J. Symb. Comput. 44, 2009): even and odd coefficients pack into w-byte slots
+    that hold (n + 1)(p - 1)^2, b is half a slot, and h(2^b) +- h(-2^b) hold the
+    even and odd coefficients of h = q y: two half-length integer products."""
+    m, w = n + 1, ((n + 1) * (p - 1) ** 2).bit_length() + 7 >> 3
+
+    def at_two_points(v):   # v(2^b) and v(-2^b), b = 4w bits
+        even, odd = (int.from_bytes(b"".join([c.to_bytes(w, "little") for c in v[k::2]]),
+                                    "little") for k in (0, 1))
+        return even + (odd << 4 * w), even - (odd << 4 * w)
+    q_plus, q_minus, out = *at_two_points(q), []
+    for x, y in zip(xs or repeat((0,) * m), ys):
+        y_plus, y_minus = at_two_points(y)
+        plus, minus, h = q_plus * y_plus, q_minus * y_minus, [0] * m
+        for k, z in enumerate(((plus + minus) >> 1, (plus - minus) >> 4 * w + 1)):
+            bs = z.to_bytes(w * m, "little")   # h's even coefficients, then its odd ones
+            h[k::2] = [int.from_bytes(bs[i:i + w], "little") for i in range(0, w * len(h[k::2]), w)]
+        out.append(tuple([(a + c) % p for a, c in zip(h, x)]))
+    return out
+
+
+def _inverse(p: int, n: int, f) -> tuple:
+    """Inverse of a unit coefficient vector f of k[pi]/(pi^(n+1)) by Newton
+    iteration (H. T. Kung, Numer. Math. 22, 1974): if g is f^-1 to h terms and
+    f g = 1 + pi^h e, then g - pi^h g e is f^-1 to 2h terms; O(M(n)) in all."""
+    g = (pow(f[0], p - 2, p),)
+    for m in sorted({-(-(n + 1) >> k) for k in range(n.bit_length())}):   # ceil((n+1)/2^k)
+        e = _axpy(p, m - 1, g, [f[:m]])[0][len(g):]
+        g += _axpy(p, len(e) - 1, g[:len(e)], [tuple([-c % p for c in e])])[0]
+    return g
 
 
 def _field(p: int, n: int) -> PrimeField:
@@ -90,23 +122,19 @@ class TruncatedScalar(Record):
     def constant(cls, p, n, value):
         return cls(p, n, (value,) + (0,) * n)
 
-    def __add__(self, other):
-        _like(self, other)
-        return TruncatedScalar(self.p, self.n,
-                               tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+    def __add__(self, other):   # x + 1 y in the kernel
+        ys, xs = [_like(self, other).coeffs], [self.coeffs]
+        return _scalar(self.p, self.n, _axpy(self.p, self.n, (1,), ys, xs)[0])
 
     def __sub__(self, other):
-        _like(self, other)
-        return TruncatedScalar(self.p, self.n,
-                               tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -_like(self, other)
 
     def __neg__(self):
-        return TruncatedScalar(self.p, self.n, tuple(-a for a in self.coeffs))
+        return _scalar(self.p, self.n, tuple([-a % self.p for a in self.coeffs]))
 
     def __mul__(self, other):
-        _like(self, other)
-        return TruncatedScalar(self.p, self.n,
-                               _dot(self.p, self.n, (self.coeffs,), (other.coeffs,)))
+        ys = [_like(self, other).coeffs]
+        return _scalar(self.p, self.n, _axpy(self.p, self.n, self.coeffs, ys)[0])
 
     @property
     def is_unit(self) -> bool:
@@ -120,7 +148,7 @@ class TruncatedScalar(Record):
         """The inverse of a unit; see ``_inverse``."""
         if not self.is_unit:
             raise NotUnit("scalar with zero constant term has no inverse")
-        return TruncatedScalar(self.p, self.n, _inverse(self.p, self.n, self.coeffs))
+        return _scalar(self.p, self.n, _inverse(self.p, self.n, self.coeffs))
 
     def reduce(self, m: int):
         """Image in k[pi]/(pi^(m+1)) for m <= n."""
@@ -199,56 +227,60 @@ class TruncatedMatrix(Record):
     def __matmul__(self, other):
         if (other.p, other.n, other.r) != (self.p, self.n, self.r):
             raise InvalidInput("matrix shapes or rings differ")
-        p, n, cols = self.p, self.n, list(zip(*other.rows))
-        return _matrix(p, n, tuple(tuple(tuple(_dot(p, n, row, col)) for col in cols)
-                                   for row in self.rows))
+        p, n, rows = self.p, self.n, []
+        for row in self.rows:   # row i of the product is the sum of a_ik times row k
+            acc = None
+            for a, other_row in zip(row, other.rows):
+                acc = _axpy(p, n, a, other_row, acc)
+            rows.append(tuple(acc))
+        return _matrix(p, n, tuple(rows))
 
     def __add__(self, other):
         if (other.p, other.n, other.r) != (self.p, self.n, self.r):
             raise InvalidInput("matrix shapes or rings differ")
-        p = self.p
-        return _matrix(p, self.n, tuple(
-            tuple(tuple([(a + b) % p for a, b in zip(x, y)]) for x, y in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)))
+        p, n = self.p, self.n
+        return _matrix(p, n, tuple(tuple(_axpy(p, n, (1,), rb, ra))
+                                   for ra, rb in zip(self.rows, other.rows)))
 
     def scale(self, s: TruncatedScalar):
         p, n, c = self.p, self.n, _like(self, s).coeffs
-        return _matrix(p, n, tuple(tuple(tuple(_dot(p, n, (c,), (x,))) for x in row)
-                                   for row in self.rows))
+        return _matrix(p, n, tuple(tuple(_axpy(p, n, c, row)) for row in self.rows))
 
     def trace(self) -> TruncatedScalar:
         diagonal = zip(*(self.rows[i][i] for i in range(self.r)))
-        return TruncatedScalar(self.p, self.n, [sum(cs) for cs in diagonal])
+        return _scalar(self.p, self.n, tuple([sum(cs) % self.p for cs in diagonal]))
 
     def det(self) -> TruncatedScalar:
-        """Gaussian elimination over the chain ring: O(r^3) products in ``_dot``.
+        """Gaussian elimination over the chain ring: O(r^3) products, a row per
+        ``_axpy`` call.
 
-        Column c pivots on the first row at or below c of least pi-adic
-        valuation v, so each entry x below is q times the pivot, with
-        q = (x / pi^v)(pivot / pi^v)^-1 at order n - v padded with v zeros.
-        det is the sign of the row swaps times the product of the pivots,
-        or 0 once a column has no nonzero entry left.
-        """
+        Column c pivots on the first row at or below c of least pi-adic valuation
+        v (row c if its entry is a unit), so each entry x below is q times the
+        pivot, q = (x / pi^v)(pivot / pi^v)^-1 at order n - v padded with v zeros,
+        the inverse taken to order n - s for s the least valuation of such an x.
+        det is the sign of the row swaps times the product of the pivots, or 0
+        once a column has no nonzero entry left."""
         p, n, r = self.p, self.n, self.r
         A = [list(row) for row in self.rows]
-        det, sign = [1] + [0] * n, 1
+        det, sign = (1,) + (0,) * n, 1
         for c in range(r):
-            vals = [next((k for k, a in enumerate(row[c]) if a), n + 1) for row in A[c:]]
-            v = min(vals)
-            if v > n:
-                return TruncatedScalar.zero(p, n)
-            piv = c + vals.index(v)
-            if piv != c:
-                A[c], A[piv], sign = A[piv], A[c], -sign
-            top = A[c]
-            neg_inv = [-a for a in _inverse(p, n - v, top[c][v:])]
-            for row in A[c + 1:]:
-                if any(row[c]):   # row += q * top with q = -x / pivot
-                    q = _dot(p, n - v, (row[c][v:],), (neg_inv,)) + [0] * v
-                    row[c + 1:] = [[(a + b) % p for a, b in zip(x, _dot(p, n, (q,), (y,)))]
-                                   for x, y in zip(row[c + 1:], top[c + 1:])]
-            det = _dot(p, n, (det,), (top[c],))
-        return TruncatedScalar(p, n, tuple(det if sign > 0 else [-a % p for a in det]))
+            v = 0   # a unit on the diagonal is a pivot of least valuation
+            if not A[c][c][0]:
+                vals = [next(compress(range(n + 1), row[c]), n + 1) for row in A[c:]]
+                v = min(vals)
+                if v > n:
+                    return TruncatedScalar.zero(p, n)
+                piv = c + vals.index(v)
+                A[c], A[piv], sign = A[piv], A[c], sign if piv == c else -sign
+            top, below = A[c], [row for row in A[c + 1:] if any(row[c])]
+            if below:   # row += q * top with q = -x / pivot
+                s = min(next(compress(range(n + 1), row[c])) for row in below)
+                neg_inv = tuple([-a % p for a in _inverse(p, n - s, top[c][v:])])
+                for row in below:
+                    q = _axpy(p, n - v, row[c][v:], [neg_inv])[0] + (0,) * v
+                    row[c + 1:] = _axpy(p, n, q, top[c + 1:], row[c + 1:])
+            det = _axpy(p, n, det, [top[c]])[0]
+        return TruncatedScalar(p, n, det if sign > 0 else [-a for a in det])
 
     @property
     def is_invertible(self) -> bool:
@@ -293,13 +325,13 @@ class SlKernelVerdict(Record):
 
 def one_plus_pi_n(p: int, n: int, A) -> TruncatedMatrix:
     """The matrix I + pi^n A for a matrix A over k, given as ints."""
-    eye, k = TruncatedMatrix.identity(p, n, len(A)).rows, PrimeField(p)
-    if any(len(row) != len(A) for row in A):
+    k, one, zero = _field(p, n), (1,) + (0,) * n, (0,) * n
+    if not A or any(len(row) != len(A) for row in A):
         raise InvalidInput("matrix must be square and nonempty")
-    # entry (i, j) is the identity's with A[i][j] added to its pi^n coefficient
-    return _matrix(p, n, tuple(
-        tuple(e[:n] + ((e[n] + k.element(x)) % p,) for e, x in zip(ones, row))
-        for ones, row in zip(eye, A)))
+    rows = [[zero + (a,) for a in map(k.element, row)] for row in A]
+    for i, row in enumerate(rows):   # add the identity (at n = 0, to the same coefficient)
+        row[i] = one[:n] + ((one[n] + row[i][n]) % p,)
+    return _matrix(p, n, tuple(map(tuple, rows)))
 
 
 def det_trace_identity(p: int, A, n: int) -> DetTraceVerdict:
@@ -309,8 +341,7 @@ def det_trace_identity(p: int, A, n: int) -> DetTraceVerdict:
     if not A or any(len(row) != len(A) for row in A):
         raise InvalidInput("A must be square and nonempty")
     lhs = one_plus_pi_n(p, n, A).det()
-    tr = sum(A[i][i] for i in range(len(A)))
-    rhs = TruncatedScalar(p, n, (1,) + (0,) * (n - 1) + (tr,))
+    rhs = _scalar(p, n, (1,) + (0,) * (n - 1) + (sum(A[i][i] for i in range(len(A))) % p,))
     return DetTraceVerdict(lhs=lhs, rhs=rhs, holds=lhs == rhs)
 
 
@@ -378,8 +409,7 @@ def torsor_correct(cocycle, gammas) -> list:
             raise InvalidInput("cocycle matrices must be invertible")
         if gamma.coeffs[0] != 1 or any(gamma.coeffs[k] != 0 for k in range(1, n)):
             raise InvalidInput("units must lie in 1 + pi^n R")
-        first = tuple(tuple(_dot(p, n, (gamma.coeffs,), (x,))) for x in F.rows[0])
-        out.append(_matrix(p, n, (first,) + F.rows[1:]))
+        out.append(_matrix(p, n, (tuple(_axpy(p, n, gamma.coeffs, F.rows[0])),) + F.rows[1:]))
     return out
 
 
@@ -394,5 +424,5 @@ def sl_lift(M: TruncatedMatrix) -> TruncatedMatrix:
         raise InvalidInput("sl_lift needs a determinant-1 matrix")
     padded = M.extend(M.n + 1)
     p, n, v = padded.p, padded.n, padded.det().inverse().coeffs
-    return _matrix(p, n, tuple((tuple(_dot(p, n, (row[0],), (v,))),) + row[1:]
-                               for row in padded.rows))
+    first = _axpy(p, n, v, [row[0] for row in padded.rows])
+    return _matrix(p, n, tuple((x,) + row[1:] for x, row in zip(first, padded.rows)))

@@ -6,8 +6,9 @@ the ordering property checker walks the graph directly, the balancing
 oracle enumerates twist vectors against the window inequalities spelled
 out with cleared denominators, and the truncated determinant oracle is a
 permutation-sum over integer polynomial vectors.  The kernels that
-elimination replaced, Berkowitz's determinant and Gauss-Jordan rank, are
-kept as second oracles, and the row-held truncated matrices are checked
+elimination replaced, Berkowitz's determinant and Gauss-Jordan rank, and
+the coefficient-wise inverse that Newton iteration replaced, are kept as
+second oracles, and the row-held truncated matrices are checked
 against a scalar-by-scalar reference built on them at the end.
 """
 
@@ -328,6 +329,18 @@ def dot(p, n, xs, ys):
                 for j in range(n + 1 - i):
                     acc[i + j] += a * y[j]
     return [c % p for c in acc]
+
+
+def coefficient_inverse(p, n, cs):
+    """Inverse of a unit coefficient vector cs of k[pi]/(pi^(n+1)), solved
+    coefficient by coefficient over the nonzero coefficients of cs: O(nnz * n),
+    the kernel Newton iteration replaced."""
+    c0_inv = pow(cs[0], p - 2, p)
+    nz = [(i, a) for i, a in enumerate(cs[1:], 1) if a]
+    out = [c0_inv]
+    for k in range(1, n + 1):
+        out.append(-c0_inv * sum(a * out[k - i] for i, a in nz if i <= k) % p)
+    return tuple(out)
 
 
 def berkowitz_det(p, n, entries):

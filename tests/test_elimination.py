@@ -69,6 +69,21 @@ def test_det_matches_berkowitz_and_leibniz(p):
                     assert got == want, (p, n, r, kind)
 
 
+@pytest.mark.parametrize("p", PRIMES + (18446744073709551557,))
+def test_det_at_kronecker_orders_matches_berkowitz_and_leibniz(p):
+    # past n = 12 a dense row runs the kernel's Kronecker branch; pivots of
+    # positive valuation and zero columns come from the same families
+    rng = random.Random(p % 1013)
+    for n in (13, 17, 33):
+        for r in range(1, 6):
+            for kind in KINDS:
+                m = family(rng, p, n, r, kind)
+                got = TruncatedMatrix(p, n, m).det().coeffs
+                assert got == helpers.berkowitz_det(p, n, m), (p, n, r, kind)
+                if r <= 4:
+                    assert got == helpers.truncate_mod(helpers.leibniz_det(m), p, n), (p, n, r)
+
+
 def test_det_of_a_seven_by_seven_matches_leibniz():
     rng = random.Random(77)
     for kind in ("dense", "no-unit-first"):
@@ -96,15 +111,14 @@ def test_is_invertible_reads_the_constant_terms():
                 assert m.is_invertible == m.det().is_unit
 
 
-def counted_products(monkeypatch, module, name, run):
+def counted_products(monkeypatch, module, name, pairs, run):
     """Number of coefficient-vector pairs that run() multiplies through the
-    product kernel module.name."""
+    product kernel module.name, pairs(*args) of them in one call."""
     real, count = getattr(module, name), [0]
 
-    def counting(p, n, xs, ys):
-        xs = list(xs)
-        count[0] += len(xs)
-        return real(p, n, xs, ys)
+    def counting(*args):
+        count[0] += pairs(*args)
+        return real(*args)
     monkeypatch.setattr(module, name, counting)
     run()
     return count[0]
@@ -117,11 +131,13 @@ def test_det_makes_at_most_r_cubed_products(monkeypatch):
     m = one_plus_pi_n(p, n, A)
     dense = TruncatedMatrix(p, n, family(rng, p, n, r, "dense"))
     for matrix in (m, dense):
-        got = counted_products(monkeypatch, truncated, "_dot", matrix.det)
+        # _axpy(p, n, q, ys, xs) multiplies q by each of the vectors ys
+        got = counted_products(monkeypatch, truncated, "_axpy",
+                               lambda p, n, q, ys, xs=None: len(ys), matrix.det)
         assert got <= r ** 3
     # Berkowitz, which det used before, makes 16,608 products here, about r^4/4
     entries = [[x.coeffs for x in row] for row in m.entries]
-    assert counted_products(monkeypatch, helpers, "dot",
+    assert counted_products(monkeypatch, helpers, "dot", lambda p, n, xs, ys: len(xs),
                             lambda: helpers.berkowitz_det(p, n, entries)) == 16608
 
 

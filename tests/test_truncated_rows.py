@@ -234,12 +234,12 @@ def test_a_det_trace_request_builds_at_most_four_scalars(monkeypatch):
 
 def test_the_row_operations_share_the_product_kernel(monkeypatch):
     calls = []
-    real = truncated._dot
+    real = truncated._axpy
 
-    def counting(p, n, xs, ys):
-        calls.append(len(xs))
-        return real(p, n, xs, ys)
-    monkeypatch.setattr(truncated, "_dot", counting)
+    def counting(p, n, q, ys, xs=None):
+        calls.append(len(ys))
+        return real(p, n, q, ys, xs)
+    monkeypatch.setattr(truncated, "_axpy", counting)
     M = TruncatedMatrix.identity(7, 1, 3)
     M @ M
     assert calls == [3] * 9
