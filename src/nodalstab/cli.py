@@ -41,19 +41,20 @@ _MAX_NODES = 10_000
 
 
 def _verdicts_to_obj(verdicts) -> list:
+    from .fields import RationalField
     return [{"i": v.i,
              "component": v.component,
              "G": v.g_components,
-             "lower": ser.frac_to_str(v.lower),
-             "upper": ser.frac_to_str(v.upper),
+             "lower": RationalField.format(v.lower),
+             "upper": RationalField.format(v.upper),
              "value": v.value,
              "passes": v.passes}
             for v in verdicts]
 
 
 def cmd_validate(args):
-    from .curve import validate_curve
-    c = ser.parse_curve(ser.read_json(args.curve))
+    from .curve import parse_curve, validate_curve
+    c = parse_curve(ser.read_json(args.curve))
     report = validate_curve(c)
     obj = {"valid": report.valid,
            "n_components": report.n_components,
@@ -64,16 +65,19 @@ def cmd_validate(args):
 
 
 def cmd_order(args):
-    from .curve import prune_ordering
-    c = ser.parse_curve(ser.read_json(args.curve))
-    return ser.ordering_to_obj(prune_ordering(c)), EXIT_OK
+    from .curve import ordering_to_obj, parse_curve, prune_ordering
+    c = parse_curve(ser.read_json(args.curve))
+    return ordering_to_obj(prune_ordering(c)), EXIT_OK
 
 
 def _load_triple(args):
-    c = ser.parse_curve(ser.read_json(args.curve))
+    from .curve import parse_curve
+    from .stability import parse_polarization
+    from .twist import parse_bundle
+    c = parse_curve(ser.read_json(args.curve))
     c.require_valid()
-    bc = ser.parse_bundle(ser.read_json(args.bundle))
-    pol = ser.parse_polarization(ser.read_json(args.pol))
+    bc = parse_bundle(ser.read_json(args.bundle))
+    pol = parse_polarization(ser.read_json(args.pol))
     return c, bc, pol
 
 
@@ -92,20 +96,22 @@ def cmd_check(args):
 
 def cmd_balance(args):
     from .balance import balance
+    from .fields import RationalField
     from .stability import lambda_check
+    from .twist import bundle_to_obj
     c, bc, pol = _load_triple(args)
     result = balance(c, bc, pol)
     verdicts = lambda_check(c, result.ordering, result.balanced, pol)
     obj = {
         "ordering": result.ordering.perm,
-        "twist": ser.twist_to_obj(result.twist)["coeffs"],
-        **ser.bundle_to_obj(result.balanced),   # rank and multidegree
+        "twist": {str(i): a for i, a in sorted(result.twist.coeffs.items())},
+        **bundle_to_obj(result.balanced),   # rank and multidegree
         "total_degree": result.balanced.total_degree,
         "steps": [{"i": s.i,
                    "component": s.component,
                    "value": s.value,
-                   "lower": ser.frac_to_str(s.lower),
-                   "upper": ser.frac_to_str(s.upper),
+                   "lower": RationalField.format(s.lower),
+                   "upper": RationalField.format(s.upper),
                    "candidates": s.candidates,
                    "chosen": s.chosen}
                   for s in result.steps],
@@ -117,9 +123,9 @@ def cmd_balance(args):
 
 def cmd_gpb(args):
     from . import gpb as gpb_mod
-    from .fields import parse_field
+    from .fields import RationalField, parse_field
     if args.flag:
-        flag = ser.parse_flag(ser.read_json(args.flag))
+        flag = gpb_mod.parse_flag(ser.read_json(args.flag))
         proj = gpb_mod.check_projections(flag)
         kern = gpb_mod.check_no_kernel_section(flag)
         obj = {"field": flag.field.name,
@@ -142,7 +148,7 @@ def cmd_gpb(args):
         flag = gpb_mod.build_rational_flag(field, args.rank, args.degree, args.shift)
         proj = gpb_mod.check_projections(flag)
         kern = gpb_mod.check_no_kernel_section(flag)
-        obj = dict(ser.flag_to_obj(flag))
+        obj = gpb_mod.flag_to_obj(flag)
         obj.update({"pr1_iso": proj.pr1_iso,
                     "pr2_iso": proj.pr2_iso,
                     "locally_free": proj.locally_free,
@@ -166,7 +172,7 @@ def cmd_gpb(args):
            "nodes": g.nodes,
            "weight": g.weight,
            "parabolic_degree": g.parabolic_degree,
-           "parabolic_slope": ser.frac_to_str(gpb_mod.parabolic_slope(g))}
+           "parabolic_slope": RationalField.format(gpb_mod.parabolic_slope(g))}
     if args.genus is not None:
         phi = gpb_mod.phi_rank_degree(g, args.genus)
         obj.update({"phi_rank": phi.rank, "phi_degree": phi.degree, "phi_chi": phi.chi})
@@ -175,7 +181,9 @@ def cmd_gpb(args):
 
 def cmd_dvr(args):
     from .fields import parse_field
-    from .truncated import det_trace_identity, sl_kernel_check, torsor_correct
+    from .truncated import (_parse_torsor, det_trace_identity, parse_int_matrix,
+                            parse_truncated_matrix, sl_kernel_check, torsor_correct,
+                            truncated_matrix_to_obj)
     if args.matrix:
         if args.field is None or args.n is None:
             raise InvalidInput("--matrix needs --field and --n")
@@ -184,16 +192,16 @@ def cmd_dvr(args):
         field = parse_field(args.field)
         if not hasattr(field, "p"):
             raise InvalidInput("truncated rings need a prime field")
-        A = ser.parse_int_matrix(ser.read_json(args.matrix))
+        A = parse_int_matrix(ser.read_json(args.matrix))
         verdict = det_trace_identity(field.p, A, args.n)
         obj = {"field": field.name, "n": args.n,
-               "lhs": ser.truncated_scalar_to_obj(verdict.lhs),
-               "rhs": ser.truncated_scalar_to_obj(verdict.rhs),
+               "lhs": list(verdict.lhs.coeffs),
+               "rhs": list(verdict.rhs.coeffs),
                "holds": verdict.holds}
         return obj, (EXIT_OK if verdict.holds else EXIT_FAIL)
 
     if args.sl:
-        M = ser.parse_truncated_matrix(ser.read_json(args.sl))
+        M = parse_truncated_matrix(ser.read_json(args.sl))
         verdict = sl_kernel_check(M)
         obj = {"det_is_one": verdict.det_is_one,
                "reduces_to_identity": verdict.reduces_to_identity,
@@ -204,12 +212,12 @@ def cmd_dvr(args):
         return obj, (EXIT_OK if verdict.biconditional_holds else EXIT_FAIL)
 
     if args.torsor:
-        cocycle, gammas = ser._parse_torsor(ser.read_json(args.torsor))
+        cocycle, gammas = _parse_torsor(ser.read_json(args.torsor))
         corrected = torsor_correct(cocycle, gammas)
         holds = all((lift.det() == gamma * F.det())
                     for lift, gamma, F in zip(corrected, gammas, cocycle))
         obj = {"count": len(corrected),
-               "corrected": [ser.truncated_matrix_to_obj(m) for m in corrected],
+               "corrected": [truncated_matrix_to_obj(m) for m in corrected],
                "det_relation_holds": holds}
         return obj, (EXIT_OK if holds else EXIT_FAIL)
 

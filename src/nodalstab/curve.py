@@ -22,6 +22,7 @@ from .errors import (
     Record,
     _set,
 )
+from .serialize import _int, _require, _small_int
 
 
 class Component(Record):
@@ -128,6 +129,29 @@ class ValidationReport(Record):
     __slots__ = _fields = ("valid", "errors", "n_components", "p_a", "genus_at_least_two")
 
 
+def parse_curve(obj) -> TreeLikeCurve:
+    """Curve document: {"components": [{"id": 1, ...}, ...], "edges": [[1, 2], ...]}."""
+    _require(isinstance(obj, dict), "curve document must be an object")
+    _require(isinstance(obj.get("components"), list), "missing components list", "components")
+    comps = []
+    for k, c in enumerate(obj["components"]):
+        where = f"components[{k}]"
+        _require(isinstance(c, dict), "component must be an object", where)
+        comps.append(Component(
+            id=_int(c.get("id"), where + ".id"),
+            geometric_genus=_small_int(c.get("geometric_genus", 0), where + ".geometric_genus"),
+            internal_nodes=_small_int(c.get("internal_nodes", 0), where + ".internal_nodes"),
+        ))
+    edges_obj = obj.get("edges", [])
+    _require(isinstance(edges_obj, list), "edges must be a list", "edges")
+    edges = []
+    for k, e in enumerate(edges_obj):
+        where = f"edges[{k}]"
+        _require(isinstance(e, list) and len(e) == 2, "edge must be a pair", where)
+        edges.append((_int(e[0], where), _int(e[1], where)))
+    return TreeLikeCurve(components=tuple(comps), edges=tuple(edges))
+
+
 class Ordering(Record):
     """A component ordering with the one-branch property, as a parent array.
 
@@ -176,6 +200,20 @@ class Ordering(Record):
             return None
         a, b = self.perm[i - 1], self.perm[self.nu[i - 1] - 1]
         return (a, b) if a <= b else (b, a)
+
+
+def ordering_to_obj(o: Ordering) -> dict:
+    """The ``order`` report.  G(i) is written as its subtree tuple, B(i) as
+    the ids of the whole curve, ``subtrees[-1]``, outside it (both sorted)."""
+    whole = o.subtrees[-1]
+    return {
+        "perm": o.perm,
+        "nu": {str(i + 1): o.nu[i] for i in range(len(o.nu))},
+        "G": {str(i + 1): g for i, g in enumerate(o.subtrees)},
+        "B": {str(i + 1): [cid for cid in whole if cid not in g]
+              for i, g in enumerate(map(set, o.subtrees))},
+        "boundary_nodes": {str(i): o.boundary_edge(i) for i in range(1, o.n)},
+    }
 
 
 def validate_curve(c: TreeLikeCurve) -> ValidationReport:

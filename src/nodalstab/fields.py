@@ -15,7 +15,7 @@ from .errors import InvalidInput, NoRoot
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1024)
 def _is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin test with the first 12 prime bases.
 

@@ -15,11 +15,13 @@ from .errors import (
     DegreeBound,
     DimensionBound,
     InvalidInput,
+    ParseError,
     Record,
     SingularProjection,
     _set,
 )
-from .fields import mat_rank
+from .fields import mat_rank, parse_field
+from .serialize import _require
 
 
 class GpbClass(Record):
@@ -97,6 +99,36 @@ class GluingFlag(Record):
 
     def right_block(self):
         return [list(row[self.rank:]) for row in self.basis_matrix]
+
+
+def parse_flag(obj) -> GluingFlag:
+    """Flag document: {"field": "F5", "basis_matrix": [["1", "0", "0", "1"], ...]},
+    each entry a field-element string or an integer."""
+    _require(isinstance(obj, dict), "flag document must be an object")
+    _require(isinstance(obj.get("field"), str), "missing field descriptor", "field")
+    field = parse_field(obj["field"])
+    rows = obj.get("basis_matrix")
+    _require(isinstance(rows, list) and rows, "missing basis_matrix", "basis_matrix")
+    for row in rows:
+        _require(isinstance(row, list), "basis_matrix rows must be arrays", "basis_matrix")
+        for x in row:
+            _require(isinstance(x, (str, int)) and not isinstance(x, bool),
+                     f"flag entries must be strings or integers, got {x!r}", "basis_matrix")
+    try:
+        parsed = [[field.parse(x) for x in row] for row in rows]
+    except ValueError:
+        raise ParseError("flag entries must be field-element strings",
+                         field="basis_matrix") from None
+    except ZeroDivisionError:
+        raise ParseError("flag entries must not have a zero denominator",
+                         field="basis_matrix") from None
+    return GluingFlag(field=field, rank=len(parsed), basis_matrix=parsed)
+
+
+def flag_to_obj(flag: GluingFlag) -> dict:
+    return {"field": flag.field.name,
+            "basis_matrix": [[flag.field.format(x) for x in row]
+                             for row in flag.basis_matrix]}
 
 
 class ProjectionVerdict(Record):

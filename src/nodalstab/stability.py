@@ -13,11 +13,13 @@ from .curve import Ordering, TreeLikeCurve, verify_ordering
 from .errors import (
     DocumentMismatch,
     InvalidInput,
+    ParseError,
     Record,
     WrongArity,
     ZeroMultirank,
     _set,
 )
+from .serialize import _DIGIT_BOUND, _MAX_DIGITS, _id_map, _require
 from .twist import BundleClass, _chi, euler_char_total, require_match
 
 
@@ -39,6 +41,27 @@ class Polarization(Record):
             raise InvalidInput("polarization weights must sum to exactly 1")
         _set(self, "weights", w)
         _set(self, "_scaled", (den, dict(zip(w, scaled))))
+
+
+def parse_polarization(obj) -> Polarization:
+    """Polarization document: {"weights": {"1": "1/3", ...}}.  It imports
+    ``fields`` here, not at load, so the tree engine runs without it."""
+    from .fields import RationalField
+    _require(isinstance(obj, dict), "polarization document must be an object")
+    weights = {}
+    for i, v in _id_map(obj.get("weights"), "weights").items():
+        try:
+            weights[i] = RationalField.parse(v)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"not a rational number: {v!r}") from None
+    # grown one weight at a time, so an over-long lcm stops the loop early
+    den = 1
+    for v in weights.values():
+        den = math.lcm(den, v.denominator)
+        _require(den < _DIGIT_BOUND,
+                 f"the weights' common denominator has more than {_MAX_DIGITS} digits",
+                 "weights")
+    return Polarization(weights=weights)
 
 
 class AmpleDegrees(Record):

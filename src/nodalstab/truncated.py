@@ -13,7 +13,8 @@ its determinant picks up a prescribed unit.
 from itertools import compress, repeat
 
 from .errors import InvalidInput, NotUnit, Record, _set
-from .fields import PrimeField, mat_rank
+from .fields import PrimeField, mat_rank, parse_field
+from .serialize import _int, _require, _small_int
 
 
 def _axpy(p: int, n: int, q, ys, xs=None) -> list:
@@ -269,7 +270,7 @@ class TruncatedMatrix(Record):
                 vals = [next(compress(range(n + 1), row[c]), n + 1) for row in A[c:]]
                 v = min(vals)
                 if v > n:
-                    return TruncatedScalar.zero(p, n)
+                    return _scalar(p, n, (0,) * (n + 1))
                 piv = c + vals.index(v)
                 A[c], A[piv], sign = A[piv], A[c], sign if piv == c else -sign
             top, below = A[c], [row for row in A[c + 1:] if any(row[c])]
@@ -280,7 +281,7 @@ class TruncatedMatrix(Record):
                     q = _axpy(p, n - v, row[c][v:], [neg_inv])[0] + (0,) * v
                     row[c + 1:] = _axpy(p, n, q, top[c + 1:], row[c + 1:])
             det = _axpy(p, n, det, [top[c]])[0]
-        return TruncatedScalar(p, n, det if sign > 0 else [-a for a in det])
+        return _scalar(p, n, det if sign > 0 else tuple([-a % p for a in det]))
 
     @property
     def is_invertible(self) -> bool:
@@ -297,6 +298,65 @@ class TruncatedMatrix(Record):
             raise InvalidInput(f"cannot extend order {self.n} down to {m}")
         pad = (0,) * (m - self.n)
         return _matrix(self.p, m, tuple(tuple(x + pad for x in row) for row in self.rows))
+
+
+def parse_int_matrix(obj) -> list:
+    """Square integer matrix document: [[a11, a12, ...], ...]."""
+    _require(isinstance(obj, list) and obj, "matrix must be a nonempty array", "matrix")
+    rows = []
+    for k, row in enumerate(obj):
+        _require(isinstance(row, list) and len(row) == len(obj),
+                 "matrix must be square", f"matrix[{k}]")
+        rows.append([_int(x, f"matrix[{k}]") for x in row])
+    return rows
+
+
+def parse_truncated_matrix(obj) -> TruncatedMatrix:
+    """Matrix document: {"field": "F5", "n": 1, "entries": [[[c0, c1], ...], ...]}."""
+    _require(isinstance(obj, dict), "truncated matrix document must be an object")
+    _require(isinstance(obj.get("field"), str), "missing field descriptor", "field")
+    field = parse_field(obj["field"])
+    _require(hasattr(field, "p"), "truncated rings need a prime field", "field")
+    n = _small_int(obj.get("n"), "n")
+    entries = obj.get("entries")
+    _require(isinstance(entries, list) and entries, "missing entries array", "entries")
+
+    # each row and entry is checked as the constructor reaches it, so the
+    # first bad entry in document order is the one reported
+    def cells(i, row):
+        _require(isinstance(row, list) and len(row) == len(entries),
+                 "entries must form a square matrix", f"entries[{i}]")
+        for j, coeffs in enumerate(row):
+            _require(isinstance(coeffs, list),
+                     "each entry is a coefficient vector", f"entries[{i}][{j}]")
+            yield [_int(x, f"entries[{i}][{j}]") for x in coeffs]
+    return TruncatedMatrix(field.p, n, (cells(i, row) for i, row in enumerate(entries)))
+
+
+def _parse_torsor(obj):
+    """Torsor document: {"cocycle": [truncated matrix, ...], "gammas": [[c0, ..., cn], ...]}.
+
+    Returns (cocycle, gammas); each gamma is a coefficient vector in the
+    ring of the first cocycle matrix.
+    """
+    if not isinstance(obj, dict) or "cocycle" not in obj or "gammas" not in obj:
+        raise InvalidInput("torsor document needs cocycle and gammas")
+    _require(isinstance(obj["cocycle"], list), "cocycle must be an array", "cocycle")
+    cocycle = [parse_truncated_matrix(m) for m in obj["cocycle"]]
+    if not cocycle:
+        raise InvalidInput("torsor document needs a nonempty cocycle")
+    _require(isinstance(obj["gammas"], list), "gammas must be an array", "gammas")
+    p, n = cocycle[0].p, cocycle[0].n
+    gammas = []
+    for k, g in enumerate(obj["gammas"]):
+        _require(isinstance(g, list), "each gamma is a coefficient vector", f"gammas[{k}]")
+        gammas.append(TruncatedScalar(p, n, [_int(x, f"gammas[{k}]") for x in g]))
+    return cocycle, gammas
+
+
+def truncated_matrix_to_obj(m: TruncatedMatrix) -> dict:
+    return {"field": f"F{m.p}", "n": m.n,
+            "entries": [[list(x) for x in row] for row in m.rows]}
 
 
 class DetTraceVerdict(Record):

@@ -10,6 +10,7 @@ matrix of the dual tree and never changes the total.
 
 from .curve import TreeLikeCurve
 from .errors import DocumentMismatch, EmptySubcurve, IndexOutOfRange, InvalidInput, Record, _set
+from .serialize import _id_map, _require, _small_int
 
 
 class BundleClass(Record):
@@ -26,6 +27,20 @@ class BundleClass(Record):
     @property
     def total_degree(self) -> int:
         return sum(self.multidegree.values())
+
+
+def parse_bundle(obj) -> BundleClass:
+    """Bundle document: {"rank": 2, "multidegree": {"1": 5, ...}}."""
+    _require(isinstance(obj, dict), "bundle document must be an object")
+    rank = _small_int(obj.get("rank"), "rank")
+    md = _id_map(obj.get("multidegree"), "multidegree")
+    return BundleClass(rank=rank,
+                       multidegree={i: _small_int(v, f"multidegree.{i}") for i, v in md.items()})
+
+
+def bundle_to_obj(bc: BundleClass) -> dict:
+    return {"rank": bc.rank,
+            "multidegree": {str(i): d for i, d in sorted(bc.multidegree.items())}}
 
 
 class TwistDivisor(Record):

@@ -286,6 +286,10 @@ def inputs():
         "path20_pol.json": {"weights": {str(i): "1/20" for i in range(1, 21)}},
         "digits_bundle_rank.json": {"rank": int("9" * 4299),
                                     "multidegree": {str(i): i - 10 for i in range(1, 21)}},
+        # n + 1 would pass the 4300-digit limit in the coefficient-count message
+        "bad_sl_n_digits.json": _tdoc(5, int("9" * 4300), [[[1, 0]]]),
+        "bad_torsor_n_digits.json": {"cocycle": [_tdoc(5, int("9" * 4300), [[[1, 0]]])],
+                                     "gammas": [[1, 1]]},
     })
     return docs
 
@@ -496,6 +500,10 @@ def cases():
 
     # a matrix document reports its first bad entry in document order
     add("dvr-sl-bad_sl_len_then_float", "dvr", "--sl", inp("bad_sl_len_then_float.json"))
+
+    # a truncation order keeps the documents' 1000-digit cap
+    add("dvr-sl-bad_sl_n_digits", "dvr", "--sl", inp("bad_sl_n_digits.json"))
+    add("dvr-torsor-bad_torsor_n_digits", "dvr", "--torsor", inp("bad_torsor_n_digits.json"))
     return out
 
 

@@ -19,7 +19,7 @@ from math import lcm
 
 from nodalstab import BundleClass, Component, Polarization, TreeLikeCurve, decompose
 from nodalstab.errors import InvalidInput
-from nodalstab.serialize import ordering_to_obj
+from nodalstab.curve import ordering_to_obj
 
 
 # ---------------------------------------------------------------- generators

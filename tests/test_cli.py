@@ -479,3 +479,19 @@ def test_a_closed_stdout_exits_1_without_a_traceback(tmp_path):
     assert code == 1
     assert head == b'{\n  "indic'
     assert err == b""
+
+
+@pytest.mark.parametrize("mode", ["--sl", "--torsor"])
+def test_a_4300_digit_truncation_order_exits_2_without_a_traceback(tmp_path, mode):
+    # n + 1 has 4,301 digits, past the interpreter's limit on printing an int,
+    # so n is held to the documents' 1000-digit cap before any message uses it
+    matrix = {"field": "F5", "n": int("9" * 4300), "entries": [[[1, 0]]]}
+    doc = matrix if mode == "--sl" else {"cocycle": [matrix], "gammas": [[1, 1]]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "nodalstab.cli", "dvr", mode, str(path)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert json.loads(proc.stdout)["error"] == {
+        "code": "ParseError", "field": "n",
+        "detail": "integer has more than 1000 digits; field=n"}

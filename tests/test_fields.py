@@ -39,6 +39,19 @@ def test_is_prime_rejects_pseudoprimes():
     assert not _is_prime(2**64 - 1)
 
 
+def test_the_primality_memo_holds_a_pass_over_hundreds_of_primes():
+    # a ring-field pass asks about 220 distinct primes, each many times
+    primes = [n for n in range(10**6, 10**6 + 5000) if trial_division(n)][:300]
+    assert len(primes) == 300
+    for p in primes:
+        _is_prime(p)
+    misses = _is_prime.cache_info().misses
+    assert all(_is_prime(p) for p in primes)
+    assert _is_prime.cache_info().misses == misses
+    # still bounded: a stream of distinct p cannot grow it without limit
+    assert _is_prime.cache_info().maxsize == 1024
+
+
 def test_huge_prime_is_refused():
     with pytest.raises(InvalidInput, match="below 2"):
         PrimeField(2**89 - 1)

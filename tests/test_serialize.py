@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -11,17 +12,27 @@ import helpers
 from golden_corpus import load_cases
 from nodalstab import Component, decompose, prune_ordering
 from nodalstab import serialize as ser
+from nodalstab.curve import ordering_to_obj, parse_curve
 from nodalstab.errors import InvalidInput, ParseError
 from nodalstab.fields import RationalField
+from nodalstab.gpb import flag_to_obj, parse_flag
+from nodalstab.stability import parse_polarization
+from nodalstab.truncated import parse_truncated_matrix, truncated_matrix_to_obj
+from nodalstab.twist import bundle_to_obj, parse_bundle
+
+
+def weight_doc(s) -> dict:
+    """A polarization document whose first weight is s."""
+    return {"weights": {"1": s, "2": "1/2"}}
 
 
 def test_frac_str_round_trip():
     for x in (Fraction(1, 2), Fraction(-7, 3), Fraction(4), Fraction(0)):
-        assert ser.frac_from_str(ser.frac_to_str(x)) == x
-    assert ser.frac_to_str(Fraction(6, 4)) == "3/2"
-    assert ser.frac_to_str(Fraction(8, 4)) == "2"
-    with pytest.raises(ParseError):
-        ser.frac_from_str("one half")
+        assert RationalField.parse(RationalField.format(x)) == x
+    assert RationalField.format(Fraction(6, 4)) == "3/2"
+    assert RationalField.format(Fraction(8, 4)) == "2"
+    with pytest.raises(ParseError, match="^not a rational number: 'one half'$"):
+        parse_polarization(weight_doc("one half"))
 
 
 # every form Fraction(str) reads, apart from exponents, still parses
@@ -34,16 +45,22 @@ if sys.version_info >= (3, 11):   # Fraction reads underscores from 3.11 on
 
 def test_rational_strings_without_exponent_keep_parsing():
     for s, x in ACCEPTED.items():
-        assert ser.frac_from_str(s) == x
         assert RationalField.parse(s) == x
+        if 0 < x < 1:   # a second weight brings the sum to 1
+            pol = parse_polarization({"weights": {"1": s, "2": RationalField.format(1 - x)}})
+            assert pol.weights[1] == x
+        else:   # read, then refused by the polarization rules, not as text
+            with pytest.raises(InvalidInput, match="^polarization weights must") as info:
+                parse_polarization(weight_doc(s))
+            assert type(info.value) is InvalidInput
 
 
 @pytest.mark.parametrize("s", ["1e10000000", "1E-10000000", "2.5e3", "1/2e1", 1e-05, 1e300,
                                "nan", "inf", "1 /2", "1/0", "", "0x10"])
 def test_rational_strings_refused(s):
     start = time.perf_counter()
-    with pytest.raises(ParseError):
-        ser.frac_from_str(s)
+    with pytest.raises(ParseError, match="^not a rational number: "):
+        parse_polarization(weight_doc(s))
     with pytest.raises((ValueError, ZeroDivisionError)):
         RationalField.parse(s)
     assert time.perf_counter() - start < 1.0
@@ -51,49 +68,50 @@ def test_rational_strings_refused(s):
 
 def test_one_rational_codec():
     for x in (Fraction(-7, 3), Fraction(0), Fraction(12), Fraction(1, 10**40), 5):
-        assert ser.frac_to_str(x) == RationalField.format(x)
-        assert RationalField.parse(ser.frac_to_str(x)) == x
+        assert RationalField.parse(RationalField.format(x)) == x
+    # serialize keeps no rational codec of its own
+    assert not {"frac_to_str", "frac_from_str", "_rationals"} & set(vars(ser))
 
 
 def test_curve_round_trip():
     doc = {"components": [{"id": 1, "geometric_genus": 1, "internal_nodes": 0},
                           {"id": 2, "geometric_genus": 0, "internal_nodes": 2}],
            "edges": [[1, 2]]}
-    c = ser.parse_curve(doc)
+    c = parse_curve(doc)
     assert c.components == (Component(id=1, geometric_genus=1),
                             Component(id=2, internal_nodes=2))
     assert c.edges == ((1, 2),)
     # components come back in id order, whatever order the document used
-    assert ser.parse_curve(dict(doc, components=doc["components"][::-1])) == c
+    assert parse_curve(dict(doc, components=doc["components"][::-1])) == c
 
 
 def test_curve_parse_errors():
     with pytest.raises(ParseError):
-        ser.parse_curve({"components": "nope"})
+        parse_curve({"components": "nope"})
     with pytest.raises(ParseError):
-        ser.parse_curve({"components": [{"id": 1}], "edges": [[1]]})
+        parse_curve({"components": [{"id": 1}], "edges": [[1]]})
     with pytest.raises(ParseError):
-        ser.parse_curve({"components": [{"id": 1}], "edges": [[1, 2]]})
+        parse_curve({"components": [{"id": 1}], "edges": [[1, 2]]})
     with pytest.raises(ParseError):
-        ser.parse_curve({"components": [{"id": "a"}], "edges": []})
+        parse_curve({"components": [{"id": "a"}], "edges": []})
 
 
 def test_bundle_round_trip():
-    bc = ser.parse_bundle({"rank": 2, "multidegree": {"1": 5, "2": -1}})
+    bc = parse_bundle({"rank": 2, "multidegree": {"1": 5, "2": -1}})
     assert bc.rank == 2
     assert bc.multidegree == {1: 5, 2: -1}
-    assert ser.parse_bundle(ser.bundle_to_obj(bc)) == bc
+    assert parse_bundle(bundle_to_obj(bc)) == bc
     with pytest.raises(ParseError):
-        ser.parse_bundle({"rank": 2, "multidegree": {"x": 1}})
+        parse_bundle({"rank": 2, "multidegree": {"x": 1}})
     with pytest.raises(ParseError):
-        ser.parse_bundle({"rank": True, "multidegree": {"1": 1}})
+        parse_bundle({"rank": True, "multidegree": {"1": 1}})
 
 
 def test_component_id_keys_must_be_canonical():
     for key in ("01", "0", "١", "1 ", "+1", ""):
         with pytest.raises(ParseError, match="bad component id key"):
-            ser.parse_bundle({"rank": 2, "multidegree": {"1": 5, key: 7}})
-    assert ser.parse_bundle({"rank": 2, "multidegree": {"10": 5}}).multidegree == {10: 5}
+            parse_bundle({"rank": 2, "multidegree": {"1": 5, key: 7}})
+    assert parse_bundle({"rank": 2, "multidegree": {"10": 5}}).multidegree == {10: 5}
 
 
 def test_read_json_rejects_duplicate_keys(tmp_path):
@@ -117,33 +135,36 @@ def test_read_json_refuses_nesting_past_the_recursion_limit(tmp_path, opener):
 
 
 def test_polarization_round_trip():
-    pol = ser.parse_polarization({"weights": {"1": "1/3", "2": "2/3"}})
+    pol = parse_polarization({"weights": {"1": "1/3", "2": "2/3"}})
     assert pol.weights == {1: Fraction(1, 3), 2: Fraction(2, 3)}
 
 
-def test_twist_round_trip():
-    t = ser.parse_twist({"coeffs": {"1": 1, "2": 0}})
-    assert t.coeffs == {1: 1, 2: 0}
-    assert ser.parse_twist(ser.twist_to_obj(t)) == t
+def test_the_tree_modules_load_without_fields():
+    # parse_polarization imports fields when it runs, so the tree engine used
+    # as a library never loads it
+    code = "import sys, nodalstab.balance; print('nodalstab.fields' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.stdout, proc.stderr) == ("False\n", "")
 
 
 def test_flag_round_trip():
     doc = {"field": "F7", "basis_matrix": [["1", "0", "0", "1"], ["0", "1", "1", "0"]]}
-    flag = ser.parse_flag(doc)
+    flag = parse_flag(doc)
     assert flag.field.name == "F7"
-    assert ser.flag_to_obj(flag) == doc
+    assert flag_to_obj(flag) == doc
     qdoc = {"field": "Q", "basis_matrix": [["1/2", "0", "0", "1"], ["0", "1", "1", "0"]]}
-    qflag = ser.parse_flag(qdoc)
+    qflag = parse_flag(qdoc)
     assert qflag.basis_matrix[0][0] == Fraction(1, 2)
 
 
 def test_truncated_matrix_round_trip():
     doc = {"field": "F5", "n": 1, "entries": [[[1, 1], [0, 2]], [[0, 3], [1, 4]]]}
-    m = ser.parse_truncated_matrix(doc)
+    m = parse_truncated_matrix(doc)
     assert (m.p, m.n, m.r) == (5, 1, 2)
-    assert ser.truncated_matrix_to_obj(m) == doc
+    assert truncated_matrix_to_obj(m) == doc
     with pytest.raises(ParseError):
-        ser.parse_truncated_matrix({"field": "Q", "n": 1, "entries": [[[1, 0]]]})
+        parse_truncated_matrix({"field": "Q", "n": 1, "entries": [[[1, 0]]]})
 
 
 @pytest.mark.parametrize("entries, error, message", [
@@ -160,7 +181,7 @@ def test_truncated_matrix_round_trip():
 ])
 def test_truncated_matrix_reports_its_first_bad_entry(entries, error, message):
     with pytest.raises(error) as info:
-        ser.parse_truncated_matrix({"field": "F5", "n": 1, "entries": entries})
+        parse_truncated_matrix({"field": "F5", "n": 1, "entries": entries})
     assert type(info.value) is error and str(info.value) == message
 
 
@@ -219,7 +240,7 @@ def test_order_report_g_and_b_match_decompose(shape):
     for n in (1, 2, 3, 4, 7, 12, 25, 41, 60):
         c = helpers.shaped_curve(rng, n, shape)
         o = prune_ordering(c)
-        obj = ser.ordering_to_obj(o)
+        obj = ordering_to_obj(o)
         assert list(obj["G"]) == list(obj["B"]) == [str(i) for i in range(1, n + 1)]
         for i in range(1, n + 1):
             g, b, node = decompose(c, o, i)

@@ -94,3 +94,47 @@ def test_only_ordering_subtrees_is_built_lazily():
     found = [f"{path.name}:{site}" for path in sorted(SRC.rglob("*.py"))
              for site in lazy_state(path.read_text(encoding="utf-8"))]
     assert found == ["curve.py:Ordering.subtrees"]
+
+
+def package_imports(source: str) -> set:
+    """The package modules a source imports: ``x`` for ``from .x import y``,
+    ``from . import x``, ``from nodalstab.x import y`` and ``import nodalstab.x``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("nodalstab."):
+            found.add(node.module.split(".", 1)[1])
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".", 1)[1] for alias in node.names
+                      if alias.name.startswith("nodalstab.")}
+    return found
+
+
+def nested_imports(source: str) -> list:
+    """Line numbers of the import statements inside a function."""
+    return sorted({node.lineno for fn in ast.walk(ast.parse(source))
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def test_the_package_import_finders_find_every_form():
+    source = ("import json\n"
+              "from .errors import ParseError\n"
+              "import nodalstab.curve\n"
+              "from nodalstab.twist import twist\n"
+              "def f():\n"
+              "    from . import gpb\n"
+              "    if f:\n"
+              "        from .fields import RationalField\n")
+    assert package_imports(source) == {"errors", "curve", "twist", "gpb", "fields"}
+    assert nested_imports(source) == [6, 8]
+    assert nested_imports("from .errors import ParseError\nx = 'import json'\n") == []
+
+
+def test_serialize_is_plumbing_that_loads_no_model():
+    # every subcommand loads serialize, so it holds only the JSON plumbing they
+    # share; each document's codec lives in the module of the model it builds
+    source = (SRC / "serialize.py").read_text(encoding="utf-8")
+    assert package_imports(source) == {"errors"}
+    assert nested_imports(source) == []

@@ -225,10 +225,11 @@ def count_scalars(monkeypatch, run):
 def test_a_det_trace_request_builds_at_most_four_scalars(monkeypatch):
     rng = random.Random(6)
     A = [[rng.randrange(101) for _ in range(6)] for _ in range(6)]
-    # the entry-per-scalar matrices built r^2 + 4 = 40 here
-    assert count_scalars(monkeypatch, lambda: det_trace_identity(101, A, 2)) <= 4
+    # the entry-per-scalar matrices built r^2 + 4 = 40 here; det builds its
+    # result unchecked, from coefficients already reduced mod p
+    assert count_scalars(monkeypatch, lambda: det_trace_identity(101, A, 2)) == 0
     M = one_plus_pi_n(101, 2, A)
-    assert count_scalars(monkeypatch, lambda: sl_kernel_check(M)) == 1
+    assert count_scalars(monkeypatch, lambda: sl_kernel_check(M)) == 0
     assert count_scalars(monkeypatch, lambda: M @ M + M.reduce(1).extend(2)) == 0
 
 
