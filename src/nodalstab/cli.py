@@ -18,10 +18,10 @@ import os
 import sys
 
 from . import serialize as ser
-from .errors import InvalidInput, NodalStabError
+from .errors import _DIGIT_BOUND, _MAX_DIGITS, InvalidInput, NodalStabError
 
-# Each cmd_* imports the modules it runs, so a tree subcommand never loads
-# the ring half (gpb, truncated) and the other way round.
+# Each cmd_* imports the modules it runs, so a tree subcommand never loads the ring half
+# (gpb, truncated, fields) and the other way round; no other module imports in a function.
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -41,12 +41,11 @@ _MAX_NODES = 10_000
 
 
 def _verdicts_to_obj(verdicts) -> list:
-    from .fields import RationalField
     return [{"i": v.i,
              "component": v.component,
              "G": v.g_components,
-             "lower": RationalField.format(v.lower),
-             "upper": RationalField.format(v.upper),
+             "lower": str(v.lower),
+             "upper": str(v.upper),
              "value": v.value,
              "passes": v.passes}
             for v in verdicts]
@@ -96,7 +95,6 @@ def cmd_check(args):
 
 def cmd_balance(args):
     from .balance import balance
-    from .fields import RationalField
     from .stability import lambda_check
     from .twist import bundle_to_obj
     c, bc, pol = _load_triple(args)
@@ -110,8 +108,8 @@ def cmd_balance(args):
         "steps": [{"i": s.i,
                    "component": s.component,
                    "value": s.value,
-                   "lower": RationalField.format(s.lower),
-                   "upper": RationalField.format(s.upper),
+                   "lower": str(s.lower),
+                   "upper": str(s.upper),
                    "candidates": s.candidates,
                    "chosen": s.chosen}
                   for s in result.steps],
@@ -123,7 +121,7 @@ def cmd_balance(args):
 
 def cmd_gpb(args):
     from . import gpb as gpb_mod
-    from .fields import RationalField, parse_field
+    from .fields import parse_field
     if args.flag:
         flag = gpb_mod.parse_flag(ser.read_json(args.flag))
         proj = gpb_mod.check_projections(flag)
@@ -164,15 +162,15 @@ def cmd_gpb(args):
     # product stays far below the interpreter's limit on printing an int
     for name in ("rank", "degree", "genus"):
         value = getattr(args, name)
-        if value is not None and not -ser._DIGIT_BOUND < value < ser._DIGIT_BOUND:
-            raise InvalidInput(f"--{name} must have at most {ser._MAX_DIGITS} digits")
+        if value is not None and not -_DIGIT_BOUND < value < _DIGIT_BOUND:
+            raise InvalidInput(f"--{name} must have at most {_MAX_DIGITS} digits")
     g = gpb_mod.GpbClass(rank=args.rank, degree=args.degree, nodes=args.nodes)
     obj = {"rank": g.rank,
            "degree": g.degree,
            "nodes": g.nodes,
            "weight": g.weight,
            "parabolic_degree": g.parabolic_degree,
-           "parabolic_slope": RationalField.format(gpb_mod.parabolic_slope(g))}
+           "parabolic_slope": str(gpb_mod.parabolic_slope(g))}
     if args.genus is not None:
         phi = gpb_mod.phi_rank_degree(g, args.genus)
         obj.update({"phi_rank": phi.rank, "phi_degree": phi.degree, "phi_chi": phi.chi})

@@ -20,9 +20,11 @@ from .errors import (
     OrderingMismatch,
     ParseError,
     Record,
+    _int,
+    _require,
     _set,
+    _small_int,
 )
-from .serialize import _int, _require, _small_int
 
 
 class Component(Record):

@@ -1,4 +1,4 @@
-"""Exception types, and the base of the value records, shared across the package."""
+"""Exception types, the value-record base and the document type checks the package shares."""
 
 # a record's constructor sets its fields with this, past its refusing __setattr__
 _set = object.__setattr__
@@ -76,6 +76,54 @@ class ParseError(InvalidInput):
         if line is not None:
             parts.append(f"line={line}")
         super().__init__("; ".join(parts))
+
+
+def _require(cond, message, field=None):
+    if not cond:
+        raise ParseError(message, field=field)
+
+
+def _int(value, field):
+    _require(isinstance(value, int) and not isinstance(value, bool),
+             f"expected an integer, got {value!r}", field)
+    return value
+
+
+# Every number a report or an error message prints is a sum or product of
+# ranks, degrees, genus data, truncation orders and the weights' common
+# denominator.  With each of those under 1000 digits, no printed integer
+# comes near the interpreter's 4300-digit limit on int-to-string
+# conversion, so no document can crash the output.
+_MAX_DIGITS = 1000
+_DIGIT_BOUND = 10 ** _MAX_DIGITS
+
+
+def _small_int(value, field):
+    _require(-_DIGIT_BOUND < _int(value, field) < _DIGIT_BOUND,
+             f"integer has more than {_MAX_DIGITS} digits", field)
+    return value
+
+
+def _id_map(obj, field):
+    _require(isinstance(obj, dict), "expected an object keyed by component id", field)
+    out = {}
+    for k, v in obj.items():
+        _require(isinstance(k, str) and k.isascii() and k.isdigit() and k[0] != "0",
+                 f"bad component id key {k!r}", field)
+        try:
+            out[int(k)] = v
+        except ValueError:   # over the interpreter's digit limit, as for a JSON integer
+            raise ParseError(f"a component id key has {len(k)} digits, too many for an integer",
+                             field=field) from None
+    return out
+
+
+def _rational_text(value) -> str:
+    """``str(value)``, or ValueError on exponent notation, which ``Fraction`` expands in full."""
+    s = str(value)
+    if "e" in s or "E" in s:
+        raise ValueError(f"exponent notation is not accepted: {s!r}")
+    return s
 
 
 class DocumentMismatch(InvalidInput):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import InvalidInput, NoRoot
+from .errors import InvalidInput, NoRoot, _rational_text
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -167,13 +167,8 @@ class RationalField:
 
     @staticmethod
     def parse(s) -> Fraction:
-        """The rational that ``Fraction(str(s))`` reads, but never from
-        exponent notation: ``Fraction("1e10000000")`` would build an integer
-        of ten million digits.  Raises ValueError or ZeroDivisionError."""
-        s = str(s)
-        if "e" in s or "E" in s:
-            raise ValueError(f"exponent notation is not accepted: {s!r}")
-        return Fraction(s)
+        """``Fraction(str(s))`` without exponent notation; ValueError or ZeroDivisionError."""
+        return Fraction(_rational_text(s))
 
     @staticmethod
     def format(a) -> str:

@@ -18,10 +18,10 @@ from .errors import (
     ParseError,
     Record,
     SingularProjection,
+    _require,
     _set,
 )
 from .fields import mat_rank, parse_field
-from .serialize import _require
 
 
 class GpbClass(Record):
@@ -38,12 +38,13 @@ class GpbClass(Record):
         if flag_dims is None:
             dims = tuple((rank, rank) for _ in range(nodes))
         else:
-            dims = tuple((int(a), int(b)) for a, b in flag_dims)
+            dims = tuple((m1, m2) for m1, m2 in flag_dims)
         if len(dims) != nodes:
             raise InvalidInput("need one flag dimension pair per node")
-        for m1, m2 in dims:
-            if m1 < 0 or m2 < 0 or m1 + m2 != 2 * rank:
-                raise InvalidInput("flag dimensions at a node must satisfy m1 + m2 = 2r")
+        for m1, m2 in dims:   # ints only: 2.9 or "2" is refused, never truncated
+            if not all(isinstance(m, int) and m >= 0 for m in (m1, m2)) or m1 + m2 != 2 * rank:
+                raise InvalidInput("flag dimensions at a node must be nonnegative integers "
+                                   "with m1 + m2 = 2r")
         _set(self, "rank", rank)
         _set(self, "degree", degree)
         _set(self, "nodes", nodes)
@@ -170,12 +171,12 @@ def gpb_subbundle_check(g: GpbClass, sub_rank: int, sub_degree: int,
     """
     if not 1 <= sub_rank < g.rank:
         raise InvalidInput("subbundle rank must satisfy 1 <= r' < r")
-    dims = tuple(int(x) for x in sub_flag_dims)
+    dims = tuple(sub_flag_dims)
     if len(dims) != g.nodes:
         raise InvalidInput("need one flag dimension per node")
     for k, f in enumerate(dims):
-        if f < 0:
-            raise InvalidInput("flag dimensions are nonnegative")
+        if not isinstance(f, int) or f < 0:
+            raise InvalidInput(f"flag dimensions are nonnegative integers, got {f!r}")
         if f > sub_rank:
             raise DimensionBound(
                 f"flag dimension {f} at node {k + 1} exceeds the subbundle rank {sub_rank}")

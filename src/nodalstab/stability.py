@@ -11,15 +11,19 @@ from itertools import repeat
 
 from .curve import Ordering, TreeLikeCurve, verify_ordering
 from .errors import (
+    _DIGIT_BOUND,
+    _MAX_DIGITS,
     DocumentMismatch,
     InvalidInput,
     ParseError,
     Record,
     WrongArity,
     ZeroMultirank,
+    _id_map,
+    _rational_text,
+    _require,
     _set,
 )
-from .serialize import _DIGIT_BOUND, _MAX_DIGITS, _id_map, _require
 from .twist import BundleClass, _chi, euler_char_total, require_match
 
 
@@ -44,14 +48,12 @@ class Polarization(Record):
 
 
 def parse_polarization(obj) -> Polarization:
-    """Polarization document: {"weights": {"1": "1/3", ...}}.  It imports
-    ``fields`` here, not at load, so the tree engine runs without it."""
-    from .fields import RationalField
+    """Polarization document: {"weights": {"1": "1/3", ...}}."""
     _require(isinstance(obj, dict), "polarization document must be an object")
     weights = {}
     for i, v in _id_map(obj.get("weights"), "weights").items():
         try:
-            weights[i] = RationalField.parse(v)
+            weights[i] = Fraction(_rational_text(v))
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"not a rational number: {v!r}") from None
     # grown one weight at a time, so an over-long lcm stops the loop early
@@ -70,7 +72,7 @@ class AmpleDegrees(Record):
     __slots__ = _fields = ("degrees",)
 
     def __init__(self, degrees: dict):
-        if any(int(v) < 1 for v in degrees.values()):
+        if not all(isinstance(v, int) and v >= 1 for v in degrees.values()):
             raise InvalidInput("ample degrees must be positive integers")
         _set(self, "degrees", degrees)
 

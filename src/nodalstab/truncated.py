@@ -12,9 +12,8 @@ its determinant picks up a prescribed unit.
 
 from itertools import compress, repeat
 
-from .errors import InvalidInput, NotUnit, Record, _set
+from .errors import InvalidInput, NotUnit, Record, _int, _require, _set, _small_int
 from .fields import PrimeField, mat_rank, parse_field
-from .serialize import _int, _require, _small_int
 
 
 def _axpy(p: int, n: int, q, ys, xs=None) -> list:
@@ -398,8 +397,6 @@ def det_trace_identity(p: int, A, n: int) -> DetTraceVerdict:
     """Check det(I + pi^n A) = 1 + pi^n tr(A) at truncation order n >= 1."""
     if n < 1:
         raise InvalidInput("the determinant-trace identity needs n >= 1")
-    if not A or any(len(row) != len(A) for row in A):
-        raise InvalidInput("A must be square and nonempty")
     lhs = one_plus_pi_n(p, n, A).det()
     rhs = _scalar(p, n, (1,) + (0,) * (n - 1) + (sum(A[i][i] for i in range(len(A))) % p,))
     return DetTraceVerdict(lhs=lhs, rhs=rhs, holds=lhs == rhs)

@@ -9,8 +9,8 @@ matrix of the dual tree and never changes the total.
 """
 
 from .curve import TreeLikeCurve
-from .errors import DocumentMismatch, EmptySubcurve, IndexOutOfRange, InvalidInput, Record, _set
-from .serialize import _id_map, _require, _small_int
+from .errors import (DocumentMismatch, EmptySubcurve, IndexOutOfRange, InvalidInput, Record,
+                     _id_map, _require, _set, _small_int)
 
 
 class BundleClass(Record):

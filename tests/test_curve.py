@@ -465,3 +465,26 @@ def test_component_order_does_not_change_the_curve():
         assert lambda_check(one, o, bc, pol) == lambda_check(two, o, bc, pol)
         assert balance(one, bc, pol) == balance(two, bc, pol)
     assert trees >= 20
+
+
+# ------------------------------------------------- guards on ordering input
+
+def test_boundary_edge_refuses_an_index_out_of_range():
+    o = prune_ordering(PATH3)
+    for i in (0, 4, -1):
+        with pytest.raises(IndexOutOfRange, match=f"^order index {i} out of range 1..3$"):
+            o.boundary_edge(i)
+    assert o.boundary_edge(3) is None
+
+
+def test_decompose_refuses_an_ordering_of_another_curve():
+    other = curve([(1, 1, 0), (2, 0, 0), (4, 1, 0)], [(1, 2), (2, 4)])
+    with pytest.raises(OrderingMismatch, match="^ordering does not belong to this curve$"):
+        decompose(PATH3, prune_ordering(other), 1)
+
+
+def test_decompose_refuses_a_parent_that_is_not_a_neighbour():
+    # the ids match, but position 1 (component 1) hangs off component 3
+    o = Ordering(perm=(1, 3, 2), nu=(2, 3))
+    with pytest.raises(OrderingMismatch, match="^nu\\(1\\) is not adjacent to component 1$"):
+        decompose(PATH3, o, 1)

@@ -163,3 +163,10 @@ def test_flag_and_roots_refuse_non_integer_entries_over_f_p():
     with pytest.raises(InvalidInput, match="not an integer"):
         picard_rth_root(PrimeField(7), 2, [2.7])
     assert picard_rth_root(PrimeField(7), 2, [2]) == [3]
+
+
+def test_rational_rth_root_of_zero_is_refused():
+    with pytest.raises(InvalidInput, match="^r-th roots are only taken of nonzero scalars$"):
+        RationalField().rth_root(0, 3)
+    with pytest.raises(InvalidInput):
+        RationalField().rth_root(Fraction(0, 5), 1)

@@ -343,3 +343,48 @@ def test_rational_flag_entries_are_kept_as_given():
     flag = GluingFlag(Q, 1, [[half, 3]])
     assert flag.basis_matrix == ((half, Fraction(3)),)
     assert flag.basis_matrix[0][0] is half
+
+
+# ------------------------------------ integer inputs, and the guards on them
+
+@pytest.mark.parametrize("dims", [((2.2, 2.9),), (("2", "2"),), ((Fraction(2), 2),),
+                                  ((2, 2.0),)])
+def test_gpb_class_refuses_flag_dimensions_that_are_not_ints(dims):
+    # 2.2 and 2.9 were truncated to (2, 2) and "2" read as 2
+    with pytest.raises(InvalidInput, match="must be nonnegative integers"):
+        GpbClass(2, 3, 1, flag_dims=dims)
+    assert GpbClass(2, 3, 1, flag_dims=((1, 3),)).flag_dims == ((1, 3),)
+    assert GpbClass(1, 0, 1, flag_dims=((True, True),)).flag_dims == ((1, 1),)
+
+
+def test_gpb_class_needs_one_flag_dimension_pair_per_node():
+    with pytest.raises(InvalidInput, match="^need one flag dimension pair per node$"):
+        GpbClass(2, 3, 2, flag_dims=((2, 2),))
+    with pytest.raises(InvalidInput, match="^need one flag dimension pair per node$"):
+        GpbClass(2, 3, 0, flag_dims=((2, 2),))
+
+
+@pytest.mark.parametrize("dims", [(0.9,), ("1",), (Fraction(1),), (None,)])
+def test_subbundle_check_refuses_flag_dimensions_that_are_not_ints(dims):
+    # 0.9 was read as the dimension 0
+    with pytest.raises(InvalidInput, match="^flag dimensions are nonnegative integers, got "):
+        gpb_subbundle_check(GpbClass(2, 3, 1), 1, 0, dims)
+    assert gpb_subbundle_check(GpbClass(2, 3, 1), 1, 0, (True,)).sub_slope == 1
+
+
+def test_subbundle_check_refuses_a_negative_flag_dimension():
+    with pytest.raises(InvalidInput, match="^flag dimensions are nonnegative integers, got -1$"):
+        gpb_subbundle_check(GpbClass(3, 0, 2), 2, 0, [1, -1])
+
+
+def test_phi_rank_degree_needs_the_canonical_flags():
+    g = GpbClass(2, 3, 1, flag_dims=((1, 3),))
+    assert not g.is_canonical
+    with pytest.raises(InvalidInput, match="^descent bookkeeping needs the canonical"):
+        phi_rank_degree(g, 1)
+
+
+@pytest.mark.parametrize("r", [0, -2])
+def test_picard_rth_root_needs_a_positive_exponent(r):
+    with pytest.raises(InvalidInput, match="^root exponent must be positive$"):
+        picard_rth_root(PrimeField(7), r, [2])

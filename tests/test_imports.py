@@ -41,7 +41,7 @@ def fresh(code: str) -> subprocess.CompletedProcess:
 # ------------------------------------------------------------ import surface
 
 # modules every subcommand loads: the package and the entry point's own two;
-# fields only where a rational is printed or a field descriptor read
+# fields only where a field descriptor is read, so never by the tree subcommands
 BASE = {"nodalstab", "nodalstab.serialize", "nodalstab.errors"}
 # the records are plain classes: no module generates their methods at import
 NEVER = {"dataclasses", "inspect"}
@@ -53,8 +53,8 @@ TRIPLE = ["--curve", str(CURVES / "path2_g11.json"),
 @pytest.mark.parametrize("argv, own", [
     (["validate", "--curve", str(CURVES / "path3.json")], {"curve"}),
     (["order", "--curve", str(CURVES / "path3.json")], {"curve"}),
-    (["check", *TRIPLE], {"curve", "twist", "stability", "fields"}),
-    (["balance", *TRIPLE], {"curve", "twist", "stability", "balance", "fields"}),
+    (["check", *TRIPLE], {"curve", "twist", "stability"}),
+    (["balance", *TRIPLE], {"curve", "twist", "stability", "balance"}),
     (["gpb", "--flag", str(FIXTURES / "flag_f5_r2.json")], {"gpb", "fields"}),
     (["gpb", "--rank", "2", "--degree", "3", "--nodes", "1"], {"gpb", "fields"}),
     (["dvr", "--sl", str(FIXTURES / "dvr_sl_kernel.json")], {"truncated", "fields"}),
@@ -132,3 +132,34 @@ def test_dir_and_star_import_cover_every_export():
     namespace = {}
     exec("from nodalstab import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(NAMES)
+
+
+# ------------------------------------------------------- one-way import graph
+
+CURVE_DOC = {"components": [{"id": 1, "geometric_genus": 2}, {"id": 2, "geometric_genus": 1}],
+             "edges": [[1, 2]]}
+BUNDLE_DOC = {"rank": 2, "multidegree": {"1": 7, "2": -3}}
+POL_DOC = {"weights": {"1": "1/3", "2": "2/3"}}
+CODEC = ("json", "nodalstab.serialize", "nodalstab.fields")
+
+
+def test_the_tree_engine_and_its_parsers_load_no_json_serialize_or_fields():
+    proc = fresh("import sys\n"
+                 "from nodalstab.curve import parse_curve\n"
+                 "from nodalstab.twist import parse_bundle\n"
+                 "from nodalstab.stability import parse_polarization\n"
+                 "from nodalstab.balance import balance\n"
+                 f"c = parse_curve({CURVE_DOC!r})\n"
+                 f"bc = parse_bundle({BUNDLE_DOC!r})\n"
+                 f"pol = parse_polarization({POL_DOC!r})\n"
+                 "print(balance(c, bc, pol).balanced.total_degree,\n"
+                 f"      [m for m in {CODEC!r} if m in sys.modules])")
+    assert (proc.stdout, proc.stderr) == ("4 []\n", "")
+
+
+def test_the_ring_half_loads_no_json_or_serialize():
+    proc = fresh("import sys\n"
+                 "import nodalstab.gpb, nodalstab.truncated\n"
+                 f"print([m for m in {CODEC[:2]!r} if m in sys.modules],\n"
+                 "      'nodalstab.fields' in sys.modules)")
+    assert (proc.stdout, proc.stderr) == ("[] True\n", "")

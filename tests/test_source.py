@@ -138,3 +138,21 @@ def test_serialize_is_plumbing_that_loads_no_model():
     source = (SRC / "serialize.py").read_text(encoding="utf-8")
     assert package_imports(source) == {"errors"}
     assert nested_imports(source) == []
+
+
+def modules_where(rule) -> list:
+    """The file names of the package modules whose source satisfies rule."""
+    return [path.name for path in sorted(SRC.rglob("*.py"))
+            if rule(path.read_text(encoding="utf-8"))]
+
+
+def test_only_cli_imports_serialize():
+    # serialize is the command line's JSON I/O: a model module that imported
+    # it would load json into every library user of the tree engine
+    assert modules_where(lambda source: "serialize" in package_imports(source)) == ["cli.py"]
+
+
+def test_only_cli_imports_inside_a_function():
+    # the imports run one way, errors <- the model modules <- cli, each at a
+    # module's top; only cli defers its subcommands' modules to the one it runs
+    assert modules_where(nested_imports) == ["cli.py"]

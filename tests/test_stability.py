@@ -442,3 +442,27 @@ def test_window_is_a_slotted_record_equal_by_value():
     assert not hasattr(w, "__dict__")
     with pytest.raises(TypeError):
         hash(w)
+
+
+# ------------------------------------ integer inputs, and the guards on them
+
+@pytest.mark.parametrize("degrees", [{1: 2.7, 2: 1}, {1: "3", 2: 1}, {1: Fraction(3, 2), 2: 1},
+                                     {1: "x", 2: 1}, {1: Fraction(2), 2: 1}, {1: 0, 2: 1}])
+def test_ample_degrees_refuse_anything_but_positive_ints(degrees):
+    # 2.7 and "3" were accepted, then broke polarization_from_ample with a
+    # TypeError; Fraction(3, 2) gave the weights 3/5 and 2/5; "x" a ValueError
+    with pytest.raises(InvalidInput, match="^ample degrees must be positive integers$") as info:
+        AmpleDegrees(degrees=degrees)
+    assert type(info.value) is InvalidInput
+
+
+def test_ample_degrees_take_ints_and_bools():
+    pol = polarization_from_ample(AmpleDegrees(degrees={1: 3, 2: True}))
+    assert pol.weights == {1: Fraction(3, 4), 2: Fraction(1, 4)}
+
+
+def test_det_compatibility_refuses_keys_other_than_the_curves():
+    for det in ({1: 5}, {1: 5, 2: -1, 3: 0}, {1: 5, 3: -1}):
+        with pytest.raises(DocumentMismatch, match="^determinant multidegree keys do not match"):
+            det_compatibility(PATH2, BC2, det)
+    assert det_compatibility(PATH2, BC2, {1: 5, 2: -1}).mismatched == ()

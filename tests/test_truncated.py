@@ -385,3 +385,70 @@ def test_sl_lift_matches_the_det_section_product():
         M = _random_sl(rng, p, n, r)
         padded = M.extend(n + 1)
         assert sl_lift(M) == padded @ det_section(padded.det().inverse(), r)
+
+
+# --------------------------------------------------- guards and the rest of the API
+
+@pytest.mark.parametrize("A", [[], [[1, 2]], [[1, 2], [3]], [[1], [2]]])
+def test_det_trace_identity_needs_a_square_nonempty_matrix(A):
+    with pytest.raises(InvalidInput, match="^matrix must be square and nonempty$"):
+        det_trace_identity(5, A, 1)
+
+
+@given(small_ring, st.data())
+def test_scalar_subtraction_is_coefficientwise_mod_p(ring, data):
+    p, n = ring
+    vec = st.tuples(*[st.integers(-2 * p, 2 * p)] * (n + 1))
+    a, b = TruncatedScalar(p, n, data.draw(vec)), TruncatedScalar(p, n, data.draw(vec))
+    assert (a - b).coeffs == tuple((x - y) % p for x, y in zip(a.coeffs, b.coeffs))
+    assert a - b == a + (-b)
+    assert a - a == TruncatedScalar.zero(p, n)
+
+
+def test_scalar_subtraction_refuses_another_ring():
+    with pytest.raises(InvalidInput, match="^scalars belong to different truncated rings$"):
+        scalar(5, 1, 1, 2) - scalar(5, 2, 1, 2, 3)
+    with pytest.raises(InvalidInput):
+        scalar(5, 1, 1, 2) - scalar(7, 1, 1, 2)
+
+
+def test_scalar_extend_then_reduce_is_the_identity():
+    x = scalar(7, 2, 3, 0, 5)
+    for m in (2, 3, 6):
+        up = x.extend(m)
+        assert up.n == m and up.coeffs == x.coeffs + (0,) * (m - 2)
+        assert up.reduce(2) == x
+    assert x.reduce(0) == scalar(7, 0, 3)
+    assert x.reduce(0).extend(2) == scalar(7, 2, 3, 0, 0)
+
+
+def test_scalar_reduce_and_extend_refuse_the_wrong_direction():
+    x = scalar(5, 2, 1, 2, 3)
+    for m in (-1, 3):
+        with pytest.raises(InvalidInput, match=f"^cannot reduce order 2 to order {m}$"):
+            x.reduce(m)
+    with pytest.raises(InvalidInput, match="^cannot extend order 2 down to 1$"):
+        x.extend(1)
+
+
+def test_matrix_sum_refuses_another_ring_or_size():
+    a = TruncatedMatrix.identity(5, 1, 2)
+    for b in (TruncatedMatrix.identity(7, 1, 2), TruncatedMatrix.identity(5, 2, 2),
+              TruncatedMatrix.identity(5, 1, 3)):
+        with pytest.raises(InvalidInput, match="^matrix shapes or rings differ$"):
+            a + b
+    assert (a + a).rows == (((2, 0), (0, 0)), ((0, 0), (2, 0)))
+
+
+@pytest.mark.parametrize("section", [trace_section, det_section])
+@pytest.mark.parametrize("r", [0, -1])
+def test_sections_need_a_positive_size(section, r):
+    with pytest.raises(InvalidInput, match="^matrix size must be positive$"):
+        section(scalar(5, 1, 1, 2), r)
+
+
+def test_sl_lift_needs_determinant_one():
+    M = TruncatedMatrix(5, 1, [[[2, 0], [0, 0]], [[0, 0], [1, 0]]])
+    assert M.det() == scalar(5, 1, 2, 0)
+    with pytest.raises(InvalidInput, match="^sl_lift needs a determinant-1 matrix$"):
+        sl_lift(M)
