@@ -19,20 +19,14 @@ sum at the upper endpoint.
 from itertools import repeat
 
 from .curve import Ordering, TreeLikeCurve, prune_ordering
-from .errors import IndexOutOfRange, InvariantViolated, PreconditionViolated, Record, _set
+from .errors import IndexOutOfRange, InvariantViolated, PreconditionViolated, Record
 from .stability import Polarization, Window, _chi_sums, _chosen, _windows, lambda_check
 from .twist import BundleClass, TwistDivisor, twist
 
 
 class BalanceResult(Record):
+    # steps: one Window per step, its value read before the step
     __slots__ = _fields = ("ordering", "twist", "balanced", "steps")
-
-    def __init__(self, ordering: Ordering, twist: TwistDivisor, balanced: BundleClass,
-                 steps: tuple):
-        _set(self, "ordering", ordering)
-        _set(self, "twist", twist)
-        _set(self, "balanced", balanced)
-        _set(self, "steps", steps)   # one Window per step, its value read before the step
 
 
 def balance_step(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,

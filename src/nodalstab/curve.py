@@ -33,8 +33,10 @@ class Component(Record):
     __slots__ = _fields = ("id", "geometric_genus", "internal_nodes")
 
     def __init__(self, id: int, geometric_genus: int = 0, internal_nodes: int = 0):
-        if id < 1:
+        if not isinstance(id, int) or id < 1:
             raise ParseError("component ids must be positive integers", field="components.id")
+        if not (isinstance(geometric_genus, int) and isinstance(internal_nodes, int)):
+            raise ParseError("genus data must be integers", field=f"components[{id}]")
         if geometric_genus < 0 or internal_nodes < 0:
             raise ParseError("genus data must be nonnegative", field=f"components[{id}]")
         _set(self, "id", id)
@@ -175,10 +177,6 @@ class Ordering(Record):
 
     # no __slots__: the cached subtrees live in the instance __dict__
     _fields = ("perm", "nu")
-
-    def __init__(self, perm: tuple, nu: tuple):
-        _set(self, "perm", perm)
-        _set(self, "nu", nu)
 
     @property
     def n(self) -> int:

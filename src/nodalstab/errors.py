@@ -11,9 +11,9 @@ class Record:
     and pickling read those fields and nothing else, so attributes a
     constructor derives stay out of them.  Records of different classes
     are never equal, and assigning or deleting any attribute raises
-    AttributeError.  This base constructor takes the fields by position or
-    keyword; a record that checks its input or is built on a hot path
-    defines its own.
+    AttributeError.  This base constructor builds every record that only
+    stores its fields, taken by position or keyword; only a record that
+    checks its input, or ``Window``, built on the hot path, defines its own.
     """
 
     __slots__ = ()
@@ -21,11 +21,15 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         names = self._fields
-        values = dict(zip(names, args), **kwargs)
-        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
-            raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(names)}")
-        for name in names:
-            _set(self, name, values[name])
+        values = dict(zip(names, args), **kwargs) if args else kwargs   # keywords as given
+        if len(args) + len(kwargs) == len(names):
+            try:
+                for name in names:
+                    _set(self, name, values[name])
+                return
+            except KeyError:   # a repeated or unknown field leaves a field missing
+                pass
+        raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(names)}")
 
     def _key(self) -> tuple:
         return tuple(map(self.__getattribute__, self._fields))

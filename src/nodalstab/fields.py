@@ -59,8 +59,8 @@ class PrimeField:
     """The field F_p for a prime p, elements represented as ints in [0, p)."""
 
     def __init__(self, p: int):
-        if not _is_prime(p):
-            raise InvalidInput(f"{p} is not prime")
+        if not isinstance(p, int) or not _is_prime(p):   # 5.0 is refused, not read as 5
+            raise InvalidInput(f"{p!r} is not prime")
         self.p = p
         self.name = f"F{p}"
         self.zero = 0
@@ -173,8 +173,7 @@ class RationalField:
     @staticmethod
     def format(a) -> str:
         """Lowest terms, "p/q", or "p" when the denominator is 1."""
-        a = Fraction(a)
-        return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
+        return str(Fraction(a))
 
     def rth_root(self, a, r: int):
         """Exact rational r-th root when one exists."""

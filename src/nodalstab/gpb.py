@@ -31,6 +31,9 @@ class GpbClass(Record):
 
     def __init__(self, rank: int, degree: int, nodes: int, flag_dims: tuple = None):
         # flag_dims: per node (m1, m2); defaults to the canonical (r, r)
+        for name, value in (("rank", rank), ("degree", degree), ("nodes", nodes)):
+            if not isinstance(value, int):   # ints only: 2.5 is refused, never truncated
+                raise InvalidInput(f"{name} must be an integer, got {value!r}")
         if rank < 1:
             raise InvalidInput("rank must be positive")
         if nodes < 0:
@@ -38,7 +41,10 @@ class GpbClass(Record):
         if flag_dims is None:
             dims = tuple((rank, rank) for _ in range(nodes))
         else:
-            dims = tuple((m1, m2) for m1, m2 in flag_dims)
+            try:
+                dims = tuple((m1, m2) for m1, m2 in flag_dims)
+            except (TypeError, ValueError):   # an entry that is not a pair
+                raise InvalidInput("flag dimensions must be (m1, m2) pairs") from None
         if len(dims) != nodes:
             raise InvalidInput("need one flag dimension pair per node")
         for m1, m2 in dims:   # ints only: 2.9 or "2" is refused, never truncated
@@ -135,10 +141,6 @@ def flag_to_obj(flag: GluingFlag) -> dict:
 class ProjectionVerdict(Record):
     __slots__ = _fields = ("pr1_iso", "pr2_iso")
 
-    def __init__(self, pr1_iso: bool, pr2_iso: bool):
-        _set(self, "pr1_iso", pr1_iso)
-        _set(self, "pr2_iso", pr2_iso)
-
     @property
     def locally_free(self) -> bool:
         return self.pr1_iso and self.pr2_iso
@@ -146,10 +148,6 @@ class ProjectionVerdict(Record):
 
 class KernelSectionVerdict(Record):
     __slots__ = _fields = ("dim_meet_p_side", "dim_meet_q_side")
-
-    def __init__(self, dim_meet_p_side: int, dim_meet_q_side: int):
-        _set(self, "dim_meet_p_side", dim_meet_p_side)
-        _set(self, "dim_meet_q_side", dim_meet_q_side)
 
     @property
     def passes(self) -> bool:
@@ -169,6 +167,9 @@ def gpb_subbundle_check(g: GpbClass, sub_rank: int, sub_degree: int,
     of its intersection with the flag at each node (each at most the
     subbundle rank, which is what caps its parabolic weight).
     """
+    if not (isinstance(sub_rank, int) and isinstance(sub_degree, int)):
+        raise InvalidInput(f"subbundle rank and degree must be integers, got "
+                           f"{sub_rank!r} and {sub_degree!r}")
     if not 1 <= sub_rank < g.rank:
         raise InvalidInput("subbundle rank must satisfy 1 <= r' < r")
     dims = tuple(sub_flag_dims)

@@ -72,6 +72,8 @@ def _inverse(p: int, n: int, f) -> tuple:
 def _field(p: int, n: int) -> PrimeField:
     """k = F_p, once k[pi]/(pi^(n+1)) is known to be a ring: p prime, n >= 0."""
     k = PrimeField(p)
+    if not isinstance(n, int):   # 1.0 is refused, not read as 1
+        raise InvalidInput(f"truncation order must be an integer, got {n!r}")
     if n < 0:
         raise InvalidInput("truncation order must be nonnegative")
     return k
@@ -154,13 +156,13 @@ class TruncatedScalar(Record):
         """Image in k[pi]/(pi^(m+1)) for m <= n."""
         if not 0 <= m <= self.n:
             raise InvalidInput(f"cannot reduce order {self.n} to order {m}")
-        return TruncatedScalar(self.p, m, self.coeffs[:m + 1])
+        return _scalar(self.p, m, self.coeffs[:m + 1])
 
     def extend(self, m: int):
         """Arbitrary preimage at order m >= n (pads zero coefficients)."""
         if m < self.n:
             raise InvalidInput(f"cannot extend order {self.n} down to {m}")
-        return TruncatedScalar(self.p, m, self.coeffs + (0,) * (m - self.n))
+        return _scalar(self.p, m, self.coeffs + (0,) * (m - self.n))
 
 
 def _scalar(p: int, n: int, cs: tuple) -> TruncatedScalar:
@@ -359,27 +361,15 @@ def truncated_matrix_to_obj(m: TruncatedMatrix) -> dict:
 
 
 class DetTraceVerdict(Record):
+    # lhs: det(I + pi^n A); rhs: 1 + pi^n tr(A)
     __slots__ = _fields = ("lhs", "rhs", "holds")
-
-    def __init__(self, lhs: TruncatedScalar, rhs: TruncatedScalar, holds: bool):
-        _set(self, "lhs", lhs)   # det(I + pi^n A)
-        _set(self, "rhs", rhs)   # 1 + pi^n tr(A)
-        _set(self, "holds", holds)
 
 
 class SlKernelVerdict(Record):
+    # trace_residue: tr(B) mod p when M = I + pi^n B, else None; in_kernel:
+    # det_is_one and reduces_to_identity; trace_condition: reduces_to_identity and residue 0
     __slots__ = _fields = ("det_is_one", "reduces_to_identity", "trace_residue", "in_kernel",
                            "trace_condition", "biconditional_holds")
-
-    def __init__(self, det_is_one: bool, reduces_to_identity: bool, trace_residue: int | None,
-                 in_kernel: bool, trace_condition: bool, biconditional_holds: bool):
-        _set(self, "det_is_one", det_is_one)
-        _set(self, "reduces_to_identity", reduces_to_identity)
-        # tr(B) mod p when M = I + pi^n B, else None
-        _set(self, "trace_residue", trace_residue)
-        _set(self, "in_kernel", in_kernel)               # det_is_one and reduces_to_identity
-        _set(self, "trace_condition", trace_condition)   # reduces_to_identity and residue 0
-        _set(self, "biconditional_holds", biconditional_holds)
 
 
 def one_plus_pi_n(p: int, n: int, A) -> TruncatedMatrix:

@@ -19,7 +19,7 @@ class BundleClass(Record):
     __slots__ = _fields = ("rank", "multidegree")
 
     def __init__(self, rank: int, multidegree: dict):
-        if rank < 1:
+        if not isinstance(rank, int) or rank < 1:
             raise InvalidInput("rank must be a positive integer")
         _set(self, "rank", rank)
         _set(self, "multidegree", multidegree)
@@ -47,9 +47,6 @@ class TwistDivisor(Record):
     """Integer coefficients of a fibral divisor, keyed by component id."""
 
     __slots__ = _fields = ("coeffs",)
-
-    def __init__(self, coeffs: dict):
-        _set(self, "coeffs", coeffs)
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs.values())

@@ -488,3 +488,13 @@ def test_decompose_refuses_a_parent_that_is_not_a_neighbour():
     o = Ordering(perm=(1, 3, 2), nu=(2, 3))
     with pytest.raises(OrderingMismatch, match="^nu\\(1\\) is not adjacent to component 1$"):
         decompose(PATH3, o, 1)
+
+
+@pytest.mark.parametrize("args, what", [((1.5,), "component ids"), ((2.0,), "component ids"),
+                                        (("1",), "component ids"), ((1, 0.5), "genus data"),
+                                        ((1, 0, 0.5), "genus data"), ((1, None), "genus data")])
+def test_component_refuses_numbers_that_are_not_ints(args, what):
+    # Component(1.5) and Component(1, 0.5) built
+    with pytest.raises(ParseError, match=f"^{what} must be "):
+        Component(*args)
+    assert Component(True, False, True).arithmetic_genus == 1

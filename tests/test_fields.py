@@ -170,3 +170,13 @@ def test_rational_rth_root_of_zero_is_refused():
         RationalField().rth_root(0, 3)
     with pytest.raises(InvalidInput):
         RationalField().rth_root(Fraction(0, 5), 1)
+
+
+@pytest.mark.parametrize("p", [5.0, 7.5, Fraction(5), "5", None])
+def test_prime_field_refuses_a_prime_that_is_not_an_int(p):
+    # PrimeField(5.0) built a field named "F5.0" whose elements were floats,
+    # and PrimeField(7.5) raised a bare TypeError
+    with pytest.raises(InvalidInput) as refused:
+        PrimeField(p)
+    assert str(refused.value) == f"{p!r} is not prime"
+    assert PrimeField(5).name == "F5" and PrimeField(5).element(7) == 2

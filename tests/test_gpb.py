@@ -388,3 +388,31 @@ def test_phi_rank_degree_needs_the_canonical_flags():
 def test_picard_rth_root_needs_a_positive_exponent(r):
     with pytest.raises(InvalidInput, match="^root exponent must be positive$"):
         picard_rth_root(PrimeField(7), r, [2])
+
+
+@pytest.mark.parametrize("args, name", [((2.5, 3, 0), "rank"), ((2, 1.5, 1), "degree"),
+                                        ((2, 3, 1.5), "nodes"), ((2.5, 3, 1), "rank"),
+                                        ((Fraction(2), 3, 1), "rank"), ((2, "3", 1), "degree")])
+def test_gpb_class_refuses_numbers_that_are_not_ints(args, name):
+    # (2.5, 3, 0) and (2, 1.5, 1) built, and parabolic_slope then raised a bare
+    # TypeError; (2.5, 3, 1) was refused with the flag-dimension message
+    with pytest.raises(InvalidInput, match=f"^{name} must be an integer, got "):
+        GpbClass(*args)
+    assert GpbClass(True, False, True).flag_dims == ((1, 1),)
+
+
+@pytest.mark.parametrize("dims", [((2, 2, 0),), (5,), ((2,),), (None,), 5])
+def test_gpb_class_refuses_flag_dimensions_that_are_not_pairs(dims):
+    # these ended in a bare ValueError or TypeError from unpacking
+    with pytest.raises(InvalidInput, match=r"^flag dimensions must be \(m1, m2\) pairs$"):
+        GpbClass(2, 3, 1, flag_dims=dims)
+    assert GpbClass(2, 3, 1, flag_dims=[[1, 3]]).flag_dims == ((1, 3),)
+
+
+@pytest.mark.parametrize("sub_rank, sub_degree", [(1.5, 0), (1, 0.5), (Fraction(1), 0),
+                                                  (1, "0"), (None, 0)])
+def test_subbundle_check_refuses_a_rank_or_degree_that_is_not_an_int(sub_rank, sub_degree):
+    # 1.5 and 0.5 ended in a bare TypeError from Fraction
+    with pytest.raises(InvalidInput, match="^subbundle rank and degree must be integers, got "):
+        gpb_subbundle_check(GpbClass(3, 3, 1), sub_rank, sub_degree, (1,))
+    assert gpb_subbundle_check(GpbClass(3, 3, 1), True, False, (1,)).sub_slope == 1

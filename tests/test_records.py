@@ -23,7 +23,8 @@ from nodalstab import (
     Window,
 )
 from nodalstab.errors import Record
-from nodalstab.gpb import PhiNumbers
+from nodalstab.gpb import KernelSectionVerdict, PhiNumbers, ProjectionVerdict
+from nodalstab.truncated import DetTraceVerdict, SlKernelVerdict
 
 # class -> (a builder called twice, the dataclass-form repr, hashable)
 RECORDS = {
@@ -107,3 +108,49 @@ def test_the_base_constructor_takes_each_field_once():
                          ((1, 2, 3), {"chi": 3}), ((), {"rank": 1, "degree": 2, "phi": 3})):
         with pytest.raises(TypeError, match="PhiNumbers takes the fields rank, degree, chi"):
             PhiNumbers(*args, **kwargs)
+
+
+# unexported verdicts the base constructor builds: class -> (field values, repr)
+VERDICTS = {
+    ProjectionVerdict: ((True, False), "ProjectionVerdict(pr1_iso=True, pr2_iso=False)"),
+    KernelSectionVerdict: ((0, 2), "KernelSectionVerdict(dim_meet_p_side=0, dim_meet_q_side=2)"),
+    DetTraceVerdict: ((TruncatedScalar(5, 1, (1, 3)), TruncatedScalar(5, 1, (1, 3)), True),
+                      "DetTraceVerdict(lhs=TruncatedScalar(p=5, n=1, coeffs=(1, 3)), "
+                      "rhs=TruncatedScalar(p=5, n=1, coeffs=(1, 3)), holds=True)"),
+    SlKernelVerdict: ((True, False, None, False, False, True),
+                      "SlKernelVerdict(det_is_one=True, reduces_to_identity=False, "
+                      "trace_residue=None, in_kernel=False, trace_condition=False, "
+                      "biconditional_holds=True)"),
+}
+
+
+@pytest.mark.parametrize("cls", VERDICTS, ids=lambda cls: cls.__name__)
+def test_unexported_verdict_contract(cls):
+    values, text = VERDICTS[cls]
+    a, b = cls(*values), cls(**dict(zip(cls._fields, values)))
+    assert type(a) is cls and a is not b
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != cls(*values[:-1], "other")
+    assert repr(a) == repr(b) == text
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert copy.copy(a) == a and copy.deepcopy(a) == a
+    for name in cls._fields + ("not_a_field",):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+        if name in cls._fields:
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+    assert a == b
+
+
+@pytest.mark.parametrize("cls", VERDICTS, ids=lambda cls: cls.__name__)
+def test_the_keyword_path_refuses_what_the_positional_path_refuses(cls):
+    values = VERDICTS[cls][0]
+    fields = dict(zip(cls._fields, values))
+    first = cls._fields[0]
+    missing = {k: v for k, v in fields.items() if k != first}
+    for args, kwargs in (((), missing), ((), dict(fields, extra=1)),
+                         ((), dict(missing, extra=1)), (values[:1], fields),
+                         (values + (1,), {})):
+        with pytest.raises(TypeError, match=f"^{cls.__name__} takes the fields {first}, "):
+            cls(*args, **kwargs)

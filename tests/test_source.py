@@ -156,3 +156,92 @@ def test_only_cli_imports_inside_a_function():
     # the imports run one way, errors <- the model modules <- cli, each at a
     # module's top; only cli defers its subcommands' modules to the one it runs
     assert modules_where(nested_imports) == ["cli.py"]
+
+
+def unused_imports(source: str) -> list:
+    """The names a module's top-level imports bind that the module never reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names if alias.name != "*"}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    return sorted(bound - read)
+
+
+def test_the_unused_import_finder_finds_names_never_read():
+    source = ("import json, os.path as p\n"
+              "import os.path\n"
+              "from .errors import Record, _set\n"
+              "from itertools import *\n"
+              "def f(x: Record):\n"
+              "    json = 1\n"
+              "    return os.sep\n")
+    assert unused_imports(source) == ["_set", "json", "p"]
+    assert unused_imports("def f():\n    from . import gpb\n") == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    found = [f"{path.name}:{name}" for path in sorted(SRC.rglob("*.py"))
+             for name in unused_imports(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def _stores_a_parameter(stmt, params) -> bool:
+    """Is stmt ``_set(self, "<field>", <parameter>)``?"""
+    call = stmt.value if isinstance(stmt, ast.Expr) else None
+    if not isinstance(call, ast.Call) or getattr(call.func, "id", None) != "_set" \
+            or len(call.args) != 3 or call.keywords:
+        return False
+    target, field, value = call.args
+    return (getattr(target, "id", None) == "self" and isinstance(field, ast.Constant)
+            and isinstance(field.value, str) and getattr(value, "id", None) in params)
+
+
+def pass_through_constructors(source: str) -> list:
+    """The ``Record`` subclasses whose ``__init__`` only stores its parameters,
+    one ``_set(self, "<field>", <parameter>)`` call each: what the base does."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef) \
+                or "Record" not in {getattr(base, "id", None) for base in cls.bases}:
+            continue
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                params = {arg.arg for arg in fn.args.args[1:] + fn.args.kwonlyargs}
+                if all(_stores_a_parameter(stmt, params) for stmt in fn.body):
+                    found.append(cls.name)
+    return found
+
+
+def test_the_pass_through_finder_finds_constructors_that_only_store():
+    source = ("class A(Record):\n"
+              "    def __init__(self, x, y):\n"
+              "        _set(self, 'x', x)   # a comment is not a statement\n"
+              "        _set(self, 'y', y)\n"
+              "class Checks(Record):\n"
+              "    def __init__(self, x):\n"
+              "        if x < 0:\n"
+              "            raise ValueError(x)\n"
+              "        _set(self, 'x', x)\n"
+              "class Derives(Record):\n"
+              "    def __init__(self, x):\n"
+              "        _set(self, 'x', tuple(x))\n"
+              "class Mutable(Record):\n"
+              "    def __init__(self, x):\n"
+              "        self.x = x\n"
+              "class NotARecord:\n"
+              "    def __init__(self, x):\n"
+              "        _set(self, 'x', x)\n")
+    assert pass_through_constructors(source) == ["A"]
+
+
+def test_only_records_that_check_or_are_hot_define_a_constructor():
+    # Record.__init__ stores the fields, by position or keyword; a constructor
+    # that only does the same is a second way to build a record
+    found = [f"{path.name}:{name}" for path in sorted(SRC.rglob("*.py"))
+             for name in pass_through_constructors(path.read_text(encoding="utf-8"))]
+    assert found == []

@@ -452,3 +452,21 @@ def test_sl_lift_needs_determinant_one():
     assert M.det() == scalar(5, 1, 2, 0)
     with pytest.raises(InvalidInput, match="^sl_lift needs a determinant-1 matrix$"):
         sl_lift(M)
+
+
+def test_a_ring_over_a_prime_that_is_not_an_int_is_refused():
+    # this scalar used to hold the floats (1.0, 2.0)
+    with pytest.raises(InvalidInput, match="^5.0 is not prime$"):
+        TruncatedScalar(5.0, 1, (1, 2))
+    with pytest.raises(InvalidInput, match="^5.0 is not prime$"):
+        TruncatedMatrix(5.0, 0, [[(1,)]])
+
+
+@pytest.mark.parametrize("n", [1.0, 0.5, "1", None])
+def test_a_truncation_order_that_is_not_an_int_is_refused(n):
+    # TruncatedScalar(5, 1.0, (1, 2)) built, and its product raised a bare TypeError
+    with pytest.raises(InvalidInput, match="^truncation order must be an integer, got "):
+        TruncatedScalar(5, n, (1, 2))
+    with pytest.raises(InvalidInput, match="^truncation order must be an integer, got "):
+        TruncatedMatrix.identity(5, n, 2)
+    assert TruncatedScalar(5, True, (1, 2)) * TruncatedScalar(5, 1, (1, 2)) == scalar(5, 1, 1, 4)

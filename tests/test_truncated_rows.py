@@ -244,3 +244,10 @@ def test_the_row_operations_share_the_product_kernel(monkeypatch):
     M = TruncatedMatrix.identity(7, 1, 3)
     M @ M
     assert calls == [3] * 9
+
+
+def test_scalar_reduce_and_extend_build_no_checked_scalar(monkeypatch):
+    # the coefficients are already checked and reduced mod p
+    x = TruncatedScalar(7, 2, (3, 0, 5))
+    assert count_scalars(monkeypatch, lambda: x.reduce(1).extend(4)) == 0
+    assert x.reduce(1).extend(4) == TruncatedScalar(7, 4, (3, 0, 0, 0, 0))

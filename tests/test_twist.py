@@ -22,7 +22,7 @@ from nodalstab import (
     seshadri_slope,
     twist,
 )
-from nodalstab.errors import DocumentMismatch, EmptySubcurve, IndexOutOfRange
+from nodalstab.errors import DocumentMismatch, EmptySubcurve, IndexOutOfRange, InvalidInput
 
 
 def curve(decorations, edges):
@@ -272,3 +272,11 @@ def test_edgewise_twist_matches_an_intersection_matrix_replay(shape):
         assert got.rank == bc.rank
         assert got.multidegree == expect
         assert list(got.multidegree) == list(c.ids)
+
+
+@pytest.mark.parametrize("rank", [2.5, 2.0, "2", None])
+def test_bundle_class_refuses_a_rank_that_is_not_an_int(rank):
+    # BundleClass(2.5, {1: 3}) built
+    with pytest.raises(InvalidInput, match="^rank must be a positive integer$"):
+        BundleClass(rank, {1: 3})
+    assert BundleClass(True, {1: 3}).rank == 1
