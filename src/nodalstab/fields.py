@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import InvalidInput, NoRoot, _rational_text
+from .errors import InvalidInput, NoRoot, Record, _rational_text, _set
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -55,16 +55,20 @@ def _factor(n: int) -> dict:
     return out
 
 
-class PrimeField:
+class PrimeField(Record):
     """The field F_p for a prime p, elements represented as ints in [0, p)."""
+
+    __slots__ = _fields = ("p",)
+    zero, one = 0, 1
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not _is_prime(p):   # 5.0 is refused, not read as 5
             raise InvalidInput(f"{p!r} is not prime")
-        self.p = p
-        self.name = f"F{p}"
-        self.zero = 0
-        self.one = 1
+        _set(self, "p", p)
+
+    @property
+    def name(self) -> str:
+        return f"F{self.p}"
 
     def element(self, x) -> int:
         """x mod p for an int x; anything else is refused, never truncated."""
@@ -128,19 +132,9 @@ class PrimeField:
             best = min(best, b)
         return best
 
-    def __repr__(self):
-        return f"PrimeField({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
 
 def _int_nth_root(m: int, r: int):
-    """Exact floor r-th root of m >= 0 (bisection on ints)."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m in (0, 1):
-        return m
+    """Exact floor r-th root of m >= 1 (bisection on ints)."""
     lo, hi = 1, 1 << ((m.bit_length() + r - 1) // r + 1)
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -151,15 +145,16 @@ def _int_nth_root(m: int, r: int):
     return lo
 
 
-class RationalField:
+class RationalField(Record):
     """The rationals, elements represented as ``Fraction``."""
 
-    def __init__(self):
-        self.name = "Q"
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+    __slots__ = _fields = ()
+    name, zero, one = "Q", Fraction(0), Fraction(1)
 
     def element(self, x) -> Fraction:
+        """An int or a ``Fraction`` x as a Fraction; a float is refused, never expanded."""
+        if not isinstance(x, (int, Fraction)):
+            raise InvalidInput(f"{x!r} is not an integer or a Fraction, so not an element of Q")
         return x if isinstance(x, Fraction) else Fraction(x)
 
     def is_zero(self, a) -> bool:
@@ -177,7 +172,7 @@ class RationalField:
 
     def rth_root(self, a, r: int):
         """Exact rational r-th root when one exists."""
-        a = Fraction(a)
+        a = self.element(a)
         if a == 0:
             raise InvalidInput("r-th roots are only taken of nonzero scalars")
         if a < 0 and r % 2 == 0:
@@ -188,12 +183,6 @@ class RationalField:
             raise NoRoot(f"{a} has no rational {r}-th root")
         root = Fraction(rn, rd)
         return -root if a < 0 else root
-
-    def __repr__(self):
-        return "RationalField()"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
 
 
 def parse_field(name: str):

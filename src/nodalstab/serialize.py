@@ -13,10 +13,14 @@ from .errors import ParseError, _require
 
 
 def _unique_keys(pairs) -> dict:
-    obj = {}
-    for k, v in pairs:
-        _require(k not in obj, f"duplicate key {k!r}")
-        obj[k] = v
+    """The object of a list of key-value pairs; only when a key repeats are
+    the keys walked again, to name the first one that does."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for k, _ in pairs:
+            _require(k not in seen, f"duplicate key {k!r}")
+            seen.add(k)
     return obj
 
 

@@ -13,6 +13,14 @@ from .errors import (DocumentMismatch, EmptySubcurve, IndexOutOfRange, InvalidIn
                      _id_map, _require, _set, _small_int)
 
 
+def _int_values(mapping: dict, what: str) -> dict:
+    """The mapping, once each of its values is an int (2.5 is refused, never truncated)."""
+    for k, v in mapping.items():
+        if not isinstance(v, int):
+            raise InvalidInput(f"{what} of component {k!r} must be an integer, got {v!r}")
+    return mapping
+
+
 class BundleClass(Record):
     """Numerical class of a locally free sheaf: rank plus per-component degrees."""
 
@@ -22,7 +30,7 @@ class BundleClass(Record):
         if not isinstance(rank, int) or rank < 1:
             raise InvalidInput("rank must be a positive integer")
         _set(self, "rank", rank)
-        _set(self, "multidegree", multidegree)
+        _set(self, "multidegree", _int_values(multidegree, "the degree"))
 
     @property
     def total_degree(self) -> int:
@@ -47,6 +55,9 @@ class TwistDivisor(Record):
     """Integer coefficients of a fibral divisor, keyed by component id."""
 
     __slots__ = _fields = ("coeffs",)
+
+    def __init__(self, coeffs: dict):
+        _set(self, "coeffs", _int_values(coeffs, "the twist coefficient"))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs.values())

@@ -1,6 +1,7 @@
 """Differential tests of the prime-field primitives against brute force."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -180,3 +181,47 @@ def test_prime_field_refuses_a_prime_that_is_not_an_int(p):
         PrimeField(p)
     assert str(refused.value) == f"{p!r} is not prime"
     assert PrimeField(5).name == "F5" and PrimeField(5).element(7) == 2
+
+
+def test_a_field_cannot_change_under_its_values():
+    # f.p = 7 succeeded, after which repr read PrimeField(7), name still F5,
+    # and element(7) was 0: one prime named, another computed with
+    for field in (PrimeField(5), RationalField()):
+        for name in ("p", "name", "zero", "one"):
+            with pytest.raises(AttributeError):
+                setattr(field, name, 7)
+    f = PrimeField(5)
+    assert (f.p, f.name, f.element(7), repr(f)) == (5, "F5", 2, "PrimeField(p=5)")
+    assert (f.zero, f.one) == (0, 1)
+    q = RationalField()
+    assert (q.name, q.zero, q.one) == ("Q", Fraction(0), Fraction(1))
+
+
+def test_fields_are_equal_only_within_their_class():
+    assert PrimeField(5) != RationalField() and RationalField() != PrimeField(5)
+    assert PrimeField(5) != PrimeField(7)
+    assert {PrimeField(5), PrimeField(5), RationalField(), RationalField()} == \
+        {PrimeField(5), RationalField()}
+    with pytest.raises(TypeError):
+        RationalField(1)
+
+
+@pytest.mark.parametrize("x", [0.1, 0.25, "1/3", "2", Decimal("0.5"), None, 1j])
+def test_a_rational_element_is_an_int_or_a_fraction(x):
+    # Fraction(0.1) stored 3602879701896397/36028797018963968, and the root of
+    # 0.25 came out as 1/2
+    with pytest.raises(InvalidInput, match=" is not an integer or a Fraction, so not an element "
+                                           "of Q$"):
+        RationalField().element(x)
+    with pytest.raises(InvalidInput, match="not an element of Q$"):
+        RationalField().rth_root(x, 2)
+
+
+def test_rational_elements_and_roots_of_ints_and_fractions():
+    q = RationalField()
+    quarter = Fraction(1, 4)
+    assert q.element(quarter) is quarter
+    assert q.element(3) == Fraction(3) and type(q.element(3)) is Fraction
+    assert q.element(True) == 1   # a bool counts as an int, as in F_p
+    assert q.rth_root(quarter, 2) == Fraction(1, 2)
+    assert q.rth_root(-8, 3) == -2

@@ -416,3 +416,23 @@ def test_subbundle_check_refuses_a_rank_or_degree_that_is_not_an_int(sub_rank, s
     with pytest.raises(InvalidInput, match="^subbundle rank and degree must be integers, got "):
         gpb_subbundle_check(GpbClass(3, 3, 1), sub_rank, sub_degree, (1,))
     assert gpb_subbundle_check(GpbClass(3, 3, 1), True, False, (1,)).sub_slope == 1
+
+
+def test_a_gluing_flag_is_a_hashable_value():
+    # hash(flag) raised "unhashable type: 'PrimeField'"
+    flag = build_rational_flag(PrimeField(5), 2, 3, 1)
+    assert hash(flag) == hash(build_rational_flag(PrimeField(5), 2, 3, 1))
+    seen = {flag: "F5", GluingFlag(Q, 1, [[1, Fraction(1, 3)]]): "Q"}
+    assert seen[build_rational_flag(PrimeField(5), 2, 3, 1)] == "F5"
+    assert seen[GluingFlag(Q, 1, [[1, Fraction(2, 6)]])] == "Q"
+    assert GluingFlag(PrimeField(5), 1, [[1, 2]]) not in seen
+
+
+def test_rational_flags_and_roots_refuse_floats_and_strings():
+    with pytest.raises(InvalidInput, match=r"^0\.1 is not an integer or a Fraction"):
+        GluingFlag(RationalField(), 1, [[0.1, "1/3"]])
+    with pytest.raises(InvalidInput, match="^'1/3' is not an integer or a Fraction"):
+        GluingFlag(RationalField(), 1, [[1, "1/3"]])
+    with pytest.raises(InvalidInput, match=r"^0\.25 is not an integer or a Fraction"):
+        picard_rth_root(RationalField(), 2, [0.25])
+    assert picard_rth_root(RationalField(), 2, [Fraction(1, 4), 9]) == [Fraction(1, 2), 3]

@@ -16,6 +16,7 @@ from nodalstab import (
     Ordering,
     Polarization,
     PrimeField,
+    RationalField,
     TreeLikeCurve,
     TruncatedMatrix,
     TruncatedScalar,
@@ -51,8 +52,10 @@ RECORDS = {
                     "balanced=BundleClass(rank=1, multidegree={1: 0}), steps=())", False),
     GpbClass: (lambda: GpbClass(2, 3, nodes=1),
                "GpbClass(rank=2, degree=3, nodes=1, flag_dims=((2, 2),))", True),
+    PrimeField: (lambda: PrimeField(5), "PrimeField(p=5)", True),
+    RationalField: (RationalField, "RationalField()", True),
     GluingFlag: (lambda: GluingFlag(PrimeField(5), 1, [[1, 6]]),
-                 "GluingFlag(field=PrimeField(5), rank=1, basis_matrix=((1, 1),))", False),
+                 "GluingFlag(field=PrimeField(p=5), rank=1, basis_matrix=((1, 1),))", True),
     TruncatedScalar: (lambda: TruncatedScalar(5, 1, (1, 7)),
                       "TruncatedScalar(p=5, n=1, coeffs=(1, 2))", True),
     TruncatedMatrix: (lambda: TruncatedMatrix(5, 0, [[(6,)]]),

@@ -249,3 +249,15 @@ def test_order_report_g_and_b_match_decompose(shape):
             if node is not None:
                 assert list(obj["boundary_nodes"][str(i)]) == list(node)
         assert len(obj["boundary_nodes"]) == n - 1
+
+
+def test_read_json_names_the_first_repeated_key(tmp_path):
+    path = tmp_path / "bundle.json"
+    path.write_text('{"b": 1, "a": 2, "a": 3, "b": 4}')
+    with pytest.raises(ParseError, match="^duplicate key 'a'$"):
+        ser.read_json(str(path))
+    path.write_text('{"rank": 2, "multidegree": {"1": 5, "2": 1, "2": 1, "1": 5}}')
+    with pytest.raises(ParseError, match="^duplicate key '2'$"):
+        ser.read_json(str(path))
+    path.write_text('{"rank": 2, "multidegree": {"1": 5, "2": 1}}')
+    assert ser.read_json(str(path)) == {"rank": 2, "multidegree": {"1": 5, "2": 1}}

@@ -245,3 +245,39 @@ def test_only_records_that_check_or_are_hot_define_a_constructor():
     found = [f"{path.name}:{name}" for path in sorted(SRC.rglob("*.py"))
              for name in pass_through_constructors(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def equality_classes(source: str) -> list:
+    """The classes whose body defines an ``__eq__`` or ``__hash__`` method
+    (``__hash__ = None``, which takes the hash away, defines none)."""
+    return [cls.name for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef)
+            and any(isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and fn.name in ("__eq__", "__hash__") for fn in cls.body)]
+
+
+def test_the_equality_finder_finds_eq_and_hash_methods():
+    source = ("class Eq:\n"
+              "    def __eq__(self, other):\n"
+              "        return True\n"
+              "class Hash(Record):\n"
+              "    async def __hash__(self):\n"
+              "        return 0\n"
+              "class Mutable(Record):\n"
+              "    __reduce__, __hash__ = object.__reduce__, None\n"
+              "class Plain(Record):\n"
+              "    __slots__ = _fields = ('eq',)\n"
+              "    def __repr__(self):\n"
+              "        def __eq__(a, b):\n"
+              "            return a == b\n"
+              "        return '__eq__ __hash__'\n"
+              "def __eq__(a, b):\n"
+              "    return a is b\n")
+    assert equality_classes(source) == ["Eq", "Hash"]
+
+
+def test_only_record_defines_equality():
+    # every value the package exports compares and hashes by its Record fields;
+    # a hand-written __eq__ could drift from the repr, hash and pickle
+    found = [f"{path.name}:{name}" for path in sorted(SRC.rglob("*.py"))
+             for name in equality_classes(path.read_text(encoding="utf-8"))]
+    assert found == ["errors.py:Record"]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -280,3 +281,16 @@ def test_bundle_class_refuses_a_rank_that_is_not_an_int(rank):
     with pytest.raises(InvalidInput, match="^rank must be a positive integer$"):
         BundleClass(rank, {1: 3})
     assert BundleClass(True, {1: 3}).rank == 1
+
+
+@pytest.mark.parametrize("value", [3.5, 3.0, "3", Fraction(3), None])
+def test_bundle_and_twist_values_are_ints(value):
+    # BundleClass(2, {1: 3.5}) and TwistDivisor(coeffs={1: 0.5}) built, and
+    # twist then returned float degrees
+    tail = f" must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(InvalidInput, match="^the degree of component 2" + tail):
+        BundleClass(2, {1: 3, 2: value})
+    with pytest.raises(InvalidInput, match="^the twist coefficient of component 1" + tail):
+        TwistDivisor(coeffs={1: value, 2: 0})
+    assert BundleClass(2, {1: True}).multidegree == {1: 1}
+    assert twist(PATH2, BC2, TwistDivisor({1: 1, 2: False})).multidegree == {1: 3, 2: 1}
