@@ -87,6 +87,9 @@ class TreeLikeCurve(Record):
         norm, simple, pairs, deg = [], set(), [], [0] * len(ids)
         for e in edges:
             a, b = e
+            if not (isinstance(a, int) and isinstance(b, int)):   # 2.0 would find id 2
+                raise ParseError(f"edge {list(e)} has an endpoint that is not an integer",
+                                 field="edges")
             try:
                 x, y = index[a], index[b]
             except KeyError:
@@ -172,11 +175,14 @@ class Ordering(Record):
     ``nu`` when first read; B(i) is the whole curve, ``subtrees[-1]``,
     minus G(i).  It takes O(N * depth) space and only reports read it, so
     it is the one view built lazily: nothing that only needs window sums
-    pays for it.
+    pays for it.  ``_curve``, not a field, is the curve object
+    :func:`prune_ordering` built it for, which ``lambda_check`` trusts; a
+    copy, an unpickled ordering or one built by hand has None.
     """
 
-    # no __slots__: the cached subtrees live in the instance __dict__
+    # no __slots__: the cached subtrees and _curve live in the instance __dict__
     _fields = ("perm", "nu")
+    _curve = None
 
     @property
     def n(self) -> int:
@@ -325,8 +331,10 @@ def prune_ordering(c: TreeLikeCurve) -> Ordering:
     pos = [0] * n
     for k, v in enumerate(perm, 1):
         pos[v] = k
-    return Ordering(perm=tuple(map(c.ids.__getitem__, perm)),
-                    nu=tuple(map(pos.__getitem__, parent)))
+    o = Ordering(perm=tuple(map(c.ids.__getitem__, perm)),
+                 nu=tuple(map(pos.__getitem__, parent)))
+    _set(o, "_curve", c)
+    return o
 
 
 def decompose(c: TreeLikeCurve, ordering: Ordering, i: int):

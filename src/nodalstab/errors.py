@@ -29,7 +29,8 @@ class Record:
                 return
             except KeyError:   # a repeated or unknown field leaves a field missing
                 pass
-        raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(names)}")
+        raise TypeError(f"{type(self).__qualname__} takes "
+                        + (f"the fields {', '.join(names)}" if names else "no fields"))
 
     def _key(self) -> tuple:
         return tuple(map(self.__getattribute__, self._fields))

@@ -24,7 +24,7 @@ from .errors import (
     _require,
     _set,
 )
-from .twist import BundleClass, _chi, euler_char_total, require_match
+from .twist import BundleClass, _chi, _dict_arg, euler_char_total, require_match
 
 
 class Polarization(Record):
@@ -35,7 +35,7 @@ class Polarization(Record):
 
     def __init__(self, weights: dict):
         # checked and kept as integers: each weight times den, the lcm of the denominators
-        w = {i: Fraction(v) for i, v in weights.items()}
+        w = {i: Fraction(v) for i, v in _dict_arg(weights, "Polarization").items()}
         pairs = [v.as_integer_ratio() for v in w.values()]
         den = math.lcm(*[d for _, d in pairs])
         scaled = [n * (den // d) for n, d in pairs]
@@ -237,9 +237,12 @@ def lambda_check(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
     on G(i).  The final position compares the full componentwise sum
     with chi + r(N - 1) and always sits at the lower endpoint.  Returns
     one ``Window`` per position; G(i) is not built unless one is read.
+    An ordering ``prune_ordering`` built for this very curve object is
+    trusted; any other is checked against the curve in O(N) first.
     """
     c.require_valid()
-    verify_ordering(c, ordering)
+    if getattr(ordering, "_curve", None) is not c:
+        verify_ordering(c, ordering)
     values, lows, den = _windows(c, ordering, bc, pol)
     n = ordering.n
     return list(map(Window, range(1, n + 1), ordering.perm, values, lows,

@@ -13,9 +13,16 @@ from .errors import (DocumentMismatch, EmptySubcurve, IndexOutOfRange, InvalidIn
                      _id_map, _require, _set, _small_int)
 
 
-def _int_values(mapping: dict, what: str) -> dict:
-    """The mapping, once each of its values is an int (2.5 is refused, never truncated)."""
-    for k, v in mapping.items():
+def _dict_arg(mapping, record: str) -> dict:
+    if not isinstance(mapping, dict):
+        raise InvalidInput(
+            f"{record} needs a dict keyed by component id, got {type(mapping).__name__}")
+    return mapping
+
+
+def _int_values(mapping: dict, record: str, what: str) -> dict:
+    """The mapping, once it is a dict of ints (2.5 is refused, never truncated)."""
+    for k, v in _dict_arg(mapping, record).items():
         if not isinstance(v, int):
             raise InvalidInput(f"{what} of component {k!r} must be an integer, got {v!r}")
     return mapping
@@ -30,7 +37,7 @@ class BundleClass(Record):
         if not isinstance(rank, int) or rank < 1:
             raise InvalidInput("rank must be a positive integer")
         _set(self, "rank", rank)
-        _set(self, "multidegree", _int_values(multidegree, "the degree"))
+        _set(self, "multidegree", _int_values(multidegree, "BundleClass", "the degree"))
 
     @property
     def total_degree(self) -> int:
@@ -57,7 +64,7 @@ class TwistDivisor(Record):
     __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: dict):
-        _set(self, "coeffs", _int_values(coeffs, "the twist coefficient"))
+        _set(self, "coeffs", _int_values(coeffs, "TwistDivisor", "the twist coefficient"))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs.values())

@@ -1,6 +1,9 @@
 import itertools
 import random
+import re
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -498,3 +501,18 @@ def test_component_refuses_numbers_that_are_not_ints(args, what):
     with pytest.raises(ParseError, match=f"^{what} must be "):
         Component(*args)
     assert Component(True, False, True).arithmetic_genus == 1
+
+
+@pytest.mark.parametrize("bad", [2.0, Fraction(2), Decimal(2), "2", None])
+def test_curve_refuses_an_edge_endpoint_that_is_not_an_int(bad):
+    # TreeLikeCurve(..., ((1, 2.0),)) built, since 2.0 finds id 2 in the index,
+    # and its edges and simple_edges then held (1, 2.0)
+    comps = (Component(1), Component(2), Component(3))
+    for edges in (((1, 2), (2, bad)), iter(((1, 2), (2, bad)))):
+        with pytest.raises(ParseError, match=re.escape(
+                f"edge {[2, bad]} has an endpoint that is not an integer; field=edges")):
+            TreeLikeCurve(components=comps, edges=edges)
+    assert TreeLikeCurve(components=comps, edges=((1, 2), (True, 3))).edges == ((1, 2), (1, 3))
+    # the edges are walked once, so a one-shot iterable builds the same curve
+    c = TreeLikeCurve(components=comps, edges=iter([[1, 2], [2, 3]]))
+    assert c.edges == ((1, 2), (2, 3)) and validate_curve(c).valid

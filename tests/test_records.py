@@ -157,3 +157,11 @@ def test_the_keyword_path_refuses_what_the_positional_path_refuses(cls):
                          (values + (1,), {})):
         with pytest.raises(TypeError, match=f"^{cls.__name__} takes the fields {first}, "):
             cls(*args, **kwargs)
+
+
+def test_a_record_with_no_fields_says_it_takes_none():
+    # RationalField(1) raised "RationalField takes the fields " with nothing after it
+    for args, kwargs in (((1,), {}), ((), {"p": 5})):
+        with pytest.raises(TypeError, match="^RationalField takes no fields$"):
+            RationalField(*args, **kwargs)
+    assert RationalField() == RationalField()

@@ -1,18 +1,25 @@
+import copy
+import pathlib
+import pickle
 import random
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
 
 import pytest
 
 import helpers
+from nodalstab import cli, stability
 from nodalstab import (
     AmpleDegrees,
     BundleClass,
     Component,
+    Ordering,
     Polarization,
     TreeLikeCurve,
     TwistDivisor,
     balance,
+    balance_step,
     decompose,
     det_compatibility,
     euler_char_total,
@@ -466,3 +473,94 @@ def test_det_compatibility_refuses_keys_other_than_the_curves():
         with pytest.raises(DocumentMismatch, match="^determinant multidegree keys do not match"):
             det_compatibility(PATH2, BC2, det)
     assert det_compatibility(PATH2, BC2, {1: 5, 2: -1}).mismatched == ()
+
+
+@pytest.mark.parametrize("weights", [None, [Fraction(1, 2)] * 2,
+                                     MappingProxyType({1: Fraction(1, 2), 2: Fraction(1, 2)})])
+def test_polarization_weights_come_in_a_dict(weights):
+    # Polarization(None) raised a bare AttributeError
+    with pytest.raises(InvalidInput, match="^Polarization needs a dict keyed by component id, "
+                                           f"got {type(weights).__name__}$"):
+        Polarization(weights)
+
+
+# ---------------------- an ordering is verified once: pruned for this curve
+
+def rebuilt_orderings(o):
+    """Orderings equal to o that prune_ordering did not return: rebuilt, pickled, copied."""
+    return Ordering(o.perm, o.nu), pickle.loads(pickle.dumps(o)), copy.copy(o)
+
+
+def counting_verify(monkeypatch):
+    """Count the calls lambda_check makes to verify_ordering."""
+    real, calls = stability.verify_ordering, []
+
+    def counting(c, ordering):
+        calls.append(ordering)
+        return real(c, ordering)
+    monkeypatch.setattr(stability, "verify_ordering", counting)
+    return calls
+
+
+def test_a_pruned_ordering_gives_the_windows_of_any_equal_ordering():
+    rng = random.Random(337)
+    for shape in helpers.SHAPES:
+        for n in (1, 2, 7, 30):
+            c = helpers.relabel_far(rng, helpers.shaped_curve(rng, n, shape))
+            bc = helpers.random_bundle(rng, c)
+            pol = helpers.random_polarization(rng, c)
+            o = prune_ordering(c)
+            windows = lambda_check(c, o, bc, pol)
+            for other in rebuilt_orderings(o):
+                assert other == o and getattr(other, "_curve", None) is None
+                assert lambda_check(c, other, bc, pol) == windows
+
+
+def test_lambda_check_verifies_only_an_ordering_pruned_elsewhere(monkeypatch):
+    calls = counting_verify(monkeypatch)
+    rng = random.Random(347)
+    for shape in helpers.SHAPES:
+        c = helpers.relabel_far(rng, helpers.shaped_curve(rng, 12, shape))
+        bc = helpers.random_bundle(rng, c)
+        pol = helpers.random_polarization(rng, c)
+        o = prune_ordering(c)
+        lambda_check(c, o, bc, pol)
+        balance_step(c, o, bc, pol, o.n - 1)
+        balance(c, bc, pol)
+        assert calls == []
+        for other in rebuilt_orderings(o):
+            lambda_check(c, other, bc, pol)
+            assert calls == [other]
+            calls.clear()
+        twin = TreeLikeCurve(components=c.components, edges=c.edges)
+        assert twin == c and twin is not c
+        lambda_check(twin, o, bc, pol)
+        lambda_check(c, prune_ordering(twin), bc, pol)
+        assert len(calls) == 2
+        calls.clear()
+
+
+def test_an_ordering_pruned_from_another_shape_is_still_refused():
+    rng = random.Random(349)
+    path = helpers.shaped_curve(rng, 6, "path")
+    star = TreeLikeCurve(components=path.components,
+                         edges=tuple((1, i) for i in range(2, 7)))
+    bc = helpers.random_bundle(rng, path)
+    pol = helpers.random_polarization(rng, path)
+    for c, other in ((path, star), (star, path)):
+        with pytest.raises(OrderingMismatch):
+            lambda_check(other, prune_ordering(c), bc, pol)
+    with pytest.raises(OrderingMismatch):
+        lambda_check(path, prune_ordering(helpers.shaped_curve(rng, 5, "path")), bc, pol)
+
+
+@pytest.mark.parametrize("command, bundle", [("check", "path2_bundle.json"),
+                                             ("balance", "path2_bundle.json"),
+                                             ("check", "path2_bundle_balanced.json")])
+def test_the_cli_verifies_no_ordering_it_pruned(monkeypatch, capsys, command, bundle):
+    calls = counting_verify(monkeypatch)
+    fixtures = pathlib.Path(__file__).parent / "fixtures"
+    code = cli.run([command, "--curve", str(fixtures / "curves" / "path2_g11.json"),
+                    "--bundle", str(fixtures / bundle), "--pol", str(fixtures / "path2_pol.json")])
+    assert code in (0, 1) and capsys.readouterr().out
+    assert calls == []

@@ -3,6 +3,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -294,3 +295,14 @@ def test_bundle_and_twist_values_are_ints(value):
         TwistDivisor(coeffs={1: value, 2: 0})
     assert BundleClass(2, {1: True}).multidegree == {1: 1}
     assert twist(PATH2, BC2, TwistDivisor({1: 1, 2: False})).multidegree == {1: 3, 2: 1}
+
+
+@pytest.mark.parametrize("container", [None, [1, 2], (3,), MappingProxyType({1: 3, 2: 1})])
+def test_bundle_and_twist_values_come_in_a_dict(container):
+    # BundleClass(2, None) and TwistDivisor([1, 2]) raised a bare AttributeError,
+    # and a read-only mapping built a record its checks had not covered
+    tail = f" needs a dict keyed by component id, got {type(container).__name__}$"
+    with pytest.raises(InvalidInput, match="^BundleClass" + tail):
+        BundleClass(2, container)
+    with pytest.raises(InvalidInput, match="^TwistDivisor" + tail):
+        TwistDivisor(container)
