@@ -20,7 +20,7 @@ from itertools import repeat
 
 from .curve import Ordering, TreeLikeCurve, prune_ordering
 from .errors import IndexOutOfRange, InvariantViolated, PreconditionViolated, Record
-from .stability import Polarization, Window, _chi_sums, _chosen, _windows, lambda_check
+from .stability import Polarization, Window, _chosen, _windows, lambda_check
 from .twist import BundleClass, TwistDivisor, twist
 
 
@@ -58,9 +58,9 @@ def balance(c: TreeLikeCurve, bc: BundleClass, pol: Polarization) -> BalanceResu
 
     Runs exactly N-1 steps in decreasing position order; the last
     position needs no twist.  The accumulated twist is then replayed
-    through ``twist`` and every chi sum re-evaluated (the window bounds
-    depend only on total chi): the replayed class must pass every window
-    and keep the total degree and chi, or InvariantViolated is raised.
+    through ``twist`` and its windows evaluated again: the replayed class
+    must keep the total degree and the window bounds (which depend only
+    on total chi) and pass every window, or InvariantViolated is raised.
     """
     ordering = prune_ordering(c)
     perm, nu, n, r = ordering.perm, ordering.nu, ordering.n, bc.rank
@@ -74,13 +74,13 @@ def balance(c: TreeLikeCurve, bc: BundleClass, pol: Polarization) -> BalanceResu
         a[k] = _chosen(before[k] * den - lows[k], width)
     t = TwistDivisor(coeffs=dict(zip(perm, a)))
     balanced = twist(c, bc, t)
-    after = _chi_sums(c, ordering, balanced)
-    # the last window's chi sum is chi + r(N - 1), so it carries total chi
-    if balanced.total_degree != bc.total_degree or after[-1] != values[-1] \
+    after, after_lows, _ = _windows(c, ordering, balanced, pol)
+    # every weight is positive, so equal bounds mean the twist kept total chi
+    if balanced.total_degree != bc.total_degree or after_lows != lows \
             or not all(lo <= v * den <= lo + width for v, lo in zip(after, lows)):
         raise InvariantViolated("the accumulated twist does not balance the class")
     # one record per step, in step order: positions N-1 down to 1
     steps = map(Window, range(n - 1, 0, -1), perm[n - 2::-1], before[n - 2::-1],
-                lows[n - 2::-1], repeat(den), repeat(r), repeat(ordering))
+                lows[n - 2::-1], repeat(den), repeat(r))
     return BalanceResult(ordering=ordering, twist=t, balanced=balanced, steps=tuple(steps))
 

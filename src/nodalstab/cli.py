@@ -40,15 +40,15 @@ _MAX_MATRIX_ORDER = 10_000
 _MAX_NODES = 10_000
 
 
-def _verdicts_to_obj(verdicts) -> list:
+def _verdicts_to_obj(verdicts, subtrees) -> list:
     return [{"i": v.i,
              "component": v.component,
-             "G": v.g_components,
+             "G": g,
              "lower": str(v.lower),
              "upper": str(v.upper),
              "value": v.value,
              "passes": v.passes}
-            for v in verdicts]
+            for v, g in zip(verdicts, subtrees)]
 
 
 def cmd_validate(args):
@@ -84,12 +84,13 @@ def cmd_check(args):
     from .curve import prune_ordering
     from .stability import lambda_check
     c, bc, pol = _load_triple(args)
-    verdicts = lambda_check(c, prune_ordering(c), bc, pol)
+    ordering = prune_ordering(c)
+    verdicts = lambda_check(c, ordering, bc, pol)
     ok = all(v.passes for v in verdicts)
     obj = {"passes": ok,
            "rank": bc.rank,
            "total_degree": bc.total_degree,
-           "indices": _verdicts_to_obj(verdicts)}
+           "indices": _verdicts_to_obj(verdicts, ordering.subtrees)}
     return obj, (EXIT_OK if ok else EXIT_FAIL)
 
 
@@ -114,7 +115,7 @@ def cmd_balance(args):
                    "chosen": s.chosen}
                   for s in result.steps],
         "passes": all(v.passes for v in verdicts),
-        "indices": _verdicts_to_obj(verdicts),
+        "indices": _verdicts_to_obj(verdicts, result.ordering.subtrees),
     }
     return obj, EXIT_OK
 

@@ -9,7 +9,6 @@ once, when it is built; :func:`validate_curve` reports the result and
 every other operation demands it.
 """
 
-from functools import cached_property
 from operator import attrgetter
 
 from .errors import (
@@ -171,24 +170,23 @@ class Ordering(Record):
     branch of the curve minus component i that holds every higher
     position; at position N, G is the whole curve and B is empty.
 
-    ``subtrees`` lists G(i) at every position, derived from ``perm`` and
-    ``nu`` when first read; B(i) is the whole curve, ``subtrees[-1]``,
-    minus G(i).  It takes O(N * depth) space and only reports read it, so
-    it is the one view built lazily: nothing that only needs window sums
-    pays for it.  ``_curve``, not a field, is the curve object
-    :func:`prune_ordering` built it for, which ``lambda_check`` trusts; a
-    copy, an unpickled ordering or one built by hand has None.
+    ``subtrees`` lists G(i) at every position, built from ``perm`` and
+    ``nu`` on each read; B(i) is the whole curve, ``subtrees[-1]``, minus
+    G(i).  It takes O(N * depth) space and only reports read it, once
+    each, so nothing that only needs window sums pays for it.  ``_curve``,
+    a slot and not a field, is the curve object :func:`prune_ordering`
+    built it for, which ``lambda_check`` trusts; a copy, an unpickled
+    ordering or one built by hand has none.
     """
 
-    # no __slots__: the cached subtrees and _curve live in the instance __dict__
     _fields = ("perm", "nu")
-    _curve = None
+    __slots__ = _fields + ("_curve",)
 
     @property
     def n(self) -> int:
         return len(self.perm)
 
-    @cached_property
+    @property
     def subtrees(self) -> tuple:
         """The ids of G(i) at every position, each as a sorted tuple."""
         below = [[cid] for cid in self.perm]
@@ -211,13 +209,14 @@ class Ordering(Record):
 def ordering_to_obj(o: Ordering) -> dict:
     """The ``order`` report.  G(i) is written as its subtree tuple, B(i) as
     the ids of the whole curve, ``subtrees[-1]``, outside it (both sorted)."""
-    whole = o.subtrees[-1]
+    subtrees = o.subtrees
+    whole = subtrees[-1]
     return {
         "perm": o.perm,
         "nu": {str(i + 1): o.nu[i] for i in range(len(o.nu))},
-        "G": {str(i + 1): g for i, g in enumerate(o.subtrees)},
+        "G": {str(i + 1): g for i, g in enumerate(subtrees)},
         "B": {str(i + 1): [cid for cid in whole if cid not in g]
-              for i, g in enumerate(map(set, o.subtrees))},
+              for i, g in enumerate(map(set, subtrees))},
         "boundary_nodes": {str(i): o.boundary_edge(i) for i in range(1, o.n)},
     }
 

@@ -13,6 +13,7 @@ from math import gcd, lcm
 from .errors import InvalidInput, NoRoot, Record, _rational_text, _set
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MAX_ROOT_SEARCH = 1 << 16   # the most steps PrimeField.rth_root takes to find the least root
 
 
 @lru_cache(maxsize=1024)
@@ -98,6 +99,7 @@ class PrimeField(Record):
         O(g + log^3 p) bit operations (cf. Adleman-Manders-Miller, 1977).
         When g^2 > p - 1 the roots are a coset of small index m/g, and
         counting up from 1 meets its least element after about m/g steps.
+        A search of min(g, m/g) > 2^16 steps is refused before it starts.
         """
         p, m = self.p, self.p - 1
         a = self.element(a)
@@ -106,6 +108,9 @@ class PrimeField(Record):
         g = gcd(r, m)
         if pow(a, m // g, p) != 1:
             raise NoRoot(f"{a} has no {r}-th root in {self.name}")
+        steps = min(g, m // g)   # exponential in log p, so capped before any search
+        if steps > _MAX_ROOT_SEARCH:
+            raise InvalidInput(f"{steps} steps to the least {r}-th root, over the cap 2^16")
         if g * g > m:   # the g roots are a coset of index m/g < g: count up to one
             return next(b for b in range(1, p) if pow(b, r, p) == a)
         c, zeta, h = 1, 1, m

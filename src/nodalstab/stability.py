@@ -35,7 +35,12 @@ class Polarization(Record):
 
     def __init__(self, weights: dict):
         # checked and kept as integers: each weight times den, the lcm of the denominators
-        w = {i: Fraction(v) for i, v in _dict_arg(weights, "Polarization").items()}
+        w = {}
+        for i, v in _dict_arg(weights, "Polarization").items():
+            if not isinstance(v, (int, Fraction)):   # "1/2" and 0.5 are the parser's to read
+                raise InvalidInput(f"the weight of component {i!r} must be an int or a "
+                                   f"Fraction, got {v!r}")
+            w[i] = Fraction(v)
         pairs = [v.as_integer_ratio() for v in w.values()]
         den = math.lcm(*[d for _, d in pairs])
         scaled = [n * (den // d) for n, d in pairs]
@@ -94,27 +99,24 @@ class Window(Record):
     lo <= den * value <= lo + den * rank, where den is the lcm of the
     weight denominators.  Every other attribute is derived when read:
     the bounds lower = lo/den and upper = lower + rank, the twist
-    coefficients a that move value - rank*a into the window, the
-    distance to the window, and G(i) from the ordering.  The one mutable
-    record, slotted and cheap to build: windows compare by value, leaving
-    out the ordering, and are not hashable.
+    coefficients a that move value - rank*a into the window and the
+    distance to the window.  G(i) is the ordering's, ``subtrees[i - 1]``.
+    The one mutable record, slotted and cheap to build: windows compare
+    by value and are not hashable.
     """
 
-    _fields = ("i", "component", "value", "lo", "den", "rank")
-    __slots__ = _fields + ("ordering",)
+    __slots__ = _fields = ("i", "component", "value", "lo", "den", "rank")
     # mutable: plain attribute stores, the default pickling and no hash
     __setattr__, __delattr__ = object.__setattr__, object.__delattr__
     __reduce__, __hash__ = object.__reduce__, None
 
-    def __init__(self, i: int, component: int, value: int, lo: int, den: int, rank: int,
-                 ordering: Ordering):
+    def __init__(self, i: int, component: int, value: int, lo: int, den: int, rank: int):
         self.i = i
         self.component = component
         self.value = value
         self.lo = lo
         self.den = den
         self.rank = rank
-        self.ordering = ordering
 
     @property
     def lower(self) -> Fraction:
@@ -143,11 +145,6 @@ class Window(Record):
         """How far value lies outside [lower, upper]; 0 when it passes."""
         top, width = self.value * self.den - self.lo, self.den * self.rank
         return Fraction(0 if 0 <= top <= width else min(abs(top), abs(top - width)), self.den)
-
-    @property
-    def g_components(self) -> tuple:
-        """The sorted ids of G(i); the first read builds the ordering's subtrees."""
-        return self.ordering.subtrees[self.i - 1]
 
 
 class DetVerdict(Record):
@@ -188,22 +185,6 @@ def polarization_from_ample(h: AmpleDegrees) -> Polarization:
     return Polarization(weights={i: Fraction(v, total) for i, v in h.degrees.items()})
 
 
-def _chi_sums(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass) -> list:
-    """Chi sum over G(i) at every order position, as subtree sums.
-
-    G(i) is the subtree of position i in the parent array, so one
-    leaves-first pass over ``perm`` adds each position's sum into its
-    parent's.  The chi of each component is computed in index order and
-    then read off at every position.  The caller checks the class
-    against the curve.
-    """
-    chi = _chi(map(bc.multidegree.__getitem__, c.ids), bc.rank, c._genus)
-    values = list(map(chi.__getitem__, map(c._index.__getitem__, ordering.perm)))
-    for k, p in enumerate(ordering.nu):
-        values[p - 1] += values[k]
-    return values
-
-
 def _windows(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
              pol: Polarization):
     """Chi sums and integer window bounds at every order position.
@@ -211,21 +192,25 @@ def _windows(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
     Returns (values, lows, den): weights are scaled by den, the lcm of
     their denominators, so position i passes iff
     lows[i] <= den * values[i] <= lows[i] + den * r, all in integers.
-    lows[i] = w(G(i)) * chi + den * r * (|G(i)| - 1) is the subtree sum of
-    w_j * chi + den * r over G(i), less one den * r.
+    G(i) is the subtree of position i in the parent array, so one
+    leaves-first pass over ``nu`` adds each position's chi and each
+    w_j * chi into its parent's; a child also adds den * r, so that
+    lows[i] = w(G(i)) * chi + den * r * (|G(i)| - 1).
     The curve must already be valid and the ordering known to belong to it.
     """
     require_match(c, bc.multidegree, "multidegree")
     require_match(c, pol.weights, "polarization weights")
-    r, n = bc.rank, ordering.n
+    r, perm = bc.rank, ordering.perm
     den, scaled = pol._scaled
-    values = _chi_sums(c, ordering, bc)
-    chi = values[-1] - r * (n - 1)
+    values = _chi(map(bc.multidegree.__getitem__, perm), r,
+                  map(c._genus.__getitem__, map(c._index.__getitem__, perm)))
+    chi = sum(values) - r * (len(perm) - 1)
+    lows = [w * chi for w in map(scaled.__getitem__, perm)]
     width = den * r
-    lows = [w * chi + width for w in map(scaled.__getitem__, ordering.perm)]
     for k, p in enumerate(ordering.nu):
-        lows[p - 1] += lows[k]
-    return values, [lo - width for lo in lows], den
+        values[p - 1] += values[k]
+        lows[p - 1] += lows[k] + width
+    return values, lows, den
 
 
 def lambda_check(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
@@ -236,7 +221,7 @@ def lambda_check(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
     [w*chi + r(|G(i)| - 1), w*chi + r|G(i)|] where w is the total weight
     on G(i).  The final position compares the full componentwise sum
     with chi + r(N - 1) and always sits at the lower endpoint.  Returns
-    one ``Window`` per position; G(i) is not built unless one is read.
+    one ``Window`` per position; G(i) is the ordering's ``subtrees[i - 1]``.
     An ordering ``prune_ordering`` built for this very curve object is
     trusted; any other is checked against the curve in O(N) first.
     """
@@ -246,7 +231,7 @@ def lambda_check(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
     values, lows, den = _windows(c, ordering, bc, pol)
     n = ordering.n
     return list(map(Window, range(1, n + 1), ordering.perm, values, lows,
-                    repeat(den, n), repeat(bc.rank, n), repeat(ordering, n)))
+                    repeat(den, n), repeat(bc.rank, n)))
 
 
 def lambda_check_passes(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,

@@ -110,6 +110,10 @@ def fraction_polarization(weights):
     weight strictly positive, the weights summing to exactly 1.  Returns
     (weights, (den, {id: weight * den})) with den the lcm of the weight
     denominators, or raises what ``Polarization`` raises, in its order."""
+    for i, v in weights.items():
+        if type(v) not in (int, bool, Fraction):
+            raise InvalidInput(f"the weight of component {i!r} must be an int or a Fraction, "
+                               f"got {v!r}")
     w = {i: Fraction(v) for i, v in weights.items()}
     if any(v <= 0 for v in w.values()):
         raise InvalidInput("polarization weights must be strictly positive")

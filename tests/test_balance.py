@@ -10,16 +10,18 @@ from nodalstab import (
     Component,
     Polarization,
     TreeLikeCurve,
+    TwistDivisor,
     balance,
     balance_step,
     euler_char_total,
     lambda_check,
     lambda_check_passes,
     prune_ordering,
+    twist,
     validate_curve,
 )
 from nodalstab.stability import Window
-from nodalstab.errors import IndexOutOfRange, NodalStabError, PreconditionViolated
+from nodalstab.errors import IndexOutOfRange, InvariantViolated, PreconditionViolated
 
 
 def curve(decorations, edges):
@@ -175,10 +177,12 @@ def test_balance_agrees_with_brute_force_random_trees():
     lambda c, bc, t: bc,
     lambda c, bc, t: BundleClass(rank=bc.rank, multidegree={i: d + (i == 1) for i, d in
                                                             bc.multidegree.items()}),
+    # the twist run backwards: total degree and chi kept, the windows missed
+    lambda c, bc, t: twist(c, bc, TwistDivisor({i: -a for i, a in t.coeffs.items()})),
 ])
 def test_balance_replay_check_catches_a_wrong_twist(monkeypatch, wrong):
     monkeypatch.setattr(importlib.import_module("nodalstab.balance"), "twist", wrong)
-    with pytest.raises(NodalStabError):
+    with pytest.raises(InvariantViolated, match="^the accumulated twist does not balance"):
         balance(PATH2, BC2, HALF)
 
 
@@ -189,7 +193,7 @@ def test_window_integers_match_the_definition():
         value, rank = rng.randint(-100, 100), rng.randint(1, 6)
         brute = tuple(a for a in range(-210, 211)
                       if lower <= value - rank * a <= lower + rank)
-        w = Window(1, 1, value, lower.numerator, lower.denominator, rank, None)
+        w = Window(1, 1, value, lower.numerator, lower.denominator, rank)
         assert w.candidates == brute
 
 

@@ -5,8 +5,13 @@ fails here on any machine."""
 
 import math
 import random
+from math import gcd
 
-from nodalstab import truncated
+import pytest
+
+from nodalstab import fields, truncated
+from nodalstab.errors import InvalidInput, NoRoot
+from nodalstab.fields import PrimeField
 from nodalstab.truncated import TruncatedMatrix, sl_kernel_check
 
 
@@ -47,3 +52,50 @@ def test_dvr_sl_kernel_work_grows_at_most_as_n_to_the_1_3(monkeypatch):
                                    for _ in range(2)])
         counts.append(kernel_products(monkeypatch, lambda: sl_kernel_check(M)))
     assert exponent(sizes, counts) <= 1.3, counts
+
+
+# The least r-th root in F_p takes about min(g, (p - 1)/g) steps, g = gcd(r, p - 1):
+# a digit table and a walk over the g roots when g^2 <= p - 1, else a count up
+# from 1 through about (p - 1)/g candidates.  Past 2^16 steps it is refused.
+ROOTS_AT_THE_CAP = [
+    (2199025761193, 65521),         # 42-bit p, prime g = r = 65521 <= 2^16
+    (2173944119, 2 * 32749),        # p - 1 = 2 * 32749 * 33191: count up, 33191 steps
+]
+ROOTS_PAST_THE_CAP = [
+    (2199024565781, 65537, 65537),                       # prime g = r = 2^16 + 1
+    (4611686046344669519, 1073741789, 1073741789),       # 62-bit p, g near 2^30
+    (8723367923, 2 * 65537, 66553),                      # (p - 1)/g = 66553 > 2^16
+    (2305843932631630043, 2 * 1073741789, 1073742289),   # (p - 1)/g near 2^30
+]
+
+
+def counted_pow(monkeypatch):
+    """Count the modular powers ``fields`` computes."""
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return pow(*args)
+    monkeypatch.setattr(fields, "pow", counting, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("p, r", ROOTS_AT_THE_CAP)
+def test_a_root_search_at_the_cap_is_still_answered(p, r):
+    a = pow(3, r, p)   # 3 is a root, so the least root is at most 3
+    b = PrimeField(p).rth_root(a, r)
+    assert pow(b, r, p) == a
+    assert b == min(x for x in (1, 2, 3) if pow(x, r, p) == a)
+
+
+@pytest.mark.parametrize("p, r, steps", ROOTS_PAST_THE_CAP)
+def test_a_root_search_past_the_cap_is_refused_before_it_starts(monkeypatch, p, r, steps):
+    field, a = PrimeField(p), pow(3, r, p)
+    calls = counted_pow(monkeypatch)
+    with pytest.raises(InvalidInput, match=f"^{steps} steps to the least {r}-th root, "
+                                           r"over the cap 2\^16$"):
+        field.rth_root(a, r)
+    assert calls == [1]   # the existence test a^((p - 1)/g) = 1 alone
+    # an element with no root is told so, whatever the cap
+    with pytest.raises(NoRoot):
+        field.rth_root(next(x for x in range(2, p) if pow(x, (p - 1) // gcd(r, p - 1), p) != 1), r)

@@ -351,6 +351,18 @@ def test_lazy_sets_match_decompose_at_every_position():
             assert o.boundary_edge(i) == node
 
 
+def test_subtrees_match_decompose_on_every_shape_with_far_ids():
+    rng = random.Random(19)
+    for shape in helpers.SHAPES:
+        for n in (1, 2, 3, 9, 33):
+            c = helpers.relabel_far(rng, helpers.shaped_curve(rng, n, shape))
+            o = prune_ordering(c)
+            subtrees = o.subtrees
+            assert len(subtrees) == n and subtrees[-1] == tuple(sorted(c.ids))
+            for i in range(1, n + 1):
+                assert subtrees[i - 1] == tuple(sorted(decompose(c, o, i)[0]))
+
+
 def test_component_lookup_reads_the_dense_index_on_far_ids():
     rng = random.Random(131)
     for shape in helpers.SHAPES:

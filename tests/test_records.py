@@ -40,10 +40,10 @@ RECORDS = {
     BundleClass: (lambda: BundleClass(2, {1: 3}), "BundleClass(rank=2, multidegree={1: 3})",
                   False),
     TwistDivisor: (lambda: TwistDivisor(coeffs={1: -1}), "TwistDivisor(coeffs={1: -1})", False),
-    Polarization: (lambda: Polarization({1: "1"}), "Polarization(weights={1: Fraction(1, 1)})",
+    Polarization: (lambda: Polarization({1: 1}), "Polarization(weights={1: Fraction(1, 1)})",
                    False),
     AmpleDegrees: (lambda: AmpleDegrees(degrees={1: 2}), "AmpleDegrees(degrees={1: 2})", False),
-    Window: (lambda: Window(1, 7, 3, -2, 5, 2, None),
+    Window: (lambda: Window(1, 7, 3, -2, 5, 2),
              "Window(i=1, component=7, value=3, lo=-2, den=5, rank=2)", False),
     BalanceResult: (lambda: BalanceResult(Ordering((1,), ()), TwistDivisor({1: 0}),
                                           BundleClass(1, {1: 0}), ()),
@@ -91,6 +91,7 @@ def test_record_contract(cls):
             hash(a)
     assert pickle.loads(pickle.dumps(a)) == a
     assert copy.copy(a) == a
+    assert not hasattr(a, "__dict__")   # every record is slotted
     if cls is Window:   # the one mutable record
         a.value += 1
         assert a != b

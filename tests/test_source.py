@@ -88,12 +88,50 @@ def test_the_lazy_state_finder_finds_cached_properties_and_vars():
     assert lazy_state("def vars_(x, cached=1):\n    return 'vars(x) cached_property'\n") == []
 
 
-def test_only_ordering_subtrees_is_built_lazily():
-    # a model object builds its derived state in its constructor; the one
-    # lazy view is the O(N * depth) subtree table that only reports read
+def test_no_module_builds_state_lazily():
+    # a model object builds its derived state in its constructor; the O(N * depth)
+    # subtree table that only reports read is built on each read, once per report
     found = [f"{path.name}:{site}" for path in sorted(SRC.rglob("*.py"))
              for site in lazy_state(path.read_text(encoding="utf-8"))]
-    assert found == ["curve.py:Ordering.subtrees"]
+    assert found == []
+
+
+def unslotted_records(source: str) -> list:
+    """The classes deriving from ``Record``, directly or through a record class
+    of the same source, whose body assigns no ``__slots__``."""
+    classes = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+    records, grown = {"Record"}, True
+    while grown:
+        named = {cls.name for cls in classes
+                 if records & {getattr(base, "id", None) for base in cls.bases}}
+        grown = not named <= records
+        records |= named
+    return [cls.name for cls in classes if cls.name in records - {"Record"}
+            and not any(isinstance(stmt, ast.Assign) and any(
+                getattr(target, "id", None) == "__slots__" for target in stmt.targets)
+                for stmt in cls.body)]
+
+
+def test_the_slots_finder_finds_records_without_slots():
+    source = ("class Slotted(Record):\n"
+              "    __slots__ = _fields = ('x',)\n"
+              "class Plain(Record):\n"
+              "    _fields = ('x',)\n"
+              "    def f(self):\n"
+              "        __slots__ = ()\n"
+              "class Below(Slotted):\n"
+              "    _fields = ('y',)\n"
+              "class NotARecord:\n"
+              "    pass\n")
+    assert unslotted_records(source) == ["Plain", "Below"]
+
+
+def test_every_record_declares_its_slots():
+    # a record holds no instance __dict__: its fields and what its constructor
+    # derives (a curve's index, a pruned ordering's curve) are all slots
+    found = [f"{path.name}:{name}" for path in sorted(SRC.rglob("*.py"))
+             for name in unslotted_records(path.read_text(encoding="utf-8"))]
+    assert found == []
 
 
 def package_imports(source: str) -> set:

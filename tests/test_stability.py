@@ -2,6 +2,8 @@ import copy
 import pathlib
 import pickle
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
@@ -77,7 +79,8 @@ def _built(weights):
 def _random_weights(rng):
     """Weights on ids 1..n with denominators up to 1000 digits: a sum of exactly
     1, or one off by 1/D or by a random amount, or with a zero or negative
-    weight; given as Fractions, ints, strings, floats or malformed strings."""
+    weight; given as Fractions or ints, or as the strings, floats and
+    malformed strings that only the document parser reads."""
     n = rng.randint(1, 6)
     digits = rng.choice([1, 2, 3, 20, 300, 1000])
     dens = [rng.randint(1, 10 ** digits) for _ in range(n - 1)]
@@ -119,15 +122,17 @@ def test_polarization_matches_the_fraction_rule():
         expected = _outcome(helpers.fraction_polarization, weights)
         assert _outcome(_built, weights) == expected, weights
         kinds.add(expected[0] if isinstance(expected[0], type) else "accepted")
-    assert kinds >= {"accepted", InvalidInput, ValueError, ZeroDivisionError}
+    # a string or a float is refused before it is read, so never a ValueError
+    assert kinds == {"accepted", InvalidInput}
 
 
 def test_polarization_checks_the_edges_of_its_integer_rule():
     d = 10**999 + 7
     for weights, outcome in [
             ({1: 1}, ({1: 1}, (1, {1: 1}))),
-            ({1: "1/2", 2: Fraction(1, 2)}, ({1: Fraction(1, 2), 2: Fraction(1, 2)},
-                                             (2, {1: 1, 2: 1}))),
+            ({1: True}, ({1: 1}, (1, {1: 1}))),
+            ({1: Fraction(1, 2), 2: "1/2"}, (InvalidInput, "the weight of component 2 must be "
+                                                           "an int or a Fraction, got '1/2'")),
             ({1: Fraction(1, d), 2: Fraction(d - 1, d)}, (
                 {1: Fraction(1, d), 2: Fraction(d - 1, d)}, (d, {1: 1, 2: d - 1}))),
             ({}, (InvalidInput, "polarization weights must sum to exactly 1")),
@@ -138,6 +143,17 @@ def test_polarization_checks_the_edges_of_its_integer_rule():
             ({1: -1, 2: 5}, (InvalidInput, "polarization weights must be strictly positive"))]:
         assert _outcome(_built, weights) == outcome
         assert _outcome(helpers.fraction_polarization, weights) == outcome
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2", Decimal("0.5"), None, 1.0])
+def test_polarization_refuses_weights_other_than_ints_and_fractions(bad):
+    # each went through Fraction(v): 0.5, "1/2" and Decimal("0.5") built the
+    # weight 1/2; a string is read by the document parser alone
+    message = f"the weight of component 2 must be an int or a Fraction, got {bad!r}"
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        Polarization({1: Fraction(1, 2), 2: bad})
+    with pytest.raises(InvalidInput, match="^the weight of component 1 "):
+        Polarization({1: bad, 2: Fraction(1, 2)})
 
 
 def test_slope_examples():
@@ -369,11 +385,11 @@ def test_lambda_check_matches_hand_window_data():
         pol = helpers.random_polarization(rng, c)
         o = prune_ordering(c)
         ids, den, r, rows = helpers.window_data(c, o, bc, pol)
-        verdicts = lambda_check(c, o, bc, pol)
+        verdicts, subtrees = lambda_check(c, o, bc, pol), o.subtrees
         assert len(verdicts) == len(rows)
         for k, (v, (base, _, lower_scaled)) in enumerate(zip(verdicts, rows)):
             assert (v.i, v.component, v.value) == (k + 1, o.perm[k], base)
-            assert v.g_components == tuple(sorted(decompose(c, o, k + 1)[0]))
+            assert subtrees[k] == tuple(sorted(decompose(c, o, k + 1)[0]))
             assert (v.lower * den, v.upper * den) == (lower_scaled, lower_scaled + den * r)
             assert v.passes == (lower_scaled <= den * base <= lower_scaled + den * r)
 
@@ -409,18 +425,64 @@ def test_window_records_match_a_scan_of_the_fraction_bounds():
             assert w.chosen == w.candidates[0]
 
 
-def test_window_records_build_no_subtrees_until_g_is_read():
+def counting_subtrees(monkeypatch):
+    """Count the reads of ``Ordering.subtrees``, each of which builds the table."""
+    real, reads = Ordering.subtrees.fget, []
+
+    def counting(ordering):
+        reads.append(ordering)
+        return real(ordering)
+    monkeypatch.setattr(Ordering, "subtrees", property(counting))
+    return reads
+
+
+def test_window_records_build_no_subtrees_until_g_is_read(monkeypatch):
+    # G(i) lives on the ordering alone: windows hold no ordering, and the
+    # window kernel sums over the parent array without building a subtree
+    reads = counting_subtrees(monkeypatch)
     rng = random.Random(97)
-    c = helpers.shaped_curve(rng, 40, "path")
-    bc = helpers.random_bundle(rng, c)
-    pol = helpers.random_polarization(rng, c)
-    o = prune_ordering(c)
-    windows = lambda_check(c, o, bc, pol)
-    assert "subtrees" not in vars(o)
-    result = balance(c, bc, pol)
-    assert "subtrees" not in vars(result.ordering)
-    assert windows[0].g_components == tuple(sorted(decompose(c, o, 1)[0]))
-    assert "subtrees" in vars(o)
+    for shape in helpers.SHAPES:
+        c = helpers.relabel_far(rng, helpers.shaped_curve(rng, 40, shape))
+        bc = helpers.random_bundle(rng, c)
+        pol = helpers.random_polarization(rng, c)
+        o = prune_ordering(c)
+        windows = lambda_check(c, o, bc, pol)
+        result = balance(c, bc, pol)
+        balance_step(c, o, bc, pol, o.n - 1)
+        lambda_check(c, Ordering(o.perm, o.nu), result.balanced, pol)
+        assert reads == []
+        assert not hasattr(windows[0], "ordering") and not hasattr(windows[0], "g_components")
+        assert o.subtrees[0] == tuple(sorted(decompose(c, o, 1)[0]))
+        assert reads == [o]
+        reads.clear()
+
+
+@pytest.mark.parametrize("command", ["order", "check", "balance"])
+def test_each_tree_report_builds_the_subtrees_once(monkeypatch, capsys, command):
+    reads = counting_subtrees(monkeypatch)
+    fixtures = pathlib.Path(__file__).parent / "fixtures"
+    triple = ["--bundle", str(fixtures / "path2_bundle.json"),
+              "--pol", str(fixtures / "path2_pol.json")]
+    code = cli.run([command, "--curve", str(fixtures / "curves" / "path2_g11.json")]
+                   + (triple if command != "order" else []))
+    assert code in (0, 1) and capsys.readouterr().out
+    assert len(reads) == 1
+
+
+def test_the_window_kernel_matches_the_window_data():
+    # the one leaves-first pass over nu against the definitions, position by position
+    rng = random.Random(101)
+    for _ in range(150):
+        c = helpers.relabel_far(rng, helpers.shaped_curve(rng, rng.randint(1, 30),
+                                                          rng.choice(helpers.SHAPES)))
+        bc = helpers.random_bundle(rng, c, ranks=(1, 2, 3, 5))
+        pol = helpers.random_polarization(rng, c)
+        o = prune_ordering(c)
+        _, den, _, rows = helpers.window_data(c, o, bc, pol)
+        values, lows, scale = stability._windows(c, o, bc, pol)
+        assert scale == den
+        assert values == [base for base, _, _ in rows]
+        assert lows == [lower_scaled for _, _, lower_scaled in rows]
 
 
 def test_lambda_check_matches_the_window_data_with_far_ids():
@@ -432,21 +494,20 @@ def test_lambda_check_matches_the_window_data_with_far_ids():
             pol = helpers.random_polarization(rng, c)
             o = prune_ordering(c)
             _, den, r, rows = helpers.window_data(c, o, bc, pol)
-            windows = lambda_check(c, o, bc, pol)
+            windows, subtrees = lambda_check(c, o, bc, pol), o.subtrees
             assert len(windows) == len(rows)
             for k, (w, (base, _, lower_scaled)) in enumerate(zip(windows, rows)):
                 assert (w.i, w.component, w.value) == (k + 1, o.perm[k], base)
                 assert (w.lower * den, w.upper * den) == (lower_scaled, lower_scaled + den * r)
                 assert w.passes == (lower_scaled <= den * base <= lower_scaled + den * r)
-                assert w.g_components == tuple(sorted(decompose(c, o, k + 1)[0]))
+                assert subtrees[k] == tuple(sorted(decompose(c, o, k + 1)[0]))
 
 
 def test_window_is_a_slotted_record_equal_by_value():
-    w = Window(1, 7, 3, -2, 5, 2, None)
-    assert w == Window(1, 7, 3, -2, 5, 2, prune_ordering(
-        TreeLikeCurve(components=(Component(id=7),), edges=())))
-    assert w != Window(1, 7, 4, -2, 5, 2, None)
-    assert not hasattr(w, "__dict__")
+    w = Window(1, 7, 3, -2, 5, 2)
+    assert w == Window(i=1, component=7, value=3, lo=-2, den=5, rank=2)
+    assert w != Window(1, 7, 4, -2, 5, 2)
+    assert not hasattr(w, "__dict__") and Window.__slots__ == Window._fields
     with pytest.raises(TypeError):
         hash(w)
 
