@@ -19,7 +19,7 @@ sum at the upper endpoint.
 from itertools import repeat
 
 from .curve import Ordering, TreeLikeCurve, prune_ordering
-from .errors import IndexOutOfRange, InvariantViolated, PreconditionViolated, Record
+from .errors import IndexOutOfRange, InvariantViolated, PreconditionViolated, Record, _int_arg
 from .stability import Polarization, Window, _chosen, _windows, lambda_check
 from .twist import BundleClass, TwistDivisor, twist
 
@@ -38,7 +38,7 @@ def balance_step(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
     class.
     """
     n = ordering.n
-    if not 1 <= i < n:
+    if not 1 <= _int_arg(i, "order index") < n:
         raise IndexOutOfRange(f"balance steps run at positions 1..{n - 1}")
     windows = lambda_check(c, ordering, bc, pol)
     bad = [w.i for w in windows[i:] if not w.passes]

@@ -20,6 +20,7 @@ from .errors import (
     ParseError,
     Record,
     _int,
+    _int_arg,
     _require,
     _set,
     _small_int,
@@ -64,11 +65,11 @@ class TreeLikeCurve(Record):
     One walk over ``edges``, in document order, builds the rest:
     ``simple_edges``, the set of nodes; ``_edges``, each node once as an
     index pair (x, y), x < y, in the order the document first lists it;
-    and ``_deg[k]``, the number of neighbors of ``components[k]``.
-    ``_index`` maps each id to its position k and ``_genus[k]`` is the
-    arithmetic genus of ``components[k]``.  Index order is id order, so
-    sorting indices sorts ids; the tree passes run on int lists over
-    these indices.  The validation report is built last.
+    ``_deg[k]``, the number of neighbors of ``components[k]``; and the
+    validation report.  ``_index`` maps each id to its position k and
+    ``_genus[k]`` is the arithmetic genus of ``components[k]``.  Index
+    order is id order, so sorting indices sorts ids; the tree passes run
+    on int lists over these indices.
     """
 
     _fields = ("components", "edges")
@@ -84,6 +85,11 @@ class TreeLikeCurve(Record):
         if len(index) != len(ids):
             raise ParseError("component ids must be unique", field="components")
         norm, simple, pairs, deg = [], set(), [], [0] * len(ids)
+        # the report: self-loops and repeats as the walk meets them, then the
+        # first node whose union-find roots agree (a closing edge, reported
+        # only when no self-loop was), then the count of pieces
+        errors, looped, closing = [], False, None
+        parent, pieces = list(range(len(ids))), len(ids)
         for e in edges:
             a, b = e
             if not (isinstance(a, int) and isinstance(b, int)):   # 2.0 would find id 2
@@ -98,23 +104,46 @@ class TreeLikeCurve(Record):
                 a, b, x, y = b, a, y, x
             e = (a, b)
             norm.append(e)
-            if x != y and e not in simple:
+            if x == y:
+                errors.append(("CycleDetected", f"edge {[a, b]} joins a component to itself"))
+                looped = True
+            elif e in simple:
+                errors.append(("MultiEdge", f"components {a} and {b} meet in more than one node"))
+            else:
                 simple.add(e)
                 pairs.append((x, y))
                 deg[x] += 1
                 deg[y] += 1
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                if x != y:
+                    parent[x] = y
+                    pieces -= 1
+                elif closing is None:
+                    closing = e
+        if closing and not looped:
+            errors.append(("CycleDetected", f"edge {list(closing)} closes a cycle"))
+        if pieces > 1:
+            errors.append(("Disconnected", f"dual graph has {pieces} connected pieces"))
+        genus = [comp.arithmetic_genus for comp in comps]
+        p_a = None if errors else sum(genus)
+        report = ValidationReport(valid=not errors, errors=tuple(errors), n_components=len(ids),
+                                  p_a=p_a, genus_at_least_two=None if errors else p_a >= 2)
         for name, value in (("components", comps), ("edges", tuple(norm)), ("ids", ids),
                             ("simple_edges", frozenset(simple)), ("_index", index),
-                            ("_genus", [comp.arithmetic_genus for comp in comps]),
-                            ("_edges", pairs), ("_deg", deg)):
+                            ("_genus", genus), ("_edges", pairs), ("_deg", deg),
+                            ("_validation", report)):
             _set(self, name, value)
-        _set(self, "_validation", _validate(self))
 
     def component(self, comp_id: int) -> Component:
         try:
-            return self.components[self._index[comp_id]]
+            if isinstance(comp_id, int):   # 2.0 would find id 2
+                return self.components[self._index[comp_id]]
         except KeyError:
-            raise IndexOutOfRange(f"no component with id {comp_id}") from None
+            pass
+        raise IndexOutOfRange(f"no component with id {comp_id!r}")
 
     def degree(self, comp_id: int) -> int:
         self.component(comp_id)
@@ -198,7 +227,7 @@ class Ordering(Record):
 
     def boundary_edge(self, i: int):
         """The unique node joining G(i) and B(i), as an id pair; None at i = N."""
-        if not 1 <= i <= self.n:
+        if not 1 <= _int_arg(i, "order index") <= self.n:
             raise IndexOutOfRange(f"order index {i} out of range 1..{self.n}")
         if i == self.n:
             return None
@@ -229,54 +258,6 @@ def validate_curve(c: TreeLikeCurve) -> ValidationReport:
     constructor computes the report, so this returns it.
     """
     return c._validation
-
-
-def _validate(c: TreeLikeCurve) -> ValidationReport:
-    """The report of a curve whose constructor has walked its edges."""
-    errors = []
-    if len(c.simple_edges) != len(c.edges):    # some edge is a self-loop or repeated
-        seen = set()
-        for e in c.edges:
-            if e[0] == e[1]:
-                errors.append(("CycleDetected", f"edge {list(e)} joins a component to itself"))
-            elif e in seen:
-                errors.append(("MultiEdge",
-                               f"components {e[0]} and {e[1]} meet in more than one node"))
-            seen.add(e)
-
-    # union-find over the nodes, in document order, catches any remaining
-    # cycle; each successful union joins two pieces, so N minus the unions
-    # is the count
-    parent = list(range(len(c.ids)))
-    pieces = len(parent)
-    # a closing edge is reported only while no cycle has been reported
-    cycle_reported = any(code == "CycleDetected" for code, _ in errors)
-    for u, v in c._edges:
-        x = u
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        y = v
-        while parent[y] != y:
-            parent[y] = y = parent[parent[y]]
-        if x == y:
-            if not cycle_reported:
-                errors.append(("CycleDetected", f"edge {[c.ids[u], c.ids[v]]} closes a cycle"))
-                cycle_reported = True
-        else:
-            parent[x] = y
-            pieces -= 1
-    if pieces > 1:
-        errors.append(("Disconnected", f"dual graph has {pieces} connected pieces"))
-
-    valid = not errors
-    p_a = sum(c._genus) if valid else None
-    return ValidationReport(
-        valid=valid,
-        errors=tuple(errors),
-        n_components=len(c.components),
-        p_a=p_a,
-        genus_at_least_two=(p_a >= 2) if valid else None,
-    )
 
 
 def arithmetic_genus(c: TreeLikeCurve) -> int:
@@ -345,7 +326,7 @@ def decompose(c: TreeLikeCurve, ordering: Ordering, i: int):
     """
     c.require_valid()
     n = ordering.n
-    if not 1 <= i <= n:
+    if not 1 <= _int_arg(i, "order index") <= n:
         raise IndexOutOfRange(f"order index {i} out of range 1..{n}")
     if set(ordering.perm) != c._index.keys():
         raise OrderingMismatch("ordering does not belong to this curve")

@@ -94,6 +94,13 @@ def _int(value, field):
     return value
 
 
+def _int_arg(value, name):
+    """A library argument, once it is an int (a bool counts): 2.5 is refused, never truncated."""
+    if not isinstance(value, int):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 # Every number a report or an error message prints is a sum or product of
 # ranks, degrees, genus data, truncation orders and the weights' common
 # denominator.  With each of those under 1000 digits, no printed integer

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import InvalidInput, NoRoot, Record, _rational_text, _set
+from .errors import InvalidInput, NoRoot, Record, _int_arg, _rational_text, _set
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MAX_ROOT_SEARCH = 1 << 16   # the most steps PrimeField.rth_root takes to find the least root
@@ -102,6 +102,7 @@ class PrimeField(Record):
         A search of min(g, m/g) > 2^16 steps is refused before it starts.
         """
         p, m = self.p, self.p - 1
+        _int_arg(r, "root exponent")
         a = self.element(a)
         if a == 0:
             raise InvalidInput("r-th roots are only taken of nonzero scalars")
@@ -177,6 +178,8 @@ class RationalField(Record):
 
     def rth_root(self, a, r: int):
         """Exact rational r-th root when one exists."""
+        if _int_arg(r, "root exponent") < 1:
+            raise InvalidInput("root exponent must be positive")
         a = self.element(a)
         if a == 0:
             raise InvalidInput("r-th roots are only taken of nonzero scalars")

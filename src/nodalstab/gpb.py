@@ -18,6 +18,7 @@ from .errors import (
     ParseError,
     Record,
     SingularProjection,
+    _int_arg,
     _require,
     _set,
 )
@@ -32,8 +33,7 @@ class GpbClass(Record):
     def __init__(self, rank: int, degree: int, nodes: int, flag_dims: tuple = None):
         # flag_dims: per node (m1, m2); defaults to the canonical (r, r)
         for name, value in (("rank", rank), ("degree", degree), ("nodes", nodes)):
-            if not isinstance(value, int):   # ints only: 2.5 is refused, never truncated
-                raise InvalidInput(f"{name} must be an integer, got {value!r}")
+            _int_arg(value, name)
         if rank < 1:
             raise InvalidInput("rank must be positive")
         if nodes < 0:
@@ -198,7 +198,7 @@ def phi_rank_degree(g: GpbClass, genus_normalization: int) -> PhiNumbers:
     drops r per node, and the nodal curve's genus gains the node count,
     so the degree comes back out equal to d.
     """
-    if genus_normalization < 0:
+    if _int_arg(genus_normalization, "genus") < 0:
         raise InvalidInput("genus must be nonnegative")
     if not g.is_canonical:
         raise InvalidInput("descent bookkeeping needs the canonical diagonal flags")
@@ -218,9 +218,9 @@ def build_rational_flag(field, r: int, d: int, a: int) -> GluingFlag:
     (-1)^(r-1) * (r - 1) and is singular precisely when the field
     characteristic divides r - 1; that case is refused explicitly.
     """
-    if r < 1:
+    if _int_arg(r, "rank") < 1:
         raise InvalidInput("rank must be positive")
-    if r * a > d:
+    if r * _int_arg(a, "a") > _int_arg(d, "degree"):
         raise DegreeBound(f"need r*a <= d, got {r}*{a} > {d}")
     if field.is_zero(field.element(r - 1)):
         raise SingularProjection(
@@ -265,7 +265,7 @@ def picard_rth_root(field, r: int, gluing_scalars) -> list:
     concrete fields here a missing root raises NoRoot rather than being
     silently patched.
     """
-    if r < 1:
+    if _int_arg(r, "root exponent") < 1:
         raise InvalidInput("root exponent must be positive")
     scalars = [field.element(s) for s in gluing_scalars]
     if any(field.is_zero(s) for s in scalars):

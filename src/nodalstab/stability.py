@@ -13,18 +13,18 @@ from .curve import Ordering, TreeLikeCurve, verify_ordering
 from .errors import (
     _DIGIT_BOUND,
     _MAX_DIGITS,
-    DocumentMismatch,
     InvalidInput,
     ParseError,
     Record,
     WrongArity,
     ZeroMultirank,
     _id_map,
+    _int_arg,
     _rational_text,
     _require,
     _set,
 )
-from .twist import BundleClass, _chi, _dict_arg, euler_char_total, require_match
+from .twist import BundleClass, _chi, _id_values, euler_char_total, require_match
 
 
 class Polarization(Record):
@@ -34,13 +34,10 @@ class Polarization(Record):
     __slots__ = _fields + ("_scaled",)
 
     def __init__(self, weights: dict):
-        # checked and kept as integers: each weight times den, the lcm of the denominators
-        w = {}
-        for i, v in _dict_arg(weights, "Polarization").items():
-            if not isinstance(v, (int, Fraction)):   # "1/2" and 0.5 are the parser's to read
-                raise InvalidInput(f"the weight of component {i!r} must be an int or a "
-                                   f"Fraction, got {v!r}")
-            w[i] = Fraction(v)
+        # ints or Fractions ("1/2" and 0.5 are the parser's to read), also kept
+        # as integers: each weight times den, the lcm of the denominators
+        w = {i: Fraction(v) for i, v in _id_values(weights, "Polarization", "the weight",
+                                                    (int, Fraction)).items()}
         pairs = [v.as_integer_ratio() for v in w.values()]
         den = math.lcm(*[d for _, d in pairs])
         scaled = [n * (den // d) for n, d in pairs]
@@ -77,7 +74,8 @@ class AmpleDegrees(Record):
     __slots__ = _fields = ("degrees",)
 
     def __init__(self, degrees: dict):
-        if not all(isinstance(v, int) and v >= 1 for v in degrees.values()):
+        _id_values(degrees, "AmpleDegrees", "the ample degree")
+        if not all(v >= 1 for v in degrees.values()):
             raise InvalidInput("ample degrees must be positive integers")
         _set(self, "degrees", degrees)
 
@@ -244,8 +242,8 @@ def det_compatibility(c: TreeLikeCurve, bc: BundleClass, det_multidegree: dict) 
     rational component's degree is a multiple of the rank."""
     c.require_valid()
     require_match(c, bc.multidegree, "multidegree")
-    if det_multidegree.keys() != c._index.keys():
-        raise DocumentMismatch("determinant multidegree keys do not match the curve")
+    require_match(c, _id_values(det_multidegree, "det_compatibility", "the determinant degree"),
+                  "determinant multidegree")
     # a curve lists its ids and components in increasing id order
     mismatched = tuple(i for i in c.ids if det_multidegree[i] != bc.multidegree[i])
     indivisible = tuple(comp.id for comp in c.components
@@ -265,15 +263,14 @@ def gieseker_vs_seshadri(c: TreeLikeCurve, bc: BundleClass, h: AmpleDegrees,
     c.require_valid()
     require_match(c, bc.multidegree, "multidegree")
     require_match(c, h.degrees, "ample degrees")
-    if multirank.keys() != c._index.keys():
-        raise DocumentMismatch("multirank keys do not match the curve")
+    require_match(c, _id_values(multirank, "gieseker_vs_seshadri", "the multirank"), "multirank")
     for i, ri in multirank.items():
         if not 0 <= ri <= bc.rank:
             raise InvalidInput(f"multirank at component {i} must lie in [0, rank]")
     denom = sum(multirank[i] * h.degrees[i] for i in c.ids)
     if denom == 0:
         raise ZeroMultirank("subobject multirank is zero on every component")
-    sub = Fraction(chi_sub, denom)
+    sub = Fraction(_int_arg(chi_sub, "chi_sub"), denom)
     total = Fraction(euler_char_total(c, bc), bc.rank * sum(h.degrees.values()))
     relation = "<" if sub < total else ("=" if sub == total else ">")
     return SlopeComparison(sub_slope=sub, total_slope=total, relation=relation)

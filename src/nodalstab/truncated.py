@@ -12,7 +12,7 @@ its determinant picks up a prescribed unit.
 
 from itertools import compress, repeat
 
-from .errors import InvalidInput, NotUnit, Record, _int, _require, _set, _small_int
+from .errors import InvalidInput, NotUnit, Record, _int, _int_arg, _require, _set, _small_int
 from .fields import PrimeField, mat_rank, parse_field
 
 
@@ -72,9 +72,7 @@ def _inverse(p: int, n: int, f) -> tuple:
 def _field(p: int, n: int) -> PrimeField:
     """k = F_p, once k[pi]/(pi^(n+1)) is known to be a ring: p prime, n >= 0."""
     k = PrimeField(p)
-    if not isinstance(n, int):   # 1.0 is refused, not read as 1
-        raise InvalidInput(f"truncation order must be an integer, got {n!r}")
-    if n < 0:
+    if _int_arg(n, "truncation order") < 0:   # 1.0 is refused, not read as 1
         raise InvalidInput("truncation order must be nonnegative")
     return k
 
@@ -116,6 +114,8 @@ class TruncatedScalar(Record):
 
     @classmethod
     def pi_power(cls, p, n, k):
+        if _int_arg(k, "pi exponent") < 0:
+            raise InvalidInput("pi exponent must be nonnegative")
         if k > n:
             return cls.zero(p, n)
         return cls(p, n, tuple(1 if j == k else 0 for j in range(n + 1)))
@@ -154,13 +154,13 @@ class TruncatedScalar(Record):
 
     def reduce(self, m: int):
         """Image in k[pi]/(pi^(m+1)) for m <= n."""
-        if not 0 <= m <= self.n:
+        if not 0 <= _int_arg(m, "truncation order") <= self.n:
             raise InvalidInput(f"cannot reduce order {self.n} to order {m}")
         return _scalar(self.p, m, self.coeffs[:m + 1])
 
     def extend(self, m: int):
         """Arbitrary preimage at order m >= n (pads zero coefficients)."""
-        if m < self.n:
+        if _int_arg(m, "truncation order") < self.n:
             raise InvalidInput(f"cannot extend order {self.n} down to {m}")
         return _scalar(self.p, m, self.coeffs + (0,) * (m - self.n))
 
@@ -224,7 +224,7 @@ class TruncatedMatrix(Record):
         _field(p, n)
         one, zero = (1,) + (0,) * n, (0,) * (n + 1)
         return _matrix(p, n, tuple(tuple(one if i == j else zero for j in range(r))
-                                   for i in range(r)))
+                                   for i in range(_int_arg(r, "matrix size"))))
 
     def __matmul__(self, other):
         if (other.p, other.n, other.r) != (self.p, self.n, self.r):
@@ -290,12 +290,12 @@ class TruncatedMatrix(Record):
         return mat_rank(PrimeField(self.p), [[x[0] for x in row] for row in self.rows]) == self.r
 
     def reduce(self, m: int):
-        if not 0 <= m <= self.n:
+        if not 0 <= _int_arg(m, "truncation order") <= self.n:
             raise InvalidInput(f"cannot reduce order {self.n} to order {m}")
         return _matrix(self.p, m, tuple(tuple(x[:m + 1] for x in row) for row in self.rows))
 
     def extend(self, m: int):
-        if m < self.n:
+        if _int_arg(m, "truncation order") < self.n:
             raise InvalidInput(f"cannot extend order {self.n} down to {m}")
         pad = (0,) * (m - self.n)
         return _matrix(self.p, m, tuple(tuple(x + pad for x in row) for row in self.rows))
@@ -418,7 +418,7 @@ def sl_kernel_check(M: TruncatedMatrix) -> SlKernelVerdict:
 
 def trace_section(lam: TruncatedScalar, r: int) -> TruncatedMatrix:
     """Section of the trace map: lam in the (1,1) slot, zeros elsewhere."""
-    if r < 1:
+    if _int_arg(r, "matrix size") < 1:
         raise InvalidInput("matrix size must be positive")
     zero = (0,) * (lam.n + 1)
     return _matrix(lam.p, lam.n, ((lam.coeffs,) + (zero,) * (r - 1),) + ((zero,) * r,) * (r - 1))
@@ -426,7 +426,7 @@ def trace_section(lam: TruncatedScalar, r: int) -> TruncatedMatrix:
 
 def det_section(u: TruncatedScalar, r: int) -> TruncatedMatrix:
     """Section of the determinant map: diag(u, 1, ..., 1); u must be a unit."""
-    if r < 1:
+    if _int_arg(r, "matrix size") < 1:
         raise InvalidInput("matrix size must be positive")
     if not u.is_unit:
         raise NotUnit("determinant section needs a unit scalar")

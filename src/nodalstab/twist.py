@@ -13,18 +13,17 @@ from .errors import (DocumentMismatch, EmptySubcurve, IndexOutOfRange, InvalidIn
                      _id_map, _require, _set, _small_int)
 
 
-def _dict_arg(mapping, record: str) -> dict:
+def _id_values(mapping, owner: str, what: str, kinds=int) -> dict:
+    """The mapping, once it is a dict whose values are all ``kinds``: ints,
+    or ints and Fractions (2.5 is refused, never truncated)."""
     if not isinstance(mapping, dict):
         raise InvalidInput(
-            f"{record} needs a dict keyed by component id, got {type(mapping).__name__}")
-    return mapping
-
-
-def _int_values(mapping: dict, record: str, what: str) -> dict:
-    """The mapping, once it is a dict of ints (2.5 is refused, never truncated)."""
-    for k, v in _dict_arg(mapping, record).items():
-        if not isinstance(v, int):
-            raise InvalidInput(f"{what} of component {k!r} must be an integer, got {v!r}")
+            f"{owner} needs a dict keyed by component id, got {type(mapping).__name__}")
+    for k, v in mapping.items():
+        if not isinstance(v, kinds):
+            raise InvalidInput(f"{what} of component {k!r} must be "
+                               f"{'an integer' if kinds is int else 'an int or a Fraction'}, "
+                               f"got {v!r}")
     return mapping
 
 
@@ -37,7 +36,7 @@ class BundleClass(Record):
         if not isinstance(rank, int) or rank < 1:
             raise InvalidInput("rank must be a positive integer")
         _set(self, "rank", rank)
-        _set(self, "multidegree", _int_values(multidegree, "BundleClass", "the degree"))
+        _set(self, "multidegree", _id_values(multidegree, "BundleClass", "the degree"))
 
     @property
     def total_degree(self) -> int:
@@ -64,7 +63,7 @@ class TwistDivisor(Record):
     __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: dict):
-        _set(self, "coeffs", _int_values(coeffs, "TwistDivisor", "the twist coefficient"))
+        _set(self, "coeffs", _id_values(coeffs, "TwistDivisor", "the twist coefficient"))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs.values())
@@ -109,7 +108,8 @@ def euler_char_component(c: TreeLikeCurve, bc: BundleClass, i: int) -> int:
     """chi of the class restricted to component i (Riemann-Roch)."""
     c.require_valid()
     require_match(c, bc.multidegree, "multidegree")
-    return _chi((bc.multidegree[i],), bc.rank, (c.component(i).arithmetic_genus,))[0]
+    genus = c.component(i).arithmetic_genus   # an unknown id raises before the degree is read
+    return _chi((bc.multidegree[i],), bc.rank, (genus,))[0]
 
 
 def euler_char_total(c: TreeLikeCurve, bc: BundleClass) -> int:
@@ -147,7 +147,11 @@ def chi_subcurve_sum(c: TreeLikeCurve, bc: BundleClass, subcurve) -> int:
     No node correction is applied: this is the quantity the
     semistability windows bound, not chi of the subcurve.
     """
-    ids = set(subcurve)
+    ids = set()
+    for i in subcurve:
+        if not isinstance(i, int):   # 1.0 would find id 1
+            raise IndexOutOfRange(f"subcurve ids must be integers, got {i!r}")
+        ids.add(i)
     if not ids:
         raise EmptySubcurve("subcurve must contain at least one component")
     unknown = ids - c._index.keys()

@@ -19,7 +19,7 @@ from math import lcm
 
 from nodalstab import BundleClass, Component, Polarization, TreeLikeCurve, decompose
 from nodalstab.errors import InvalidInput
-from nodalstab.curve import ordering_to_obj
+from nodalstab.curve import ValidationReport, ordering_to_obj
 
 
 # ---------------------------------------------------------------- generators
@@ -131,6 +131,46 @@ def det_verdict_oracle(c: TreeLikeCurve, bc: BundleClass, det: dict):
     mismatched = tuple(i for i in ids if det[i] != bc.multidegree[i])
     indivisible = tuple(i for i in ids if by_id[i].is_rational and det[i] % bc.rank != 0)
     return not mismatched and not indivisible, mismatched, indivisible
+
+
+def validation_oracle(c: TreeLikeCurve) -> ValidationReport:
+    """The validation report in two passes over a built curve: self-loops and
+    repeated nodes from ``edges``, then union-find over ``_edges`` for the
+    first closing edge (only while no cycle is reported) and the pieces.
+    The curve's constructor builds the same report in its one edge walk."""
+    errors = []
+    if len(c.simple_edges) != len(c.edges):    # some edge is a self-loop or repeated
+        seen = set()
+        for e in c.edges:
+            if e[0] == e[1]:
+                errors.append(("CycleDetected", f"edge {list(e)} joins a component to itself"))
+            elif e in seen:
+                errors.append(("MultiEdge",
+                               f"components {e[0]} and {e[1]} meet in more than one node"))
+            seen.add(e)
+    parent = list(range(len(c.ids)))
+    pieces = len(parent)
+    cycle_reported = any(code == "CycleDetected" for code, _ in errors)
+    for u, v in c._edges:
+        x = u
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        y = v
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x == y:
+            if not cycle_reported:
+                errors.append(("CycleDetected", f"edge {[c.ids[u], c.ids[v]]} closes a cycle"))
+                cycle_reported = True
+        else:
+            parent[x] = y
+            pieces -= 1
+    if pieces > 1:
+        errors.append(("Disconnected", f"dual graph has {pieces} connected pieces"))
+    valid = not errors
+    p_a = sum(comp.arithmetic_genus for comp in c.components) if valid else None
+    return ValidationReport(valid=valid, errors=tuple(errors), n_components=len(c.components),
+                            p_a=p_a, genus_at_least_two=(p_a >= 2) if valid else None)
 
 
 # ----------------------------------------------------------- graph utilities

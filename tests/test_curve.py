@@ -6,6 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from nodalstab import (
@@ -133,6 +134,42 @@ def test_validate_errors_match_the_rescan_rule_with_far_ids():
         edges = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 12))]
         c = helpers.relabel_far(rng, curve([(i, 0, 0) for i in range(1, n + 1)], edges))
         assert list(validate_curve(c).errors) == _errors_by_rescan(c)
+
+
+# n components and up to 14 edges between them, self-loops and repeats allowed;
+# the ids are spread out and listed shuffled, so id, index and listing differ
+multigraphs = st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.permutations([7 * i + 2**65 for i in range(1, n + 1)]),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(multigraphs)
+def test_the_one_edge_walk_builds_the_two_pass_report(graph):
+    ids, ends = graph
+    c = curve([(i, i % 3, i % 2) for i in ids], [(ids[a], ids[b]) for a, b in ends])
+    assert c._validation == helpers.validation_oracle(c)
+
+
+@pytest.mark.parametrize("n, edges, errors", [
+    # a self-loop listed after a closing edge suppresses the closing edge
+    (3, [(1, 2), (2, 3), (3, 1), (2, 2)], [("CycleDetected", "edge [2, 2] joins a component "
+                                                             "to itself")]),
+    # a repeated node given in both orientations
+    (2, [(2, 1), (1, 2)], [("MultiEdge", "components 1 and 2 meet in more than one node")]),
+    (1, [], []),
+    (1, [(1, 1), (1, 1)], [("CycleDetected", "edge [1, 1] joins a component to itself")] * 2),
+    # disconnected and cyclic: the closing edge, then the pieces
+    (5, [(1, 2), (3, 2), (3, 1), (2, 1)], [
+        ("MultiEdge", "components 1 and 2 meet in more than one node"),
+        ("CycleDetected", "edge [1, 3] closes a cycle"),
+        ("Disconnected", "dual graph has 3 connected pieces")]),
+])
+def test_the_one_edge_walk_keeps_the_order_and_suppression_of_errors(n, edges, errors):
+    c = curve([(i, 1, 0) for i in range(1, n + 1)], edges)
+    assert list(c._validation.errors) == errors
+    assert c._validation == helpers.validation_oracle(c)
+    assert c._validation.p_a == (None if errors else n)
 
 
 def test_prune_matches_the_round_rule_with_far_ids():

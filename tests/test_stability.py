@@ -518,8 +518,12 @@ def test_window_is_a_slotted_record_equal_by_value():
                                      {1: "x", 2: 1}, {1: Fraction(2), 2: 1}, {1: 0, 2: 1}])
 def test_ample_degrees_refuse_anything_but_positive_ints(degrees):
     # 2.7 and "3" were accepted, then broke polarization_from_ample with a
-    # TypeError; Fraction(3, 2) gave the weights 3/5 and 2/5; "x" a ValueError
-    with pytest.raises(InvalidInput, match="^ample degrees must be positive integers$") as info:
+    # TypeError; Fraction(3, 2) gave the weights 3/5 and 2/5; "x" a ValueError.
+    # A value that is not an int is named; an int below 1 is not positive
+    value = degrees[1]
+    message = ("ample degrees must be positive integers" if type(value) is int
+               else f"the ample degree of component 1 must be an integer, got {value!r}")
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$") as info:
         AmpleDegrees(degrees=degrees)
     assert type(info.value) is InvalidInput
 

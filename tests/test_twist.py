@@ -16,6 +16,7 @@ from nodalstab import (
     TreeLikeCurve,
     TwistDivisor,
     chi_subcurve_sum,
+    det_compatibility,
     euler_char_component,
     euler_char_total,
     gieseker_vs_seshadri,
@@ -287,22 +288,37 @@ def test_bundle_class_refuses_a_rank_that_is_not_an_int(rank):
 @pytest.mark.parametrize("value", [3.5, 3.0, "3", Fraction(3), None])
 def test_bundle_and_twist_values_are_ints(value):
     # BundleClass(2, {1: 3.5}) and TwistDivisor(coeffs={1: 0.5}) built, and
-    # twist then returned float degrees
+    # twist then returned float degrees; det_compatibility(c, bc, {1: 3.0, 2: 4})
+    # passed, a multirank of 0.5 was accepted and AmpleDegrees named no component
     tail = f" must be an integer, got {re.escape(repr(value))}$"
     with pytest.raises(InvalidInput, match="^the degree of component 2" + tail):
         BundleClass(2, {1: 3, 2: value})
     with pytest.raises(InvalidInput, match="^the twist coefficient of component 1" + tail):
         TwistDivisor(coeffs={1: value, 2: 0})
+    with pytest.raises(InvalidInput, match="^the ample degree of component 2" + tail):
+        AmpleDegrees({1: 1, 2: value})
+    with pytest.raises(InvalidInput, match="^the determinant degree of component 2" + tail):
+        det_compatibility(PATH2, BC2, {1: 5, 2: value})
+    with pytest.raises(InvalidInput, match="^the multirank of component 1" + tail):
+        gieseker_vs_seshadri(PATH2, BC2, AmpleDegrees({1: 1, 2: 1}), {1: value, 2: 1}, 2)
+    assert det_compatibility(PATH2, BC2, {1: 5, 2: True}).mismatched == (2,)
     assert BundleClass(2, {1: True}).multidegree == {1: 1}
     assert twist(PATH2, BC2, TwistDivisor({1: 1, 2: False})).multidegree == {1: 3, 2: 1}
 
 
 @pytest.mark.parametrize("container", [None, [1, 2], (3,), MappingProxyType({1: 3, 2: 1})])
 def test_bundle_and_twist_values_come_in_a_dict(container):
-    # BundleClass(2, None) and TwistDivisor([1, 2]) raised a bare AttributeError,
-    # and a read-only mapping built a record its checks had not covered
+    # BundleClass(2, None), TwistDivisor([1, 2]) and AmpleDegrees(None) raised a
+    # bare AttributeError, and a read-only mapping built a record its checks
+    # had not covered
     tail = f" needs a dict keyed by component id, got {type(container).__name__}$"
     with pytest.raises(InvalidInput, match="^BundleClass" + tail):
         BundleClass(2, container)
     with pytest.raises(InvalidInput, match="^TwistDivisor" + tail):
         TwistDivisor(container)
+    with pytest.raises(InvalidInput, match="^AmpleDegrees" + tail):
+        AmpleDegrees(container)
+    with pytest.raises(InvalidInput, match="^det_compatibility" + tail):
+        det_compatibility(PATH2, BC2, container)
+    with pytest.raises(InvalidInput, match="^gieseker_vs_seshadri" + tail):
+        gieseker_vs_seshadri(PATH2, BC2, AmpleDegrees({1: 1, 2: 1}), container, 2)
