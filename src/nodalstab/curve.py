@@ -58,8 +58,8 @@ class TreeLikeCurve(Record):
     The constructor sorts ``components`` by id, so ``components``,
     ``ids`` and the dense index share one order whatever order the
     document used, and normalizes each edge to (smaller id, larger id).
-    ``edges`` keeps the raw normalized pair list so that validation can
-    still report duplicate edges; every operation other than
+    ``edges`` keeps the raw normalized pair list: it is the field that
+    ``==`` and pickling rebuild the curve from; every operation other than
     :func:`validate_curve` requires the curve to be a tree.
 
     One walk over ``edges``, in document order, builds the rest:
@@ -356,8 +356,8 @@ def decompose(c: TreeLikeCurve, ordering: Ordering, i: int):
 def verify_ordering(c: TreeLikeCurve, ordering: Ordering) -> None:
     """Check an ordering against the curve in O(N); raise OrderingMismatch.
 
-    ``perm`` must be a permutation of the component ids, every nu(i) must
-    lie in i+1..N, and the parent edges {perm(i), perm(nu(i))} must be
+    ``perm`` must be a permutation of the component ids, as ints, every
+    nu(i) an int in i+1..N, and the parent edges {perm(i), perm(nu(i))}
     exactly the curve's nodes.  On a tree this is the one-branch property:
     every other neighbor of component i is then a child, at a lower
     position, and the higher positions form one connected branch through
@@ -365,14 +365,16 @@ def verify_ordering(c: TreeLikeCurve, ordering: Ordering) -> None:
     """
     n = len(c.components)
     perm, nu = ordering.perm, ordering.nu
+    for x in (x for x in perm if not isinstance(x, int)):   # 2.0 would find id 2
+        raise OrderingMismatch(f"perm entry {x!r} is not an integer")
     if len(perm) != n or set(perm) != c._index.keys():
         raise OrderingMismatch("perm is not a permutation of the curve's component ids")
     if len(nu) != n - 1:
         raise OrderingMismatch(f"nu has {len(nu)} entries, need {n - 1}")
     edges = set()
     for k, nu_i in enumerate(nu):
-        if not k + 2 <= nu_i <= n:
-            raise OrderingMismatch(f"nu({k + 1}) = {nu_i} is outside {k + 2}..{n}")
+        if not (isinstance(nu_i, int) and k + 2 <= nu_i <= n):   # 2.0 cannot index perm
+            raise OrderingMismatch(f"nu({k + 1}) = {nu_i!r} is not an integer in {k + 2}..{n}")
         a, b = perm[k], perm[nu_i - 1]
         edges.add((a, b) if a <= b else (b, a))
     if edges != c.simple_edges:

@@ -89,8 +89,8 @@ def _require(cond, message, field=None):
 
 
 def _int(value, field):
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"expected an integer, got {value!r}", field)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"expected an integer, got {value!r}", field=field)
     return value
 
 
@@ -111,8 +111,8 @@ _DIGIT_BOUND = 10 ** _MAX_DIGITS
 
 
 def _small_int(value, field):
-    _require(-_DIGIT_BOUND < _int(value, field) < _DIGIT_BOUND,
-             f"integer has more than {_MAX_DIGITS} digits", field)
+    if not -_DIGIT_BOUND < _int(value, field) < _DIGIT_BOUND:
+        raise ParseError(f"integer has more than {_MAX_DIGITS} digits", field=field)
     return value
 
 
@@ -120,8 +120,8 @@ def _id_map(obj, field):
     _require(isinstance(obj, dict), "expected an object keyed by component id", field)
     out = {}
     for k, v in obj.items():
-        _require(isinstance(k, str) and k.isascii() and k.isdigit() and k[0] != "0",
-                 f"bad component id key {k!r}", field)
+        if not (isinstance(k, str) and k.isascii() and k.isdigit() and k[0] != "0"):
+            raise ParseError(f"bad component id key {k!r}", field=field)
         try:
             out[int(k)] = v
         except ValueError:   # over the interpreter's digit limit, as for a JSON integer

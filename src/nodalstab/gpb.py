@@ -119,8 +119,9 @@ def parse_flag(obj) -> GluingFlag:
     for row in rows:
         _require(isinstance(row, list), "basis_matrix rows must be arrays", "basis_matrix")
         for x in row:
-            _require(isinstance(x, (str, int)) and not isinstance(x, bool),
-                     f"flag entries must be strings or integers, got {x!r}", "basis_matrix")
+            if not isinstance(x, (str, int)) or isinstance(x, bool):
+                raise ParseError(f"flag entries must be strings or integers, got {x!r}",
+                                 field="basis_matrix")
     try:
         parsed = [[field.parse(x) for x in row] for row in rows]
     except ValueError:

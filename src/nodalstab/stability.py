@@ -34,19 +34,22 @@ class Polarization(Record):
     __slots__ = _fields + ("_scaled",)
 
     def __init__(self, weights: dict):
-        # ints or Fractions ("1/2" and 0.5 are the parser's to read), also kept
-        # as integers: each weight times den, the lcm of the denominators
-        w = {i: Fraction(v) for i, v in _id_values(weights, "Polarization", "the weight",
-                                                    (int, Fraction)).items()}
-        pairs = [v.as_integer_ratio() for v in w.values()]
-        den = math.lcm(*[d for _, d in pairs])
-        scaled = [n * (den // d) for n, d in pairs]
-        if any(s <= 0 for s in scaled):
+        # ints or Fractions ("1/2" and 0.5 are the parser's to read), also kept as
+        # integers: each weight times den, the lcm of the denominators
+        w, den = {}, 1
+        for i, v in _id_values(weights, "Polarization", "the weight", (int, Fraction)).items():
+            w[i] = v if isinstance(v, Fraction) else Fraction(v)
+            den = math.lcm(den, v.denominator)   # so an over-long lcm stops the loop early
+            if den >= _DIGIT_BOUND:
+                raise ParseError(f"the weights' common denominator has more than {_MAX_DIGITS} "
+                                 "digits", field="weights")
+        scaled = {i: v.numerator * (den // v.denominator) for i, v in w.items()}
+        if any(s <= 0 for s in scaled.values()):
             raise InvalidInput("polarization weights must be strictly positive")
-        if sum(scaled) != den:
+        if sum(scaled.values()) != den:
             raise InvalidInput("polarization weights must sum to exactly 1")
         _set(self, "weights", w)
-        _set(self, "_scaled", (den, dict(zip(w, scaled))))
+        _set(self, "_scaled", (den, scaled))
 
 
 def parse_polarization(obj) -> Polarization:
@@ -58,13 +61,6 @@ def parse_polarization(obj) -> Polarization:
             weights[i] = Fraction(_rational_text(v))
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"not a rational number: {v!r}") from None
-    # grown one weight at a time, so an over-long lcm stops the loop early
-    den = 1
-    for v in weights.values():
-        den = math.lcm(den, v.denominator)
-        _require(den < _DIGIT_BOUND,
-                 f"the weights' common denominator has more than {_MAX_DIGITS} digits",
-                 "weights")
     return Polarization(weights=weights)
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 
 from nodalstab import BundleClass, Component, Polarization, TreeLikeCurve, decompose
-from nodalstab.errors import InvalidInput
+from nodalstab.errors import InvalidInput, ParseError
 from nodalstab.curve import ValidationReport, ordering_to_obj
 
 
@@ -106,20 +106,24 @@ def random_polarization(rng: random.Random, c: TreeLikeCurve) -> Polarization:
 
 
 def fraction_polarization(weights):
-    """The polarization rule on Fractions, from its definition: every
-    weight strictly positive, the weights summing to exactly 1.  Returns
-    (weights, (den, {id: weight * den})) with den the lcm of the weight
-    denominators, or raises what ``Polarization`` raises, in its order."""
+    """The polarization rule on Fractions, from its definition: den, the lcm
+    of the weight denominators, at most 1000 digits long, every weight
+    strictly positive, the weights summing to exactly 1.  Returns
+    (weights, (den, {id: weight * den})), or raises what ``Polarization``
+    raises, in its order: type, then the cap, then positivity, then the sum."""
     for i, v in weights.items():
         if type(v) not in (int, bool, Fraction):
             raise InvalidInput(f"the weight of component {i!r} must be an int or a Fraction, "
                                f"got {v!r}")
     w = {i: Fraction(v) for i, v in weights.items()}
+    den = lcm(*[v.denominator for v in w.values()])
+    if den >= 10 ** 1000:
+        raise ParseError("the weights' common denominator has more than 1000 digits",
+                         field="weights")
     if any(v <= 0 for v in w.values()):
         raise InvalidInput("polarization weights must be strictly positive")
     if sum(w.values()) != 1:
         raise InvalidInput("polarization weights must sum to exactly 1")
-    den = lcm(*[v.denominator for v in w.values()])
     return w, (den, {i: int(v * den) for i, v in w.items()})
 
 

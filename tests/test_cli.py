@@ -421,6 +421,26 @@ def test_weight_denominators_are_capped_at_1000_digits(tmp_path, capsys):
             assert len(report["indices"][2]["lower"]) > 1000
 
 
+@pytest.mark.parametrize("den", [CAP - 1, CAP], ids=["1000 digits", "1001 digits"])
+def test_a_weight_denominator_at_the_cap(den, tmp_path, capsys):
+    # one weight's own denominator, 1000 digits long or 1001
+    pol = tmp_path / "pol.json"
+    pol.write_text(json.dumps({"weights": {"1": f"1/{den}", "2": f"{den - 1}/{den}"}}))
+    for cmd in ("check", "balance"):
+        code, report = run_cli(capsys, cmd, "--curve", str(CURVES / "path2_g11.json"),
+                               "--bundle", str(FIXTURES / "path2_bundle.json"),
+                               "--pol", str(pol))
+        if den < CAP:
+            assert code in (0, 1)
+            assert report["indices"][0]["lower"].endswith(f"/{den}")
+        else:
+            assert code == 2
+            assert report["error"] == {
+                "code": "ParseError", "field": "weights",
+                "detail": "the weights' common denominator has more than 1000 digits; "
+                          "field=weights"}
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--curve", "path3.json", "--bundle", "path3_bundle.json",
      "--pol", "bad_pol_exponent.json"],

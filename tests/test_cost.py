@@ -5,13 +5,15 @@ fails here on any machine."""
 
 import math
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from nodalstab import fields, truncated
+from nodalstab import Polarization, fields, truncated
 from nodalstab.errors import InvalidInput, NoRoot
 from nodalstab.fields import PrimeField
+from nodalstab.stability import parse_polarization
 from nodalstab.truncated import TruncatedMatrix, sl_kernel_check
 
 
@@ -99,3 +101,26 @@ def test_a_root_search_past_the_cap_is_refused_before_it_starts(monkeypatch, p, 
     # an element with no root is told so, whatever the cap
     with pytest.raises(NoRoot):
         field.rth_root(next(x for x in range(2, p) if pow(x, (p - 1) // gcd(r, p - 1), p) != 1), r)
+
+
+def fractions_built(monkeypatch, run):
+    """The ``Fraction`` objects built through ``Fraction.__new__`` while run() runs."""
+    new, count = Fraction.__new__, [0]
+
+    def counting(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    run()
+    monkeypatch.undo()
+    return count[0]
+
+
+@pytest.mark.parametrize("n", [10, 100, 1000])
+def test_each_weight_becomes_a_fraction_once(monkeypatch, n):
+    # the parser reads each weight string into one Fraction and the constructor
+    # keeps a Fraction as given; the constructor's copies made 2n and n
+    doc = {"weights": {str(i): f"1/{n}" for i in range(1, n + 1)}}
+    assert fractions_built(monkeypatch, lambda: parse_polarization(doc)) == n
+    weights = {i: Fraction(1, n) for i in range(1, n + 1)}
+    assert fractions_built(monkeypatch, lambda: Polarization(weights)) == 0

@@ -12,6 +12,7 @@ from nodalstab import (
     BundleClass,
     Component,
     GpbClass,
+    Ordering,
     Polarization,
     PrimeField,
     RationalField,
@@ -26,12 +27,14 @@ from nodalstab import (
     euler_char_component,
     gieseker_vs_seshadri,
     intersection,
+    lambda_check,
     phi_rank_degree,
     picard_rth_root,
     prune_ordering,
     trace_section,
+    verify_ordering,
 )
-from nodalstab.errors import IndexOutOfRange, InvalidInput
+from nodalstab.errors import IndexOutOfRange, InvalidInput, OrderingMismatch
 
 PATH2 = TreeLikeCurve((Component(1), Component(2)), ((1, 2),))
 BC2 = BundleClass(2, {1: 3, 2: 1})
@@ -112,3 +115,19 @@ def test_a_negative_pi_exponent_is_refused():
     with pytest.raises(InvalidInput, match="^pi exponent must be nonnegative$"):
         TruncatedScalar.pi_power(7, 2, -1)
     assert TruncatedScalar.pi_power(7, 2, 3).is_zero
+
+
+@pytest.mark.parametrize("perm, nu, message", [
+    ((1, 2.0), (2,), "perm entry 2.0 is not an integer"),
+    ((1.0, 2), (2,), "perm entry 1.0 is not an integer"),
+    ((1, None), (2,), "perm entry None is not an integer"),
+    ((1, 2), (2.0,), "nu(1) = 2.0 is not an integer in 2..2"),
+    ((1, 2), ("2",), "nu(1) = '2' is not an integer in 2..2")])
+def test_ordering_entries_are_ints(perm, nu, message):
+    # Ordering((1, 2.0), (2,)) gave a Window for component 2.0, and
+    # Ordering((1, 2), (2.0,)) raised a bare TypeError indexing perm
+    for check in (verify_ordering, lambda c, o: lambda_check(c, o, BC2, POL2)):
+        with pytest.raises(OrderingMismatch, match=f"^{re.escape(message)}$"):
+            check(PATH2, Ordering(perm, nu))
+    assert lambda_check(PATH2, Ordering((1, 2), (2,)), BC2, POL2) == \
+        lambda_check(PATH2, O2, BC2, POL2)

@@ -38,6 +38,7 @@ from nodalstab.errors import (
     DocumentMismatch,
     InvalidInput,
     OrderingMismatch,
+    ParseError,
     WrongArity,
     ZeroMultirank,
 )
@@ -122,8 +123,9 @@ def test_polarization_matches_the_fraction_rule():
         expected = _outcome(helpers.fraction_polarization, weights)
         assert _outcome(_built, weights) == expected, weights
         kinds.add(expected[0] if isinstance(expected[0], type) else "accepted")
-    # a string or a float is refused before it is read, so never a ValueError
-    assert kinds == {"accepted", InvalidInput}
+    # a string or a float is refused before it is read, so never a ValueError;
+    # a common denominator past 1000 digits is refused before positivity and the sum
+    assert kinds == {"accepted", InvalidInput, ParseError}
 
 
 def test_polarization_checks_the_edges_of_its_integer_rule():
@@ -143,6 +145,34 @@ def test_polarization_checks_the_edges_of_its_integer_rule():
             ({1: -1, 2: 5}, (InvalidInput, "polarization weights must be strictly positive"))]:
         assert _outcome(_built, weights) == outcome
         assert _outcome(helpers.fraction_polarization, weights) == outcome
+
+
+@pytest.mark.parametrize("den", [10**999, 10**1000 - 1, 10**1000, 10**5000 + 7],
+                         ids=["1e999", "1e1000-1", "1e1000", "1e5000+7"])
+def test_the_weights_common_denominator_has_at_most_1000_digits(den):
+    # the cap of the polarization document holds in the library too:
+    # Polarization({1: Fraction(1, 10**5000 + 7), ...}) built, and printing a
+    # window bound then raised a bare ValueError past 4300 digits
+    weights = {1: Fraction(1, den), 2: 1 - Fraction(1, den)}
+    if den < 10**1000:
+        pol = Polarization(weights)
+        assert pol._scaled == (den, {1: 1, 2: den - 1})
+        assert len(str(lambda_check(PATH2, prune_ordering(PATH2), BC2, pol)[0].lower)) > 1000
+    else:
+        with pytest.raises(ParseError, match="^the weights' common denominator has more than "
+                                             "1000 digits; field=weights$") as info:
+            Polarization(weights)
+        assert info.value.field == "weights"
+
+
+def test_the_denominator_cap_comes_before_positivity_and_the_sum():
+    # two coprime 501-digit denominators: each weight alone is under the cap,
+    # their lcm is not, and it is refused before the wrong sign and sum
+    p, q = 10**500 + 1, 10**500 + 3
+    for weights in ({1: Fraction(1, p), 2: Fraction(1, q)},
+                    {1: Fraction(-1, p), 2: Fraction(1, q), 3: 0}):
+        with pytest.raises(ParseError, match="common denominator"):
+            Polarization(weights)
 
 
 @pytest.mark.parametrize("bad", [0.5, "1/2", Decimal("0.5"), None, 1.0])
