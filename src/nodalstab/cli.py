@@ -40,26 +40,21 @@ _MAX_MATRIX_ORDER = 10_000
 _MAX_NODES = 10_000
 
 
-def _verdicts_to_obj(verdicts, subtrees) -> list:
-    return [{"i": v.i,
-             "component": v.component,
-             "G": g,
-             "lower": str(v.lower),
-             "upper": str(v.upper),
-             "value": v.value,
-             "passes": v.passes}
-            for v, g in zip(verdicts, subtrees)]
+def _obj(record, **extra) -> dict:
+    """A verdict record's report: one key per field, then ``extra``."""
+    return dict(zip(record._fields, record._key()), **extra)
+
+
+def _window(w, **extra) -> dict:
+    return {"i": w.i, "component": w.component, "value": w.value,
+            "lower": str(w.lower), "upper": str(w.upper), **extra}
 
 
 def cmd_validate(args):
     from .curve import parse_curve, validate_curve
-    c = parse_curve(ser.read_json(args.curve))
-    report = validate_curve(c)
-    obj = {"valid": report.valid,
-           "n_components": report.n_components,
-           "p_a": report.p_a,
-           "genus_at_least_two": report.genus_at_least_two,
-           "errors": [{"code": code, "detail": detail} for code, detail in report.errors]}
+    report = validate_curve(parse_curve(ser.read_json(args.curve)))
+    obj = _obj(report, errors=[{"code": code, "detail": detail}
+                               for code, detail in report.errors])
     return obj, (EXIT_OK if report.valid else EXIT_INPUT)
 
 
@@ -80,79 +75,60 @@ def _load_triple(args):
     return c, bc, pol
 
 
+def _check_report(c, ordering, bc, pol) -> dict:
+    from .stability import lambda_check
+    windows = lambda_check(c, ordering, bc, pol)
+    return {"passes": all(w.passes for w in windows),
+            "rank": bc.rank,
+            "total_degree": bc.total_degree,
+            "indices": [_window(w, G=g, passes=w.passes)
+                        for w, g in zip(windows, ordering.subtrees)]}
+
+
 def cmd_check(args):
     from .curve import prune_ordering
-    from .stability import lambda_check
     c, bc, pol = _load_triple(args)
-    ordering = prune_ordering(c)
-    verdicts = lambda_check(c, ordering, bc, pol)
-    ok = all(v.passes for v in verdicts)
-    obj = {"passes": ok,
-           "rank": bc.rank,
-           "total_degree": bc.total_degree,
-           "indices": _verdicts_to_obj(verdicts, ordering.subtrees)}
-    return obj, (EXIT_OK if ok else EXIT_FAIL)
+    obj = _check_report(c, prune_ordering(c), bc, pol)
+    return obj, (EXIT_OK if obj["passes"] else EXIT_FAIL)
 
 
 def cmd_balance(args):
+    # the check report of the balanced class, with the twist that balanced it
     from .balance import balance
-    from .stability import lambda_check
     from .twist import bundle_to_obj
     c, bc, pol = _load_triple(args)
     result = balance(c, bc, pol)
-    verdicts = lambda_check(c, result.ordering, result.balanced, pol)
-    obj = {
-        "ordering": result.ordering.perm,
-        "twist": {str(i): a for i, a in sorted(result.twist.coeffs.items())},
-        **bundle_to_obj(result.balanced),   # rank and multidegree
-        "total_degree": result.balanced.total_degree,
-        "steps": [{"i": s.i,
-                   "component": s.component,
-                   "value": s.value,
-                   "lower": str(s.lower),
-                   "upper": str(s.upper),
-                   "candidates": s.candidates,
-                   "chosen": s.chosen}
-                  for s in result.steps],
-        "passes": all(v.passes for v in verdicts),
-        "indices": _verdicts_to_obj(verdicts, result.ordering.subtrees),
-    }
+    obj = _check_report(c, result.ordering, result.balanced, pol)
+    obj.update(bundle_to_obj(result.balanced),   # rank and multidegree
+               ordering=result.ordering.perm,
+               twist={str(i): a for i, a in sorted(result.twist.coeffs.items())},
+               steps=[_window(s, candidates=s.candidates, chosen=s.chosen)
+                      for s in result.steps])
     return obj, EXIT_OK
 
 
 def cmd_gpb(args):
     from . import gpb as gpb_mod
     from .fields import parse_field
-    if args.flag:
-        flag = gpb_mod.parse_flag(ser.read_json(args.flag))
+    if args.flag or args.build:
+        if args.flag:
+            flag = gpb_mod.parse_flag(ser.read_json(args.flag))
+        else:
+            for name in ("field", "rank", "degree"):
+                if getattr(args, name) is None:
+                    raise InvalidInput(f"--build needs --{name}")
+            if args.rank > _MAX_BUILD_RANK:
+                raise InvalidInput(f"--rank must be at most {_MAX_BUILD_RANK}, got {args.rank}")
+            flag = gpb_mod.build_rational_flag(parse_field(args.field), args.rank,
+                                               args.degree, args.shift)
         proj = gpb_mod.check_projections(flag)
         kern = gpb_mod.check_no_kernel_section(flag)
-        obj = {"field": flag.field.name,
-               "rank": flag.rank,
-               "pr1_iso": proj.pr1_iso,
-               "pr2_iso": proj.pr2_iso,
-               "locally_free": proj.locally_free,
-               "dim_meet_p_side": kern.dim_meet_p_side,
-               "dim_meet_q_side": kern.dim_meet_q_side,
-               "no_kernel_sections": kern.passes}
+        obj = _obj(proj, locally_free=proj.locally_free, no_kernel_sections=kern.passes)
+        if not args.flag:   # --build reports the flag it made, and always passes
+            obj.update(gpb_mod.flag_to_obj(flag))
+            return obj, EXIT_OK
+        obj.update(_obj(kern, field=flag.field.name, rank=flag.rank))
         return obj, (EXIT_OK if proj.locally_free and kern.passes else EXIT_FAIL)
-
-    if args.build:
-        for name in ("field", "rank", "degree"):
-            if getattr(args, name) is None:
-                raise InvalidInput(f"--build needs --{name}")
-        if args.rank > _MAX_BUILD_RANK:
-            raise InvalidInput(f"--rank must be at most {_MAX_BUILD_RANK}, got {args.rank}")
-        field = parse_field(args.field)
-        flag = gpb_mod.build_rational_flag(field, args.rank, args.degree, args.shift)
-        proj = gpb_mod.check_projections(flag)
-        kern = gpb_mod.check_no_kernel_section(flag)
-        obj = gpb_mod.flag_to_obj(flag)
-        obj.update({"pr1_iso": proj.pr1_iso,
-                    "pr2_iso": proj.pr2_iso,
-                    "locally_free": proj.locally_free,
-                    "no_kernel_sections": kern.passes})
-        return obj, EXIT_OK
 
     for name in ("rank", "degree", "nodes"):
         if getattr(args, name) is None:
@@ -202,13 +178,7 @@ def cmd_dvr(args):
     if args.sl:
         M = parse_truncated_matrix(ser.read_json(args.sl))
         verdict = sl_kernel_check(M)
-        obj = {"det_is_one": verdict.det_is_one,
-               "reduces_to_identity": verdict.reduces_to_identity,
-               "trace_residue": verdict.trace_residue,
-               "in_kernel": verdict.in_kernel,
-               "trace_condition": verdict.trace_condition,
-               "biconditional_holds": verdict.biconditional_holds}
-        return obj, (EXIT_OK if verdict.biconditional_holds else EXIT_FAIL)
+        return _obj(verdict), (EXIT_OK if verdict.biconditional_holds else EXIT_FAIL)
 
     if args.torsor:
         cocycle, gammas = _parse_torsor(ser.read_json(args.torsor))

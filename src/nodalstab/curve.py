@@ -91,7 +91,11 @@ class TreeLikeCurve(Record):
         errors, looped, closing = [], False, None
         parent, pieces = list(range(len(ids))), len(ids)
         for e in edges:
-            a, b = e
+            try:
+                a, b = e
+            except (TypeError, ValueError):
+                raise ParseError(f"edge {e!r} is not a pair of component ids",
+                                 field="edges") from None
             if not (isinstance(a, int) and isinstance(b, int)):   # 2.0 would find id 2
                 raise ParseError(f"edge {list(e)} has an endpoint that is not an integer",
                                  field="edges")

@@ -88,6 +88,8 @@ class GluingFlag(Record):
 
     def __init__(self, field, rank: int, basis_matrix: tuple):
         # basis_matrix: r rows of length 2r, entries in the field
+        if _int_arg(rank, "rank") < 1:
+            raise InvalidInput("rank must be positive")
         rows = tuple(tuple(map(field.element, row)) for row in basis_matrix)
         if len(rows) != rank or any(len(row) != 2 * rank for row in rows):
             raise InvalidInput("flag matrix must be rank x 2*rank")

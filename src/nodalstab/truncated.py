@@ -328,9 +328,9 @@ def parse_truncated_matrix(obj) -> TruncatedMatrix:
         _require(isinstance(row, list) and len(row) == len(entries),
                  "entries must form a square matrix", f"entries[{i}]")
         for j, coeffs in enumerate(row):
-            _require(isinstance(coeffs, list),
-                     "each entry is a coefficient vector", f"entries[{i}][{j}]")
-            yield [_int(x, f"entries[{i}][{j}]") for x in coeffs]
+            where = f"entries[{i}][{j}]"   # one name per entry, not per coefficient
+            _require(isinstance(coeffs, list), "each entry is a coefficient vector", where)
+            yield [_int(x, where) for x in coeffs]
     return TruncatedMatrix(field.p, n, (cells(i, row) for i, row in enumerate(entries)))
 
 

@@ -1,12 +1,14 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
 
 import pytest
 
+import helpers
 from nodalstab import cli
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -515,3 +517,69 @@ def test_a_4300_digit_truncation_order_exits_2_without_a_traceback(tmp_path, mod
     assert json.loads(proc.stdout)["error"] == {
         "code": "ParseError", "field": "n",
         "detail": "integer has more than 1000 digits; field=n"}
+
+
+def write_triple(tmp_path, rng, c, bc, pol, shuffle=False) -> list:
+    """The curve, bundle and polarization documents of (c, bc, pol), as
+    check and balance arguments.  With shuffle, the components, edges and
+    map keys are listed in random order and some edges are flipped."""
+    comps = [{"id": k.id, "geometric_genus": k.geometric_genus,
+              "internal_nodes": k.internal_nodes} for k in c.components]
+    edges = [[a, b] for a, b in c.edges]
+    multidegree = [(str(i), d) for i, d in bc.multidegree.items()]
+    weights = [(str(i), str(w)) for i, w in pol.weights.items()]
+    if shuffle:
+        for items in (comps, edges, multidegree, weights):
+            rng.shuffle(items)
+        edges = [e[::-1] if rng.random() < 0.5 else e for e in edges]
+    docs = {"curve": {"components": comps, "edges": edges},
+            "bundle": {"rank": bc.rank, "multidegree": dict(multidegree)},
+            "pol": {"weights": dict(weights)}}
+    argv = []
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}{'_shuffled' if shuffle else ''}.json"
+        path.write_text(json.dumps(doc))
+        argv += [f"--{name}", str(path)]
+    return argv
+
+
+def test_balance_reports_the_check_report_of_its_balanced_class(tmp_path, capsys):
+    # balance's twist makes the class pass every window; its report is the check
+    # report of the balanced class, plus the ordering, the twist and the steps
+    rng = random.Random(271)
+    for _ in range(40):
+        c = helpers.random_curve(rng)
+        bc, pol = helpers.random_bundle(rng, c), helpers.random_polarization(rng, c)
+        argv = write_triple(tmp_path, rng, c, bc, pol)
+        code, balanced = run_cli(capsys, "balance", *argv)
+        assert code == 0
+        bundle = tmp_path / "balanced.json"
+        bundle.write_text(json.dumps({"rank": balanced["rank"],
+                                      "multidegree": balanced["multidegree"]}))
+        argv[argv.index("--bundle") + 1] = str(bundle)
+        code, checked = run_cli(capsys, "check", *argv)
+        assert code == 0
+        assert set(checked) == {"passes", "rank", "total_degree", "indices"}
+        assert set(balanced) == set(checked) | {"ordering", "twist", "multidegree", "steps"}
+        assert checked == {key: balanced[key] for key in checked}
+        assert checked["passes"]
+
+
+def test_reports_do_not_depend_on_document_order(tmp_path, capsys):
+    # the order of components, edges, endpoints and map keys in a document is
+    # never read: every tree report is the same bytes
+    rng = random.Random(277)
+    for _ in range(30):
+        c = helpers.random_curve(rng)
+        bc, pol = helpers.random_bundle(rng, c), helpers.random_polarization(rng, c)
+        outputs = []
+        for shuffle in (False, True):
+            argv = write_triple(tmp_path, rng, c, bc, pol, shuffle)
+            runs = []
+            for command, args in (("validate", argv[:2]), ("order", argv[:2]),
+                                  ("check", argv), ("balance", argv)):
+                runs.append((cli.run([command, *args]), capsys.readouterr().out))
+            outputs.append(runs)
+        assert outputs[0] == outputs[1]
+        codes = [code for code, _ in outputs[0]]
+        assert codes[0] == codes[1] == codes[3] == 0   # check exits 1 on a failing class

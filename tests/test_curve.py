@@ -565,3 +565,12 @@ def test_curve_refuses_an_edge_endpoint_that_is_not_an_int(bad):
     # the edges are walked once, so a one-shot iterable builds the same curve
     c = TreeLikeCurve(components=comps, edges=iter([[1, 2], [2, 3]]))
     assert c.edges == ((1, 2), (2, 3)) and validate_curve(c).valid
+
+
+@pytest.mark.parametrize("bad", [(1, 2, 3), (1,), (), 5, None])
+def test_curve_refuses_an_edge_that_is_not_a_pair(bad):
+    # the edge (1, 2, 3) raised a bare ValueError and the edge 5 a bare TypeError
+    comps = (Component(1), Component(2), Component(3))
+    with pytest.raises(ParseError, match=re.escape(
+            f"edge {bad!r} is not a pair of component ids; field=edges")):
+        TreeLikeCurve(components=comps, edges=((1, 2), bad))

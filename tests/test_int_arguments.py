@@ -11,6 +11,7 @@ from nodalstab import (
     AmpleDegrees,
     BundleClass,
     Component,
+    GluingFlag,
     GpbClass,
     Ordering,
     Polarization,
@@ -65,6 +66,7 @@ CASES = [
     ("rank", lambda v: build_rational_flag(PrimeField(5), v, 4, 1), 2),
     ("a", lambda v: build_rational_flag(PrimeField(5), 2, 4, v), 1),
     ("degree", lambda v: build_rational_flag(PrimeField(5), 2, v, 1), 2),
+    ("rank", lambda v: GluingFlag(PrimeField(5), v, [[1, 0, 0, 1], [0, 1, 1, 0]]), 2),
 ]
 
 
@@ -108,6 +110,14 @@ def test_rational_roots_need_a_positive_exponent(r):
     with pytest.raises(InvalidInput, match="^root exponent must be positive$"):
         RationalField().rth_root(4, r)
     assert RationalField().rth_root(4, 2) == 2   # F_p takes any int r: tests/test_fields.py
+
+
+@pytest.mark.parametrize("rank", [0, -1])
+def test_a_gluing_flag_needs_a_positive_rank(rank):
+    # GluingFlag(F5, 0, []) built, and check_projections then called both
+    # empty projections isomorphisms
+    with pytest.raises(InvalidInput, match="^rank must be positive$"):
+        GluingFlag(PrimeField(5), rank, [])
 
 
 def test_a_negative_pi_exponent_is_refused():
