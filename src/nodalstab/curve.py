@@ -19,6 +19,7 @@ from .errors import (
     OrderingMismatch,
     ParseError,
     Record,
+    _each,
     _int,
     _int_arg,
     _require,
@@ -36,9 +37,11 @@ class Component(Record):
         if not isinstance(id, int) or id < 1:
             raise ParseError("component ids must be positive integers", field="components.id")
         if not (isinstance(geometric_genus, int) and isinstance(internal_nodes, int)):
-            raise ParseError("genus data must be integers", field=f"components[{id}]")
+            raise ParseError("genus data must be integers", field="components." + (
+                "internal_nodes" if isinstance(geometric_genus, int) else "geometric_genus"))
         if geometric_genus < 0 or internal_nodes < 0:
-            raise ParseError("genus data must be nonnegative", field=f"components[{id}]")
+            raise ParseError("genus data must be nonnegative", field="components." + (
+                "internal_nodes" if geometric_genus >= 0 else "geometric_genus"))
         _set(self, "id", id)
         _set(self, "geometric_genus", geometric_genus)
         _set(self, "internal_nodes", internal_nodes)
@@ -168,26 +171,31 @@ class ValidationReport(Record):
     __slots__ = _fields = ("valid", "errors", "n_components", "p_a", "genus_at_least_two")
 
 
+def _component(c, where) -> Component:
+    """The component document c; ``where`` names its fields, or is None."""
+    _require(isinstance(c, dict), "component must be an object", where)
+    cid = _int(c.get("id"), where and where + ".id")
+    genus = _small_int(c.get("geometric_genus", 0), where and where + ".geometric_genus")
+    nodes = _small_int(c.get("internal_nodes", 0), where and where + ".internal_nodes")
+    if cid >= 1:   # below 1, Component's id refusal comes first
+        _require(genus >= 0 and nodes >= 0, "genus data must be nonnegative", where)
+    return Component(cid, genus, nodes)
+
+
+def _edge(e, where) -> tuple:
+    """The edge document e, a pair of integer ids; ``where`` names it, or is None."""
+    _require(isinstance(e, list) and len(e) == 2, "edge must be a pair", where)
+    return _int(e[0], where), _int(e[1], where)
+
+
 def parse_curve(obj) -> TreeLikeCurve:
     """Curve document: {"components": [{"id": 1, ...}, ...], "edges": [[1, 2], ...]}."""
     _require(isinstance(obj, dict), "curve document must be an object")
     _require(isinstance(obj.get("components"), list), "missing components list", "components")
-    comps = []
-    for k, c in enumerate(obj["components"]):
-        where = f"components[{k}]"
-        _require(isinstance(c, dict), "component must be an object", where)
-        comps.append(Component(
-            id=_int(c.get("id"), where + ".id"),
-            geometric_genus=_small_int(c.get("geometric_genus", 0), where + ".geometric_genus"),
-            internal_nodes=_small_int(c.get("internal_nodes", 0), where + ".internal_nodes"),
-        ))
-    edges_obj = obj.get("edges", [])
-    _require(isinstance(edges_obj, list), "edges must be a list", "edges")
-    edges = []
-    for k, e in enumerate(edges_obj):
-        where = f"edges[{k}]"
-        _require(isinstance(e, list) and len(e) == 2, "edge must be a pair", where)
-        edges.append((_int(e[0], where), _int(e[1], where)))
+    comps = _each(_component, obj["components"], "components[{}]".format)
+    edges = obj.get("edges", [])
+    _require(isinstance(edges, list), "edges must be a list", "edges")
+    edges = _each(_edge, edges, "edges[{}]".format)
     return TreeLikeCurve(components=tuple(comps), edges=tuple(edges))
 
 

@@ -116,6 +116,18 @@ def _small_int(value, field):
     return value
 
 
+def _each(check, items, name) -> list:
+    """[check(x, None) for x in items], building no field name while every item
+    passes: once one fails, the items are checked again, item k under name(k),
+    so the error names the first item that fails, as a named pass would."""
+    try:
+        return [check(x, None) for x in items]
+    except ParseError:
+        for k, x in enumerate(items):
+            check(x, name(k))
+        raise
+
+
 def _id_map(obj, field):
     _require(isinstance(obj, dict), "expected an object keyed by component id", field)
     out = {}

@@ -10,7 +10,7 @@ multiplies a cocycle of invertible matrices by trace-section lifts so
 its determinant picks up a prescribed unit.
 """
 
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 
 from .errors import InvalidInput, NotUnit, Record, _int, _int_arg, _require, _set, _small_int
 from .fields import PrimeField, mat_rank, parse_field
@@ -253,13 +253,17 @@ class TruncatedMatrix(Record):
         return _scalar(self.p, self.n, tuple([sum(cs) % self.p for cs in diagonal]))
 
     def det(self) -> TruncatedScalar:
-        """Gaussian elimination over the chain ring: O(r^3) products, a row per
-        ``_axpy`` call.
+        """Gaussian elimination over the chain ring: at most O(r^3) products, a
+        row per ``_axpy`` call, and only those that can leave a nonzero term.
 
         Column c pivots on the first row at or below c of least pi-adic valuation
         v (row c if its entry is a unit), so each entry x below is q times the
-        pivot, q = (x / pi^v)(pivot / pi^v)^-1 at order n - v padded with v zeros,
-        the inverse taken to order n - s for s the least valuation of such an x.
+        pivot, q = (x / pi^v)(pivot / pi^v)^-1 at order n - v padded with v zeros.
+        Let t be the least valuation in the rest of the pivot row (0 at its first
+        unit).  If x has valuation w, q has valuation w - v, so when w - v + t > n
+        every product q * top[j] is 0 mod pi^(n+1): clearing the row would add
+        only zeros, and the row is left as it is, which is exact.  The inverse is
+        taken for the rows that remain, to order n - s for s their least w.
         det is the sign of the row swaps times the product of the pivots, or 0
         once a column has no nonzero entry left."""
         p, n, r = self.p, self.n, self.r
@@ -274,13 +278,17 @@ class TruncatedMatrix(Record):
                     return _scalar(p, n, (0,) * (n + 1))
                 piv = c + vals.index(v)
                 A[c], A[piv], sign = A[piv], A[c], sign if piv == c else -sign
-            top, below = A[c], [row for row in A[c + 1:] if any(row[c])]
+            top, rest = A[c], A[c][c + 1:]
+            below = [row for row in A[c + 1:] if any(row[c])]
+            if below and not any(x[0] for x in rest):   # t > 0: some rows may gain only zeros
+                t = min([next(compress(count(), x), n + 1) for x in rest])
+                below = [row for row in below if next(compress(count(), row[c])) <= n + v - t]
             if below:   # row += q * top with q = -x / pivot
                 s = min(next(compress(range(n + 1), row[c])) for row in below)
                 neg_inv = tuple([-a % p for a in _inverse(p, n - s, top[c][v:])])
                 for row in below:
                     q = _axpy(p, n - v, row[c][v:], [neg_inv])[0] + (0,) * v
-                    row[c + 1:] = _axpy(p, n, q, top[c + 1:], row[c + 1:])
+                    row[c + 1:] = _axpy(p, n, q, rest, row[c + 1:])
             det = _axpy(p, n, det, [top[c]])[0]
         return _scalar(p, n, det if sign > 0 else tuple([-a % p for a in det]))
 

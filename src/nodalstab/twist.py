@@ -10,7 +10,7 @@ matrix of the dual tree and never changes the total.
 
 from .curve import TreeLikeCurve
 from .errors import (DocumentMismatch, EmptySubcurve, IndexOutOfRange, InvalidInput, Record,
-                     _id_map, _require, _set, _small_int)
+                     _each, _id_map, _require, _set, _small_int)
 
 
 def _id_values(mapping, owner: str, what: str, kinds=int) -> dict:
@@ -48,8 +48,8 @@ def parse_bundle(obj) -> BundleClass:
     _require(isinstance(obj, dict), "bundle document must be an object")
     rank = _small_int(obj.get("rank"), "rank")
     md = _id_map(obj.get("multidegree"), "multidegree")
-    return BundleClass(rank=rank,
-                       multidegree={i: _small_int(v, f"multidegree.{i}") for i, v in md.items()})
+    _each(_small_int, md.values(), lambda k: f"multidegree.{list(md)[k]}")
+    return BundleClass(rank=rank, multidegree=md)
 
 
 def bundle_to_obj(bc: BundleClass) -> dict:

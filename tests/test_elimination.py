@@ -19,8 +19,32 @@ def entry(rng, p, n, low):
     return [0] * min(low, n + 1) + [rng.randrange(p) for _ in range(n + 1 - low)]
 
 
+def exact(rng, p, n, val):
+    """A random coefficient vector of valuation exactly val (zero past n)."""
+    x = entry(rng, p, n, val)
+    if val <= n:
+        x[val] = rng.randrange(1, p)
+    return x
+
+
 def family(rng, p, n, r, kind):
     """One r x r coefficient matrix of the named kind."""
+    if kind == "threshold":
+        # column 0 pivots at valuation v on a row whose other entries have least
+        # valuation t (none nonzero when t = n + 1); every other column-0 entry has
+        # valuation w with w - v + t one below, at or one above n, so det clears
+        # some rows and leaves the others; the rest have valuations 0..n + 1
+        v, t, top = rng.randint(0, n), rng.randint(0, n + 1), rng.randrange(r)
+        m = [[exact(rng, p, n, rng.randint(0, n + 1)) for _ in range(r)] for _ in range(r)]
+        m[top] = [exact(rng, p, n, v)] + [exact(rng, p, n, rng.randint(t, n + 1))
+                                          for _ in range(r - 1)]
+        if t <= n and r > 1:
+            m[top][rng.randrange(1, r)] = exact(rng, p, n, t)
+        for i in range(r):
+            if i != top:   # a row above the pivot row has the larger valuation
+                w = n + v - t + rng.choice((-1, 0, 1))
+                m[i][0] = exact(rng, p, n, min(max(w, v + (i < top)), n + 1))
+        return m
     if kind == "dense":
         return [[entry(rng, p, n, 0) for _ in range(r)] for _ in range(r)]
     if kind == "sparse":
@@ -84,6 +108,21 @@ def test_det_at_kronecker_orders_matches_berkowitz_and_leibniz(p):
                     assert got == helpers.truncate_mod(helpers.leibniz_det(m), p, n), (p, n, r)
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_det_skips_only_rows_whose_products_vanish(p):
+    # rows just below, at and just above w - v + t = n, with non-unit pivots,
+    # pivot rows with nothing left (t = n + 1) and n = 0
+    rng = random.Random(p + 28)
+    for n in range(5):
+        for r in range(1, 17):
+            for _ in range(3 if r <= 8 else 1):
+                m = family(rng, p, n, r, "threshold")
+                got = TruncatedMatrix(p, n, m).det().coeffs
+                assert got == helpers.berkowitz_det(p, n, m), (p, n, r)
+                if r <= 5 and (r <= 4 or n <= 2):
+                    assert got == helpers.truncate_mod(helpers.leibniz_det(m), p, n), (p, n, r)
+
+
 def test_det_of_a_seven_by_seven_matches_leibniz():
     rng = random.Random(77)
     for kind in ("dense", "no-unit-first"):
@@ -125,16 +164,29 @@ def counted_products(monkeypatch, module, name, pairs, run):
 
 
 def test_det_makes_at_most_r_cubed_products(monkeypatch):
-    r, p, n = 16, 7, 2
-    rng = random.Random(1)
-    A = [[rng.randrange(p) for _ in range(r)] for _ in range(r)]
-    m = one_plus_pi_n(p, n, A)
-    dense = TruncatedMatrix(p, n, family(rng, p, n, r, "dense"))
-    for matrix in (m, dense):
+    p, n = 7, 2
+    for r, dense_pairs in ((4, 36), (8, 204), (16, 1434)):
+        rng = random.Random(1)
+        A = [[rng.randrange(p) for _ in range(r)] for _ in range(r)]
+        m = one_plus_pi_n(p, n, A)
+        dense = TruncatedMatrix(p, n, family(rng, p, n, r, "dense"))
+        # I + pi^2 A at n = 3, where each product is pi^4, just past the truncation
+        near = TruncatedMatrix(p, 3, [[[int(i == j), 0, a, 0] for j, a in enumerate(row)]
+                                      for i, row in enumerate(A)])
+        # lower triangular: nothing right of a pivot, so no row gains anything
+        lower = TruncatedMatrix(p, n, [[[1, 0, 0] if j == i else [a, 0, 0] if j < i else
+                                        [0, 0, 0] for j, a in enumerate(row)]
+                                       for i, row in enumerate(A)])
         # _axpy(p, n, q, ys, xs) multiplies q by each of the vectors ys
-        got = counted_products(monkeypatch, truncated, "_axpy",
-                               lambda p, n, q, ys, xs=None: len(ys), matrix.det)
-        assert got <= r ** 3
+        got = [counted_products(monkeypatch, truncated, "_axpy",
+                                lambda p, n, q, ys, xs=None: len(ys), matrix.det)
+               for matrix in (m, near, lower, dense)]
+        # below a pivot 1 + pi^n a, every row update multiplies pi^n by pi^n,
+        # which is 0 at this truncation, so det multiplies the r pivots and
+        # nothing else (an elimination that clears every row makes 24, 138 and
+        # 1,179 products here); no dense row is skipped
+        assert got == [r, r, r, dense_pairs], r
+        assert dense_pairs <= r ** 3
     # Berkowitz, which det used before, makes 16,608 products here, about r^4/4
     entries = [[x.coeffs for x in row] for row in m.entries]
     assert counted_products(monkeypatch, helpers, "dot", lambda p, n, xs, ys: len(xs),

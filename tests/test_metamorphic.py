@@ -5,7 +5,7 @@ the answer for the original, with no oracle for either.
   of the twist action, and ``balance`` picks the same representative for
   both, so ``balance(twist(bc, T)).balanced == balance(bc).balanced``.
 - The determinant is multiplicative over k[pi]/(pi^(n+1)):
-  ``(A @ B).det() == A.det() * B.det()``.
+  ``(A @ B).det() == A.det() * B.det()``, also on entries of any valuation.
 
 Both run derandomized and without an example database, so a run is
 repeatable on any machine.
@@ -39,10 +39,14 @@ def test_balancing_forgets_a_twist(seed, t):
 @st.composite
 def matrix_pairs(draw):
     """(A, B) over one k[pi]/(pi^(n+1)); Hypothesis draws zeros often, so
-    pivots of positive valuation, row swaps and singular matrices all occur."""
+    pivots of positive valuation, row swaps and singular matrices all occur.
+    An entry may also start with a drawn number of zeros, 0 to n + 1, so
+    that rows whose elimination products all vanish occur as well."""
     p, n, r = (draw(st.sampled_from([2, 3, 5, 7, 101])), draw(st.sampled_from([0, 1, 3])),
                draw(st.integers(1, 5)))
-    entry = st.lists(st.integers(0, p - 1), min_size=n + 1, max_size=n + 1)
+    coeffs = st.lists(st.integers(0, p - 1), min_size=n + 1, max_size=n + 1)
+    deep = st.builds(lambda low, cs: [0] * low + cs[low:], st.integers(0, n + 1), coeffs)
+    entry = st.one_of(coeffs, deep)
     square = st.lists(st.lists(entry, min_size=r, max_size=r), min_size=r, max_size=r)
     return TruncatedMatrix(p, n, draw(square)), TruncatedMatrix(p, n, draw(square))
 
