@@ -19,7 +19,6 @@ from .errors import (
     OrderingMismatch,
     ParseError,
     Record,
-    _each,
     _int,
     _int_arg,
     _require,
@@ -171,31 +170,31 @@ class ValidationReport(Record):
     __slots__ = _fields = ("valid", "errors", "n_components", "p_a", "genus_at_least_two")
 
 
-def _component(c, where) -> Component:
-    """The component document c; ``where`` names its fields, or is None."""
-    _require(isinstance(c, dict), "component must be an object", where)
-    cid = _int(c.get("id"), where and where + ".id")
-    genus = _small_int(c.get("geometric_genus", 0), where and where + ".geometric_genus")
-    nodes = _small_int(c.get("internal_nodes", 0), where and where + ".internal_nodes")
-    if cid >= 1:   # below 1, Component's id refusal comes first
-        _require(genus >= 0 and nodes >= 0, "genus data must be nonnegative", where)
+def _component(c, k) -> Component:
+    """The component document c, item k of the components list."""
+    _require(isinstance(c, dict), "component must be an object", "components[{}]", k)
+    cid = _int(c.get("id"), "components[{}].id", k)
+    genus = _small_int(c.get("geometric_genus", 0), "components[{}].geometric_genus", k)
+    nodes = _small_int(c.get("internal_nodes", 0), "components[{}].internal_nodes", k)
+    _require(cid >= 1, "component ids must be positive integers", "components[{}].id", k)
+    _require(genus >= 0 and nodes >= 0, "genus data must be nonnegative", "components[{}]", k)
     return Component(cid, genus, nodes)
 
 
-def _edge(e, where) -> tuple:
-    """The edge document e, a pair of integer ids; ``where`` names it, or is None."""
-    _require(isinstance(e, list) and len(e) == 2, "edge must be a pair", where)
-    return _int(e[0], where), _int(e[1], where)
+def _edge(e, k) -> tuple:
+    """The edge document e, item k of the edges list: a pair of integer ids."""
+    _require(isinstance(e, list) and len(e) == 2, "edge must be a pair", "edges[{}]", k)
+    return _int(e[0], "edges[{}]", k), _int(e[1], "edges[{}]", k)
 
 
 def parse_curve(obj) -> TreeLikeCurve:
     """Curve document: {"components": [{"id": 1, ...}, ...], "edges": [[1, 2], ...]}."""
     _require(isinstance(obj, dict), "curve document must be an object")
     _require(isinstance(obj.get("components"), list), "missing components list", "components")
-    comps = _each(_component, obj["components"], "components[{}]".format)
+    comps = [_component(c, k) for k, c in enumerate(obj["components"])]
     edges = obj.get("edges", [])
     _require(isinstance(edges, list), "edges must be a list", "edges")
-    edges = _each(_edge, edges, "edges[{}]".format)
+    edges = [_edge(e, k) for k, e in enumerate(edges)]
     return TreeLikeCurve(components=tuple(comps), edges=tuple(edges))
 
 

@@ -83,14 +83,20 @@ class ParseError(InvalidInput):
         super().__init__("; ".join(parts))
 
 
-def _require(cond, message, field=None):
+def _name(field, key):
+    """The field of a refused item: the template ``field`` filled in with its key.
+    The checks call it only as they raise, so no accepted item's name is built."""
+    return field if field is None else field.format(key)
+
+
+def _require(cond, message, field=None, key=None):
     if not cond:
-        raise ParseError(message, field=field)
+        raise ParseError(message, field=_name(field, key))
 
 
-def _int(value, field):
+def _int(value, field, key=None):
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f"expected an integer, got {value!r}", field=field)
+        raise ParseError(f"expected an integer, got {value!r}", field=_name(field, key))
     return value
 
 
@@ -110,22 +116,10 @@ _MAX_DIGITS = 1000
 _DIGIT_BOUND = 10 ** _MAX_DIGITS
 
 
-def _small_int(value, field):
-    if not -_DIGIT_BOUND < _int(value, field) < _DIGIT_BOUND:
-        raise ParseError(f"integer has more than {_MAX_DIGITS} digits", field=field)
+def _small_int(value, field, key=None):
+    if not -_DIGIT_BOUND < _int(value, field, key) < _DIGIT_BOUND:
+        raise ParseError(f"integer has more than {_MAX_DIGITS} digits", field=_name(field, key))
     return value
-
-
-def _each(check, items, name) -> list:
-    """[check(x, None) for x in items], building no field name while every item
-    passes: once one fails, the items are checked again, item k under name(k),
-    so the error names the first item that fails, as a named pass would."""
-    try:
-        return [check(x, None) for x in items]
-    except ParseError:
-        for k, x in enumerate(items):
-            check(x, name(k))
-        raise
 
 
 def _id_map(obj, field):

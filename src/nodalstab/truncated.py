@@ -256,40 +256,41 @@ class TruncatedMatrix(Record):
         """Gaussian elimination over the chain ring: at most O(r^3) products, a
         row per ``_axpy`` call, and only those that can leave a nonzero term.
 
-        Column c pivots on the first row at or below c of least pi-adic valuation
-        v (row c if its entry is a unit), so each entry x below is q times the
-        pivot, q = (x / pi^v)(pivot / pi^v)^-1 at order n - v padded with v zeros.
-        Let t be the least valuation in the rest of the pivot row (0 at its first
-        unit).  If x has valuation w, q has valuation w - v, so when w - v + t > n
-        every product q * top[j] is 0 mod pi^(n+1): clearing the row would add
-        only zeros, and the row is left as it is, which is exact.  The inverse is
-        taken for the rows that remain, to order n - s for s their least w.
-        det is the sign of the row swaps times the product of the pivots, or 0
-        once a column has no nonzero entry left."""
+        det is the sign of the row swaps times the product of the pivots.  Once
+        the pivots taken have valuations summing to n - m, what is left counts only
+        mod pi^(m+1), so det is 0 at a column with no entry nonzero mod pi^(m+1).
+        Column c pivots on the first row at or below c of least valuation v (row c
+        if its entry is a unit), so each entry x below is q times the pivot, q =
+        (x / pi^v)(pivot / pi^v)^-1 at order n - v.  If x has valuation w and the
+        rest of the pivot row least valuation t (0 at its first unit), q * top[j]
+        is a multiple of pi^(w - v + t), 0 mod pi^(m-v+1) when w + t > m: that row
+        is left as it is, which is exact.  The inverse is taken for the rows that
+        remain, to order n - s for s their least w."""
         p, n, r = self.p, self.n, self.r
         A = [list(row) for row in self.rows]
-        det, sign = (1,) + (0,) * n, 1
+        det, sign, m = (1,) + (0,) * n, 1, n
         for c in range(r):
             v = 0   # a unit on the diagonal is a pivot of least valuation
             if not A[c][c][0]:
-                vals = [next(compress(range(n + 1), row[c]), n + 1) for row in A[c:]]
+                vals = [next(compress(range(m + 1), row[c]), m + 1) for row in A[c:]]
                 v = min(vals)
-                if v > n:
+                if v > m:
                     return _scalar(p, n, (0,) * (n + 1))
                 piv = c + vals.index(v)
                 A[c], A[piv], sign = A[piv], A[c], sign if piv == c else -sign
             top, rest = A[c], A[c][c + 1:]
             below = [row for row in A[c + 1:] if any(row[c])]
-            if below and not any(x[0] for x in rest):   # t > 0: some rows may gain only zeros
+            if below and (m < n or not any(x[0] for x in rest)):   # some rows may gain only zeros
                 t = min([next(compress(count(), x), n + 1) for x in rest])
-                below = [row for row in below if next(compress(count(), row[c])) <= n + v - t]
+                below = [row for row in below if next(compress(count(), row[c])) <= m - t]
             if below:   # row += q * top with q = -x / pivot
                 s = min(next(compress(range(n + 1), row[c])) for row in below)
                 neg_inv = tuple([-a % p for a in _inverse(p, n - s, top[c][v:])])
                 for row in below:
-                    q = _axpy(p, n - v, row[c][v:], [neg_inv])[0] + (0,) * v
+                    q = _axpy(p, n - v, row[c][v:], [neg_inv])[0]
                     row[c + 1:] = _axpy(p, n, q, rest, row[c + 1:])
             det = _axpy(p, n, det, [top[c]])[0]
+            m -= v
         return _scalar(p, n, det if sign > 0 else tuple([-a % p for a in det]))
 
     @property
@@ -315,8 +316,8 @@ def parse_int_matrix(obj) -> list:
     rows = []
     for k, row in enumerate(obj):
         _require(isinstance(row, list) and len(row) == len(obj),
-                 "matrix must be square", f"matrix[{k}]")
-        rows.append([_int(x, f"matrix[{k}]") for x in row])
+                 "matrix must be square", "matrix[{}]", k)
+        rows.append([_int(x, "matrix[{}]", k) for x in row])
     return rows
 
 
@@ -329,16 +330,17 @@ def parse_truncated_matrix(obj) -> TruncatedMatrix:
     n = _small_int(obj.get("n"), "n")
     entries = obj.get("entries")
     _require(isinstance(entries, list) and entries, "missing entries array", "entries")
+    where = "entries[{0[0]}][{0[1]}]"   # the field of the entry keyed (i, j)
 
     # each row and entry is checked as the constructor reaches it, so the
     # first bad entry in document order is the one reported
     def cells(i, row):
         _require(isinstance(row, list) and len(row) == len(entries),
-                 "entries must form a square matrix", f"entries[{i}]")
+                 "entries must form a square matrix", "entries[{}]", i)
         for j, coeffs in enumerate(row):
-            where = f"entries[{i}][{j}]"   # one name per entry, not per coefficient
-            _require(isinstance(coeffs, list), "each entry is a coefficient vector", where)
-            yield [_int(x, where) for x in coeffs]
+            key = (i, j)
+            _require(isinstance(coeffs, list), "each entry is a coefficient vector", where, key)
+            yield [_int(x, where, key) for x in coeffs]
     return TruncatedMatrix(field.p, n, (cells(i, row) for i, row in enumerate(entries)))
 
 
@@ -358,8 +360,8 @@ def _parse_torsor(obj):
     p, n = cocycle[0].p, cocycle[0].n
     gammas = []
     for k, g in enumerate(obj["gammas"]):
-        _require(isinstance(g, list), "each gamma is a coefficient vector", f"gammas[{k}]")
-        gammas.append(TruncatedScalar(p, n, [_int(x, f"gammas[{k}]") for x in g]))
+        _require(isinstance(g, list), "each gamma is a coefficient vector", "gammas[{}]", k)
+        gammas.append(TruncatedScalar(p, n, [_int(x, "gammas[{}]", k) for x in g]))
     return cocycle, gammas
 
 

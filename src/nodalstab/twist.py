@@ -10,7 +10,7 @@ matrix of the dual tree and never changes the total.
 
 from .curve import TreeLikeCurve
 from .errors import (DocumentMismatch, EmptySubcurve, IndexOutOfRange, InvalidInput, Record,
-                     _each, _id_map, _require, _set, _small_int)
+                     _id_map, _require, _set, _small_int)
 
 
 def _id_values(mapping, owner: str, what: str, kinds=int) -> dict:
@@ -48,7 +48,8 @@ def parse_bundle(obj) -> BundleClass:
     _require(isinstance(obj, dict), "bundle document must be an object")
     rank = _small_int(obj.get("rank"), "rank")
     md = _id_map(obj.get("multidegree"), "multidegree")
-    _each(_small_int, md.values(), lambda k: f"multidegree.{list(md)[k]}")
+    for i, d in md.items():
+        _small_int(d, "multidegree.{}", i)
     return BundleClass(rank=rank, multidegree=md)
 
 

@@ -119,6 +119,16 @@ def test_parse_error_reports_field(tmp_path, capsys):
     assert report["error"]["field"] == "multidegree"
 
 
+def test_a_component_id_below_one_names_its_position(tmp_path, capsys):
+    doc = tmp_path / "curve.json"
+    doc.write_text('{"components": [{"id": 1}, {"id": -3}], "edges": [[1, -3]]}',
+                   encoding="utf-8")
+    code, report = run_cli(capsys, "validate", "--curve", str(doc))
+    assert code == 2
+    assert report["error"] == {"code": "ParseError", "field": "components[1].id", "detail":
+                               "component ids must be positive integers; field=components[1].id"}
+
+
 def test_mismatched_bundle_is_input_error(tmp_path, capsys):
     doc = tmp_path / "bundle.json"
     doc.write_text('{"rank": 2, "multidegree": {"1": 5, "7": -1}}', encoding="utf-8")

@@ -32,8 +32,9 @@ def family(rng, p, n, r, kind):
     if kind == "threshold":
         # column 0 pivots at valuation v on a row whose other entries have least
         # valuation t (none nonzero when t = n + 1); every other column-0 entry has
-        # valuation w with w - v + t one below, at or one above n, so det clears
-        # some rows and leaves the others; the rest have valuations 0..n + 1
+        # valuation w with w + t, or w - v + t, one below, at or one above n, so
+        # det clears some rows and leaves the others; the rest have valuations
+        # 0..n + 1
         v, t, top = rng.randint(0, n), rng.randint(0, n + 1), rng.randrange(r)
         m = [[exact(rng, p, n, rng.randint(0, n + 1)) for _ in range(r)] for _ in range(r)]
         m[top] = [exact(rng, p, n, v)] + [exact(rng, p, n, rng.randint(t, n + 1))
@@ -42,9 +43,24 @@ def family(rng, p, n, r, kind):
             m[top][rng.randrange(1, r)] = exact(rng, p, n, t)
         for i in range(r):
             if i != top:   # a row above the pivot row has the larger valuation
-                w = n + v - t + rng.choice((-1, 0, 1))
+                w = n - t + rng.choice((-1, 0, 1)) + rng.choice((0, v))
                 m[i][0] = exact(rng, p, n, min(max(w, v + (i < top)), n + 1))
         return m
+    if kind == "deep":
+        # L U for a unit lower triangular L and an upper triangular U, so the
+        # pivots are U's diagonal: the valuations of the first k + 1 sum to n or
+        # n + 1 for a random k, and each later one is 0 or, less often, 1; the
+        # other entries of L and U have valuations 0..n + 1
+        cuts = sorted(rng.randint(0, n) for _ in range(rng.randrange(r)))
+        vals = [b - a for a, b in zip([0] + cuts, cuts)] + [n - max(cuts, default=0)
+                                                            + rng.randint(0, 1)]
+        vals += [int(rng.random() < 0.25) for _ in range(r - len(vals))]
+        zero = [0] * (n + 1)
+        low = [[[1] + zero[1:] if j == i else exact(rng, p, n, rng.randint(0, n + 1)) if j < i
+                else zero for j in range(r)] for i in range(r)]
+        up = [[exact(rng, p, n, vals[i]) if j == i else exact(rng, p, n, rng.randint(0, n + 1))
+               if j > i else zero for j in range(r)] for i in range(r)]
+        return [[helpers.dot(p, n, row, [u[j] for u in up]) for j in range(r)] for row in low]
     if kind == "dense":
         return [[entry(rng, p, n, 0) for _ in range(r)] for _ in range(r)]
     if kind == "sparse":
@@ -123,6 +139,21 @@ def test_det_skips_only_rows_whose_products_vanish(p):
                     assert got == helpers.truncate_mod(helpers.leibniz_det(m), p, n), (p, n, r)
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_det_stops_once_the_pivots_spend_the_precision(p):
+    # the pivot valuations reach n, or pass it, at a random column: past it
+    # det is 0, and before it a row below is cleared only while w + t <= m
+    rng = random.Random(p + 29)
+    for n in range(5):
+        for r in range(1, 17):
+            for _ in range(3 if r <= 5 else 1):
+                m = family(rng, p, n, r, "deep")
+                got = TruncatedMatrix(p, n, m).det().coeffs
+                assert got == helpers.berkowitz_det(p, n, m), (p, n, r)
+                if r <= 5:
+                    assert got == helpers.truncate_mod(helpers.leibniz_det(m), p, n), (p, n, r)
+
+
 def test_det_of_a_seven_by_seven_matches_leibniz():
     rng = random.Random(77)
     for kind in ("dense", "no-unit-first"):
@@ -191,6 +222,28 @@ def test_det_makes_at_most_r_cubed_products(monkeypatch):
     entries = [[x.coeffs for x in row] for row in m.entries]
     assert counted_products(monkeypatch, helpers, "dot", lambda p, n, xs, ys: len(xs),
                             lambda: helpers.berkowitz_det(p, n, entries)) == 16608
+
+
+def test_det_stops_eliminating_once_its_answer_is_zero(monkeypatch):
+    # every entry a non-unit, so the pivots spend the precision n = 3 within
+    # four columns and det returns 0 there, clearing no more rows (eliminating
+    # until a column is 0 mod pi^(n+1) makes 34, 200 and 1,434 products here)
+    for r, pairs in ((4, 25), (8, 109), (16, 431)):
+        m = TruncatedMatrix(7, 3, family(random.Random(1), 7, 3, r, "pi-multiple"))
+        assert counted_products(monkeypatch, truncated, "_axpy",
+                                lambda p, n, q, ys, xs=None: len(ys), m.det) == pairs, r
+        assert m.det().coeffs == (0, 0, 0, 0)
+
+
+def test_det_leaves_a_row_past_the_precision_left(monkeypatch):
+    # after the pivot pi, the rest counts only mod pi^2, so the pi^2 below the
+    # unit pivot of column 1 is left as it is: det multiplies the three pivots
+    m = TruncatedMatrix(7, 2, [[[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+                               [[0, 0, 0], [1, 0, 0], [1, 0, 0]],
+                               [[0, 0, 0], [0, 0, 1], [1, 0, 0]]])
+    assert m.det().coeffs == (0, 1, 0)
+    assert counted_products(monkeypatch, truncated, "_axpy",
+                            lambda p, n, q, ys, xs=None: len(ys), m.det) == 3
 
 
 # ------------------------------------------------------------------ mat_rank

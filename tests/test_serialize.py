@@ -11,13 +11,15 @@ import pytest
 import helpers
 from golden_corpus import load_cases
 from nodalstab import Component, decompose, prune_ordering
+from nodalstab import errors
 from nodalstab import serialize as ser
 from nodalstab.curve import ordering_to_obj, parse_curve
 from nodalstab.errors import InvalidInput, ParseError
 from nodalstab.fields import RationalField
 from nodalstab.gpb import flag_to_obj, parse_flag
 from nodalstab.stability import parse_polarization
-from nodalstab.truncated import parse_truncated_matrix, truncated_matrix_to_obj
+from nodalstab.truncated import (_parse_torsor, parse_int_matrix, parse_truncated_matrix,
+                                 truncated_matrix_to_obj)
 from nodalstab.twist import bundle_to_obj, parse_bundle
 
 
@@ -183,6 +185,35 @@ def test_truncated_matrix_reports_its_first_bad_entry(entries, error, message):
     with pytest.raises(error) as info:
         parse_truncated_matrix({"field": "F5", "n": 1, "entries": entries})
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_no_parser_names_an_item_it_accepts(monkeypatch):
+    # a check fills in a field template with the item's key only as it raises
+    real, built = errors._name, []
+    monkeypatch.setattr(errors, "_name", lambda field, key: built.append(field) or real(field, key))
+    entries = [[[1, 2], [0, 3]], [[4, 0], [1, 1]]]
+    docs = {parse_curve: {"components": [{"id": 1}, {"id": 2, "geometric_genus": 1},
+                                         {"id": 3, "internal_nodes": 2}],
+                          "edges": [[1, 2], [2, 3]]},
+            parse_bundle: {"rank": 2, "multidegree": {"1": 5, "2": -1, "3": 0}},
+            parse_int_matrix: [[1, -2], [3, 4]],
+            parse_truncated_matrix: {"field": "F5", "n": 1, "entries": entries},
+            _parse_torsor: {"cocycle": [{"field": "F5", "n": 1, "entries": entries}],
+                            "gammas": [[1, 2], [3, 0]]}}
+    for parse, doc in docs.items():
+        parse(doc)
+    assert built == []
+    bad = [("components", [{"id": 1}, {"id": 2, "geometric_genus": -1}], "components[1]"),
+           ("multidegree", {"1": 5, "2": 10 ** 1000}, "multidegree.2"),
+           (None, [[1, -2], [3, True]], "matrix[1]"),
+           ("entries", [[[1, 2], [0, 3]], [[4, 0], [1, 1.0]]], "entries[1][1]"),
+           ("gammas", [[1, 2], [3, "0"]], "gammas[1]")]
+    for (parse, doc), (key, value, field) in zip(docs.items(), bad):
+        doc = value if key is None else {**doc, key: value}
+        built.clear()
+        with pytest.raises(ParseError) as info:
+            parse(doc)
+        assert (info.value.field, len(built)) == (field, 1)
 
 
 def report_text(obj) -> str:
