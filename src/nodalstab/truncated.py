@@ -17,23 +17,31 @@ from .fields import PrimeField, mat_rank, parse_field
 
 
 def _axpy(p: int, n: int, q, ys, xs=None) -> list:
-    """The one product kernel: x + q y mod p for each pair (x, y) of a row of
-    k[pi]/(pi^(n+1)) vectors (x = 0 without xs; q and y may be short).  A few
-    nonzero coefficients of q run the sparse loop, more Kronecker substitution."""
+    """The one product kernel, row entry: x + q y mod p for each pair (x, y) of a
+    row of k[pi]/(pi^(n+1)) vectors (x = 0 without xs; q and y may be short, or
+    long: their coefficients past n are not read).  A few nonzero coefficients of
+    q run the sparse loop, more Kronecker substitution."""
     nz = [(i, q[i]) for i in compress(range(n + 1), q)]   # Kronecker wins past about 12
-    return _kronecker(p, n, q, ys, xs) if len(nz) > 12 else _sparse(p, n, nz, ys, xs)
+    if len(nz) > 12:
+        return _kronecker(p, n, q, ys, xs)
+    return [_sparse(p, n, nz, y, list(x)) for x, y in zip(xs or repeat((0,) * (n + 1)), ys)]
 
 
-def _sparse(p: int, n: int, nz, ys, xs) -> list:
-    """The kernel as a loop over the pairs of nonzero coefficients of q and y."""
-    out = []
-    for x, y in zip(xs or repeat((0,) * (n + 1)), ys):
-        acc = list(x)
-        for i, a in nz:
-            for j in compress(range(i, n + 1), y):
-                acc[j] = (acc[j] + a * y[j - i]) % p
-        out.append(tuple(acc))
-    return out
+def _mul(p: int, n: int, q, y) -> tuple:
+    """The kernel's one-pair entry: q y, by the same switch, with no row around it."""
+    nz = [(i, q[i]) for i in compress(range(n + 1), q)]
+    if len(nz) > 12:
+        return _kronecker(p, n, q, (y,), None)[0]
+    return _sparse(p, n, nz, y, [0] * (n + 1))
+
+
+def _sparse(p: int, n: int, nz, y, acc: list) -> tuple:
+    """The kernel as a loop over the pairs of nonzero coefficients (i, a) of q and
+    of y, added into acc up to pi^n."""
+    for i, a in nz:
+        for j in compress(range(i, n + 1), y):
+            acc[j] = (acc[j] + a * y[j - i]) % p
+    return tuple(acc)
 
 
 def _kronecker(p: int, n: int, q, ys, xs) -> list:
@@ -43,8 +51,8 @@ def _kronecker(p: int, n: int, q, ys, xs) -> list:
     even and odd coefficients of h = q y: two half-length integer products."""
     m, w = n + 1, ((n + 1) * (p - 1) ** 2).bit_length() + 7 >> 3
 
-    def at_two_points(v):   # v(2^b) and v(-2^b), b = 4w bits
-        even, odd = (int.from_bytes(b"".join([c.to_bytes(w, "little") for c in v[k::2]]),
+    def at_two_points(v):   # v(2^b) and v(-2^b), b = 4w bits, of v mod pi^(n+1)
+        even, odd = (int.from_bytes(b"".join([c.to_bytes(w, "little") for c in v[k:m:2]]),
                                     "little") for k in (0, 1))
         return even + (odd << 4 * w), even - (odd << 4 * w)
     q_plus, q_minus, out = *at_two_points(q), []
@@ -64,8 +72,8 @@ def _inverse(p: int, n: int, f) -> tuple:
     f g = 1 + pi^h e, then g - pi^h g e is f^-1 to 2h terms; O(M(n)) in all."""
     g = (pow(f[0], p - 2, p),)
     for m in sorted({-(-(n + 1) >> k) for k in range(n.bit_length())}):   # ceil((n+1)/2^k)
-        e = _axpy(p, m - 1, g, [f[:m]])[0][len(g):]
-        g += _axpy(p, len(e) - 1, g[:len(e)], [tuple([-c % p for c in e])])[0]
+        e = _mul(p, m - 1, g, f)[len(g):]
+        g += _mul(p, len(e) - 1, g[:len(e)], tuple([-c % p for c in e]))
     return g
 
 
@@ -135,8 +143,8 @@ class TruncatedScalar(Record):
         return _scalar(self.p, self.n, tuple([-a % self.p for a in self.coeffs]))
 
     def __mul__(self, other):
-        ys = [_like(self, other).coeffs]
-        return _scalar(self.p, self.n, _axpy(self.p, self.n, self.coeffs, ys)[0])
+        y = _like(self, other).coeffs
+        return _scalar(self.p, self.n, _mul(self.p, self.n, self.coeffs, y))
 
     @property
     def is_unit(self) -> bool:
@@ -254,18 +262,25 @@ class TruncatedMatrix(Record):
 
     def det(self) -> TruncatedScalar:
         """Gaussian elimination over the chain ring: at most O(r^3) products, a
-        row per ``_axpy`` call, and only those that can leave a nonzero term.
+        row per ``_axpy`` call and a pivot per ``_mul`` call, and only those that
+        can leave a nonzero term.
 
         det is the sign of the row swaps times the product of the pivots.  Once
         the pivots taken have valuations summing to n - m, what is left counts only
         mod pi^(m+1), so det is 0 at a column with no entry nonzero mod pi^(m+1).
         Column c pivots on the first row at or below c of least valuation v (row c
         if its entry is a unit), so each entry x below is q times the pivot, q =
-        (x / pi^v)(pivot / pi^v)^-1 at order n - v.  If x has valuation w and the
-        rest of the pivot row least valuation t (0 at its first unit), q * top[j]
+        (x / pi^v)(pivot / pi^v)^-1, and after it only m - v + 1 coefficients
+        count: q and each row update run at order m - v.  If x has valuation w and
+        the rest of the pivot row least valuation t (0 at its first unit), q * top[j]
         is a multiple of pi^(w - v + t), 0 mod pi^(m-v+1) when w + t > m: that row
         is left as it is, which is exact.  The inverse is taken for the rows that
-        remain, to order n - s for s their least w."""
+        remain, to order m - s for s their least w.  An update at order m - v < n
+        keeps the coefficients past it (the sparse loop) or drops them (Kronecker
+        substitution).  Such a stale coefficient can only make t smaller or keep a
+        row in ``below`` until w + t > m drops it (m < n, so that test runs), both
+        exact; in a later pivot it meets a product of valuation n - m and lands
+        past pi^n."""
         p, n, r = self.p, self.n, self.r
         A = [list(row) for row in self.rows]
         det, sign, m = (1,) + (0,) * n, 1, n
@@ -284,12 +299,12 @@ class TruncatedMatrix(Record):
                 t = min([next(compress(count(), x), n + 1) for x in rest])
                 below = [row for row in below if next(compress(count(), row[c])) <= m - t]
             if below:   # row += q * top with q = -x / pivot
-                s = min(next(compress(range(n + 1), row[c])) for row in below)
-                neg_inv = tuple([-a % p for a in _inverse(p, n - s, top[c][v:])])
+                s = min(next(compress(count(), row[c])) for row in below)
+                neg_inv = tuple([-a % p for a in _inverse(p, m - s, top[c][v:])])
                 for row in below:
-                    q = _axpy(p, n - v, row[c][v:], [neg_inv])[0]
-                    row[c + 1:] = _axpy(p, n, q, rest, row[c + 1:])
-            det = _axpy(p, n, det, [top[c]])[0]
+                    q = _mul(p, m - v, row[c][v:], neg_inv)
+                    row[c + 1:] = _axpy(p, m - v, q, rest, row[c + 1:])
+            det = _mul(p, n, det, top[c])
             m -= v
         return _scalar(p, n, det if sign > 0 else tuple([-a % p for a in det]))
 
@@ -387,7 +402,10 @@ def one_plus_pi_n(p: int, n: int, A) -> TruncatedMatrix:
     k, one, zero = _field(p, n), (1,) + (0,) * n, (0,) * n
     if not A or any(len(row) != len(A) for row in A):
         raise InvalidInput("matrix must be square and nonempty")
-    rows = [[zero + (a,) for a in map(k.element, row)] for row in A]
+    for row in A:   # k.element raises at the first entry of a row that is not an int
+        if not all(map(isinstance, row, repeat(int))):
+            list(map(k.element, row))
+    rows = [[zero + (a % p,) for a in row] for row in A]
     for i, row in enumerate(rows):   # add the identity (at n = 0, to the same coefficient)
         row[i] = one[:n] + ((one[n] + row[i][n]) % p,)
     return _matrix(p, n, tuple(map(tuple, rows)))
@@ -399,7 +417,7 @@ def det_trace_identity(p: int, A, n: int) -> DetTraceVerdict:
         raise InvalidInput("the determinant-trace identity needs n >= 1")
     lhs = one_plus_pi_n(p, n, A).det()
     rhs = _scalar(p, n, (1,) + (0,) * (n - 1) + (sum(A[i][i] for i in range(len(A))) % p,))
-    return DetTraceVerdict(lhs=lhs, rhs=rhs, holds=lhs == rhs)
+    return DetTraceVerdict(lhs=lhs, rhs=rhs, holds=lhs.coeffs == rhs.coeffs)
 
 
 def sl_kernel_check(M: TruncatedMatrix) -> SlKernelVerdict:
@@ -412,12 +430,14 @@ def sl_kernel_check(M: TruncatedMatrix) -> SlKernelVerdict:
     """
     if M.n < 1:
         raise InvalidInput("kernel test needs truncation order n >= 1")
-    n, p, r = M.n, M.p, M.r
+    n, p, rows = M.n, M.p, M.rows
     det_is_one = M.det().coeffs == (1,) + (0,) * n
-    reduces = M.reduce(n - 1) == TruncatedMatrix.identity(p, n - 1, r)
+    one, zero = (1,) + (0,) * (n - 1), (0,) * n   # entries of the identity below order n
+    reduces = all(x[:n] == (one if i == j else zero)
+                  for i, row in enumerate(rows) for j, x in enumerate(row))
     trace_residue = None
     if reduces:
-        trace_residue = sum(M.rows[i][i][n] for i in range(r)) % p
+        trace_residue = sum(row[i][n] for i, row in enumerate(rows)) % p
     in_kernel = det_is_one and reduces
     trace_condition = reduces and trace_residue == 0
     return SlKernelVerdict(det_is_one=det_is_one, reduces_to_identity=reduces,

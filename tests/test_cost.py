@@ -29,10 +29,10 @@ def kernel_products(monkeypatch, run):
     plus one per packed integer multiply."""
     sparse, kronecker, count = truncated._sparse, truncated._kronecker, [0]
 
-    def counting_sparse(p, n, nz, ys, xs):
-        for y in ys:   # one product per nonzero coefficient pair that survives the truncation
-            count[0] += sum(sum(1 for b in y[:n + 1 - i] if b) for i, _ in nz)
-        return sparse(p, n, nz, ys, xs)
+    def counting_sparse(p, n, nz, y, acc):
+        # one product per nonzero coefficient pair that survives the truncation
+        count[0] += sum(sum(1 for b in y[:n + 1 - i] if b) for i, _ in nz)
+        return sparse(p, n, nz, y, acc)
 
     def counting_kronecker(p, n, q, ys, xs):
         count[0] += 2 * len(ys)   # h(2^b) and h(-2^b) for each entry

@@ -181,17 +181,22 @@ def test_is_invertible_reads_the_constant_terms():
                 assert m.is_invertible == m.det().is_unit
 
 
-def counted_products(monkeypatch, module, name, pairs, run):
+def counted_products(monkeypatch, module, pairs, run):
     """Number of coefficient-vector pairs that run() multiplies through the
-    product kernel module.name, pairs(*args) of them in one call."""
-    real, count = getattr(module, name), [0]
-
-    def counting(*args):
-        count[0] += pairs(*args)
-        return real(*args)
-    monkeypatch.setattr(module, name, counting)
+    product kernels module.name, pairs[name](*args) of them in one call."""
+    count = [0]
+    for name, size in pairs.items():
+        def counting(*args, real=getattr(module, name), size=size):
+            count[0] += size(*args)
+            return real(*args)
+        monkeypatch.setattr(module, name, counting)
     run()
     return count[0]
+
+
+# the ring kernel's entries: _axpy(p, n, q, ys, xs) multiplies q by each of the
+# vectors ys, and _mul(p, n, q, y) multiplies one pair
+KERNEL = {"_axpy": lambda p, n, q, ys, xs=None: len(ys), "_mul": lambda p, n, q, y: 1}
 
 
 def test_det_makes_at_most_r_cubed_products(monkeypatch):
@@ -208,9 +213,7 @@ def test_det_makes_at_most_r_cubed_products(monkeypatch):
         lower = TruncatedMatrix(p, n, [[[1, 0, 0] if j == i else [a, 0, 0] if j < i else
                                         [0, 0, 0] for j, a in enumerate(row)]
                                        for i, row in enumerate(A)])
-        # _axpy(p, n, q, ys, xs) multiplies q by each of the vectors ys
-        got = [counted_products(monkeypatch, truncated, "_axpy",
-                                lambda p, n, q, ys, xs=None: len(ys), matrix.det)
+        got = [counted_products(monkeypatch, truncated, KERNEL, matrix.det)
                for matrix in (m, near, lower, dense)]
         # below a pivot 1 + pi^n a, every row update multiplies pi^n by pi^n,
         # which is 0 at this truncation, so det multiplies the r pivots and
@@ -220,18 +223,18 @@ def test_det_makes_at_most_r_cubed_products(monkeypatch):
         assert dense_pairs <= r ** 3
     # Berkowitz, which det used before, makes 16,608 products here, about r^4/4
     entries = [[x.coeffs for x in row] for row in m.entries]
-    assert counted_products(monkeypatch, helpers, "dot", lambda p, n, xs, ys: len(xs),
+    assert counted_products(monkeypatch, helpers, {"dot": lambda p, n, xs, ys: len(xs)},
                             lambda: helpers.berkowitz_det(p, n, entries)) == 16608
 
 
 def test_det_stops_eliminating_once_its_answer_is_zero(monkeypatch):
     # every entry a non-unit, so the pivots spend the precision n = 3 within
     # four columns and det returns 0 there, clearing no more rows (eliminating
-    # until a column is 0 mod pi^(n+1) makes 34, 200 and 1,434 products here)
-    for r, pairs in ((4, 25), (8, 109), (16, 431)):
+    # until a column is 0 mod pi^(n+1) makes 34, 200 and 1,434 products here);
+    # the second pivot inverse runs only to the order m - s = 1 that counts
+    for r, pairs in ((4, 23), (8, 107), (16, 429)):
         m = TruncatedMatrix(7, 3, family(random.Random(1), 7, 3, r, "pi-multiple"))
-        assert counted_products(monkeypatch, truncated, "_axpy",
-                                lambda p, n, q, ys, xs=None: len(ys), m.det) == pairs, r
+        assert counted_products(monkeypatch, truncated, KERNEL, m.det) == pairs, r
         assert m.det().coeffs == (0, 0, 0, 0)
 
 
@@ -242,8 +245,7 @@ def test_det_leaves_a_row_past_the_precision_left(monkeypatch):
                                [[0, 0, 0], [1, 0, 0], [1, 0, 0]],
                                [[0, 0, 0], [0, 0, 1], [1, 0, 0]]])
     assert m.det().coeffs == (0, 1, 0)
-    assert counted_products(monkeypatch, truncated, "_axpy",
-                            lambda p, n, q, ys, xs=None: len(ys), m.det) == 3
+    assert counted_products(monkeypatch, truncated, KERNEL, m.det) == 3
 
 
 # ------------------------------------------------------------------ mat_rank

@@ -41,8 +41,10 @@ def reference(p, n, q, ys, xs=None):
 
 def both_branches(p, n, q, ys, xs=None):
     """The sparse loop and Kronecker substitution, each forced on the same row."""
-    nz = [(i, a) for i, a in enumerate(q) if a]
-    return truncated._sparse(p, n, nz, ys, xs), truncated._kronecker(p, n, q, ys, xs)
+    nz = [(i, a) for i, a in enumerate(q[:n + 1]) if a]
+    sparse = [truncated._sparse(p, n, nz, y, list(x))
+              for x, y in zip(xs or [(0,) * (n + 1)] * len(ys), ys)]
+    return sparse, truncated._kronecker(p, n, q, ys, xs)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -59,6 +61,23 @@ def test_both_branches_match_the_quadratic_product(p):
                 want = reference(p, n, q, ys, xs)
                 assert both_branches(p, n, q, ys, xs) == (want, want), (p, n, density)
                 assert truncated._axpy(p, n, q, ys, xs) == want
+                # the one-pair entry: q y, with no row around the pair
+                assert [truncated._mul(p, n, q, y) for y in ys] == reference(p, n, q, ys)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_both_branches_read_no_coefficient_past_n(p):
+    # q and y may be longer than n + 1, as det's rows are once its pivots leave
+    # less precision than n: the product is that of their images mod pi^(n+1)
+    rng = random.Random(p % 1013)
+    for n in (0, 1, 3, 12, 13, 40):
+        for density in (0.2, 1.0):
+            q = vector(rng, p, n + 1 + rng.randint(1, 30), density)
+            ys = [vector(rng, p, n + 1 + rng.randint(0, 30), 1.0) for _ in range(3)]
+            want = reference(p, n, q[:n + 1], [y[:n + 1] for y in ys])
+            assert both_branches(p, n, q, ys) == (want, want), (p, n, density)
+            assert truncated._axpy(p, n, q, ys) == want
+            assert [truncated._mul(p, n, q, y) for y in ys] == want
 
 
 @pytest.mark.parametrize("p", PRIMES)

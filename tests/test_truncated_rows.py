@@ -6,6 +6,7 @@ number of scalars a request builds."""
 import copy
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -100,6 +101,37 @@ def test_sl_kernel_check_matches_the_reference_on_all_three_kinds(p):
             assert not sl_kernel_check(kinds["outside by trace"]).in_kernel
 
 
+def one_coefficient_off(rng, p, n, r):
+    """I + pi^n B with exactly one coefficient below order n moved off the
+    identity's, on the diagonal or off it, or none moved; and where."""
+    B = [[rng.randrange(p) for _ in range(r)] for _ in range(r)]
+    m = [[[int(i == j)] + [0] * (n - 1) + [B[i][j]] for j in range(r)] for i in range(r)]
+    where = None
+    if rng.random() < 0.9:
+        i = rng.randrange(r)
+        where = (i, i if rng.random() < 0.5 else rng.randrange(r), rng.randrange(n))
+        x = m[where[0]][where[1]]
+        x[where[2]] = (x[where[2]] + rng.randrange(1, p)) % p
+    return TruncatedMatrix(p, n, m), where
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_sl_kernel_check_reads_every_coefficient_below_order_n(p):
+    # reduces_to_identity is read off the rows: one coefficient off the identity,
+    # at any entry and any order below n, must turn it false; r = 1 and n = 1
+    # (reduction to order 0) included
+    rng = random.Random(300 + p)
+    for n in range(1, 5):
+        for r in range(1, 6):
+            for _ in range(6):
+                M, where = one_coefficient_off(rng, p, n, r)
+                v = sl_kernel_check(M)
+                got = (v.det_is_one, v.reduces_to_identity, v.trace_residue, v.in_kernel,
+                       v.trace_condition, v.biconditional_holds)
+                assert got == helpers.ref_sl_kernel(p, n, as_rows(M)), (p, n, r, where)
+                assert v.reduces_to_identity == (where is None), (p, n, r, where)
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_torsor_correct_and_sl_lift_match_the_reference(p):
     rng = random.Random(200 + p)
@@ -171,6 +203,23 @@ def test_non_integer_entries_of_a_are_refused():
     assert det_trace_identity(5, [[True, 0], [0, 4]], 1).holds
 
 
+@pytest.mark.parametrize("bad, shown", [(2.5, r"2\.5"), ("3", "'3'"), (None, "None"),
+                                        (Fraction(3, 2), r"Fraction\(3, 2\)")])
+def test_one_plus_pi_n_names_the_first_non_integer_entry_of_a_later_row(bad, shown):
+    # the rows before it are all ints; so is the entry before it in its row
+    A = [[1, 2, 3], [4, 5, 6], [7, bad, 2.5]]
+    with pytest.raises(InvalidInput, match=f"^{shown} {NOT_F5}$"):
+        one_plus_pi_n(5, 2, A)
+    with pytest.raises(InvalidInput, match=f"^{shown} {NOT_F5}$"):
+        det_trace_identity(5, A, 2)
+
+
+def test_one_plus_pi_n_reduces_int_and_bool_entries_mod_p():
+    m = one_plus_pi_n(5, 1, [[True, -1], [12, False]])
+    assert m.rows == (((1, 1), (0, 4)), ((0, 2), (1, 0)))
+    assert m == TruncatedMatrix(5, 1, [[[1, 1], [0, -1]], [[0, 12], [1, 0]]])
+
+
 def test_the_first_bad_entry_in_document_order_is_reported():
     # entry [0][0] has the wrong length, entry [0][1] a float
     with pytest.raises(InvalidInput, match="^need 2 coefficients, got 3$"):
@@ -231,6 +280,32 @@ def test_a_det_trace_request_builds_at_most_four_scalars(monkeypatch):
     M = one_plus_pi_n(101, 2, A)
     assert count_scalars(monkeypatch, lambda: sl_kernel_check(M)) == 0
     assert count_scalars(monkeypatch, lambda: M @ M + M.reduce(1).extend(2)) == 0
+
+
+def count_matrices(monkeypatch, run):
+    """How many matrices run() builds through ``truncated._matrix``."""
+    real, count = truncated._matrix, [0]
+
+    def counting(*args):
+        count[0] += 1
+        return real(*args)
+    monkeypatch.setattr(truncated, "_matrix", counting)
+    run()
+    monkeypatch.setattr(truncated, "_matrix", real)
+    return count[0]
+
+
+def test_the_sl_and_det_trace_checks_build_no_matrix_they_throw_away(monkeypatch):
+    # sl_kernel_check reads the identity off M's rows; det_trace_identity
+    # builds I + pi^n A and nothing else
+    rng = random.Random(7)
+    for r in (1, 3, 6):
+        A = [[rng.randrange(101) for _ in range(r)] for _ in range(r)]
+        M = one_plus_pi_n(101, 2, A)
+        outside = TruncatedMatrix(101, 2, rows(rng, 101, 2, r))
+        assert count_matrices(monkeypatch, lambda: sl_kernel_check(M)) == 0
+        assert count_matrices(monkeypatch, lambda: sl_kernel_check(outside)) == 0
+        assert count_matrices(monkeypatch, lambda: det_trace_identity(101, A, 2)) == 1
 
 
 def test_the_row_operations_share_the_product_kernel(monkeypatch):
