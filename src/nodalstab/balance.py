@@ -21,7 +21,7 @@ from itertools import repeat
 from .curve import Ordering, TreeLikeCurve, prune_ordering
 from .errors import IndexOutOfRange, InvariantViolated, PreconditionViolated, Record, _int_arg
 from .stability import Polarization, Window, _chosen, _windows, lambda_check
-from .twist import BundleClass, TwistDivisor, twist
+from .twist import BundleClass, TwistDivisor, _twist, twist
 
 
 class BalanceResult(Record):
@@ -49,18 +49,16 @@ def balance_step(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
     a = step.chosen
     coeffs = dict.fromkeys(c.ids, 0)
     coeffs[step.component] = a
-    step_twist = TwistDivisor(coeffs=coeffs)
-    return a, twist(c, bc, step_twist)
+    return a, twist(c, bc, TwistDivisor(coeffs=coeffs))
 
 
 def balance(c: TreeLikeCurve, bc: BundleClass, pol: Polarization) -> BalanceResult:
     """Twist the class into one passing every window inequality.
 
-    Runs exactly N-1 steps in decreasing position order; the last
-    position needs no twist.  The accumulated twist is then replayed
-    through ``twist`` and its windows evaluated again: the replayed class
-    must keep the total degree and the window bounds (which depend only
-    on total chi) and pass every window, or InvariantViolated is raised.
+    Runs exactly N-1 steps, from position N-1 down; the last needs no
+    twist.  By the rule above a balanced chi sum is its sum before its
+    step less r times its coefficient: one outside its window, or a moved
+    total degree (which moves every bound), raises InvariantViolated.
     """
     ordering = prune_ordering(c)
     perm, nu, n, r = ordering.perm, ordering.nu, ordering.n, bc.rank
@@ -73,14 +71,11 @@ def balance(c: TreeLikeCurve, bc: BundleClass, pol: Polarization) -> BalanceResu
         before[k] += r * a[nu[k] - 1]
         a[k] = _chosen(before[k] * den - lows[k], width)
     t = TwistDivisor(coeffs=dict(zip(perm, a)))
-    balanced = twist(c, bc, t)
-    after, after_lows, _ = _windows(c, ordering, balanced, pol)
-    # every weight is positive, so equal bounds mean the twist kept total chi
-    if balanced.total_degree != bc.total_degree or after_lows != lows \
-            or not all(lo <= v * den <= lo + width for v, lo in zip(after, lows)):
+    balanced = _twist(c, bc, t)
+    if balanced.total_degree != bc.total_degree \
+            or not all(lo <= (v - r * x) * den <= lo + width for v, x, lo in zip(before, a, lows)):
         raise InvariantViolated("the accumulated twist does not balance the class")
     # one record per step, in step order: positions N-1 down to 1
     steps = map(Window, range(n - 1, 0, -1), perm[n - 2::-1], before[n - 2::-1],
                 lows[n - 2::-1], repeat(den), repeat(r))
     return BalanceResult(ordering=ordering, twist=t, balanced=balanced, steps=tuple(steps))
-

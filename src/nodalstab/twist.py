@@ -132,6 +132,11 @@ def twist(c: TreeLikeCurve, bc: BundleClass, t: TwistDivisor) -> BundleClass:
     c.require_valid()
     require_match(c, bc.multidegree, "multidegree")
     require_match(c, t.coeffs, "twist coefficients")
+    return _twist(c, bc, t)
+
+
+def _twist(c: TreeLikeCurve, bc: BundleClass, t: TwistDivisor) -> BundleClass:
+    """``twist`` on a valid curve whose ids key both maps; the caller checks."""
     ids, r = c.ids, bc.rank
     new = list(map(bc.multidegree.__getitem__, ids))
     a = list(map(t.coeffs.__getitem__, ids))

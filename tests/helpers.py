@@ -6,9 +6,10 @@ the ordering property checker walks the graph directly, the balancing
 oracle enumerates twist vectors against the window inequalities spelled
 out with cleared denominators, and the truncated determinant oracle is a
 permutation-sum over integer polynomial vectors.  The kernels that
-elimination replaced, Berkowitz's determinant and Gauss-Jordan rank, and
-the coefficient-wise inverse that Newton iteration replaced, are kept as
-second oracles, and the row-held truncated matrices are checked
+elimination replaced, Berkowitz's determinant and Gauss-Jordan rank, the
+coefficient-wise inverse that Newton iteration replaced, and the replay
+that ``balance``'s closed-form window check replaced, are kept as second
+oracles, and the row-held truncated matrices are checked
 against a scalar-by-scalar reference built on them at the end.
 """
 
@@ -17,9 +18,12 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from nodalstab import BundleClass, Component, Polarization, TreeLikeCurve, decompose
-from nodalstab.errors import InvalidInput, ParseError
+from nodalstab import (BundleClass, Component, Polarization, TreeLikeCurve, TwistDivisor,
+                       decompose, prune_ordering, twist)
+from nodalstab.balance import BalanceResult
+from nodalstab.errors import InvalidInput, InvariantViolated, ParseError
 from nodalstab.curve import ValidationReport, ordering_to_obj
+from nodalstab.stability import Window, _chosen, _windows
 
 
 # ---------------------------------------------------------------- generators
@@ -80,12 +84,15 @@ def shaped_curve(rng: random.Random, n: int, shape: str) -> TreeLikeCurve:
     return TreeLikeCurve(components=comps, edges=tuple(shaped_tree_edges(rng, n, shape)))
 
 
-def relabel_far(rng: random.Random, c: TreeLikeCurve) -> TreeLikeCurve:
+def relabel_far(rng: random.Random, c: TreeLikeCurve, increasing=False) -> TreeLikeCurve:
     """The same curve with shuffled, non-contiguous ids above 2**64 and the
     components listed in random order, so that neither id order, list order
-    nor small-integer ids can stand in for the dense index."""
+    nor small-integer ids can stand in for the dense index.  With
+    ``increasing`` the new ids keep the old ids' order."""
     n = len(c.ids)
     new_ids = rng.sample(range(2**64 + 1, 2**64 + 1 + 7 * n + 7), n)
+    if increasing:
+        new_ids.sort()   # c.ids ascend
     far = dict(zip(c.ids, new_ids))
     comps = [Component(id=far[comp.id], geometric_genus=comp.geometric_genus,
                        internal_nodes=comp.internal_nodes) for comp in c.components]
@@ -313,6 +320,30 @@ def brute_force_solutions(c, ordering, bc, pol, bound):
         if passes_windows(ids, den, r, rows, a):
             sols.append(dict(zip(ids, a)))
     return sols
+
+
+def replay_balance(c: TreeLikeCurve, bc: BundleClass, pol: Polarization) -> BalanceResult:
+    """``balance`` as it was before it checked its balanced windows in closed
+    form: the same top-down coefficient pass, then the accumulated twist
+    replayed through the public, checking ``twist`` and every window of the
+    replayed class evaluated again by a second window-kernel pass."""
+    ordering = prune_ordering(c)
+    perm, nu, n, r = ordering.perm, ordering.nu, ordering.n, bc.rank
+    values, lows, den = _windows(c, ordering, bc, pol)
+    width = den * r
+    before, a = values[:], [0] * n
+    for k in range(n - 2, -1, -1):
+        before[k] += r * a[nu[k] - 1]
+        a[k] = _chosen(before[k] * den - lows[k], width)
+    t = TwistDivisor(coeffs=dict(zip(perm, a)))
+    balanced = twist(c, bc, t)
+    after, after_lows, _ = _windows(c, ordering, balanced, pol)
+    # every weight is positive, so equal bounds mean the twist kept total chi
+    if balanced.total_degree != bc.total_degree or after_lows != lows \
+            or not all(lo <= v * den <= lo + width for v, lo in zip(after, lows)):
+        raise InvariantViolated("the accumulated twist does not balance the class")
+    steps = [Window(k + 1, perm[k], before[k], lows[k], den, r) for k in range(n - 2, -1, -1)]
+    return BalanceResult(ordering=ordering, twist=t, balanced=balanced, steps=tuple(steps))
 
 
 # ------------------------------------------- truncated-ring oracle arithmetic

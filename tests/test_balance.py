@@ -1,4 +1,7 @@
 import importlib
+import itertools
+import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -13,6 +16,7 @@ from nodalstab import (
     TwistDivisor,
     balance,
     balance_step,
+    cli,
     euler_char_total,
     lambda_check,
     lambda_check_passes,
@@ -20,7 +24,7 @@ from nodalstab import (
     twist,
     validate_curve,
 )
-from nodalstab.stability import Window
+from nodalstab.stability import Window, _chosen
 from nodalstab.errors import IndexOutOfRange, InvariantViolated, PreconditionViolated
 
 
@@ -173,17 +177,105 @@ def test_balance_agrees_with_brute_force_random_trees():
         assert result.twist.coeffs in sols
 
 
-@pytest.mark.parametrize("wrong", [
-    lambda c, bc, t: bc,
-    lambda c, bc, t: BundleClass(rank=bc.rank, multidegree={i: d + (i == 1) for i, d in
-                                                            bc.multidegree.items()}),
-    # the twist run backwards: total degree and chi kept, the windows missed
-    lambda c, bc, t: twist(c, bc, TwistDivisor({i: -a for i, a in t.coeffs.items()})),
-])
-def test_balance_replay_check_catches_a_wrong_twist(monkeypatch, wrong):
-    monkeypatch.setattr(importlib.import_module("nodalstab.balance"), "twist", wrong)
-    with pytest.raises(InvariantViolated, match="^the accumulated twist does not balance"):
-        balance(PATH2, BC2, HALF)
+def differential_instances():
+    """(curve, class, polarization) over every shape, with far ids, rank 1..5
+    and N log-uniform in 1..500 (1, 2 and 500 always among them); each
+    curve carries two polarizations and two classes for each."""
+    rng = random.Random(131)
+    for shape in helpers.SHAPES:
+        for k in range(190):
+            n = (1, 2, 500)[k] if k < 3 else round(math.exp(rng.uniform(0, math.log(500))))
+            c = helpers.relabel_far(rng, helpers.shaped_curve(rng, n, shape))
+            for _ in range(2):
+                pol = helpers.random_polarization(rng, c)
+                for _ in range(2):
+                    yield c, helpers.random_bundle(rng, c, ranks=(1, 2, 3, 4, 5)), pol
+
+
+def mismatches(instances):
+    """The instances on which ``balance`` differs from the replay oracle."""
+    return [(c, bc, pol) for c, bc, pol in instances
+            if balance(c, bc, pol) != helpers.replay_balance(c, bc, pol)]
+
+
+def test_balance_matches_the_replay_of_its_twist():
+    # the closed-form window check against the replay it replaced: ordering,
+    # twist, balanced class and steps, on 4 shapes * 190 curves * 4 = 3,040 instances
+    assert mismatches(differential_instances()) == []
+
+
+def _twist_backwards(c, bc, t):
+    return twist(c, bc, TwistDivisor({i: -a for i, a in t.coeffs.items()}))
+
+
+# name: (patched name in nodalstab.balance, its replacement, raised at run time)
+WRONG_TWISTS = {
+    # the kept total-degree check raises
+    "one degree off": ("_twist", lambda c, bc, t: BundleClass(
+        rank=bc.rank, multidegree={i: d + (i == 1) for i, d in bc.multidegree.items()}), True),
+    # total degree and chi kept, the windows missed: the differential test differs
+    "class unchanged": ("_twist", lambda c, bc, t: bc, False),
+    "twist run backwards": ("_twist", _twist_backwards, False),
+    # one coefficient too low leaves its window: the closed-form check raises
+    "chosen off by one": ("_chosen", lambda top, width: _chosen(top, width) - 1, True),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_TWISTS)
+def test_balance_catches_a_wrong_twist(monkeypatch, name):
+    attr, wrong, raised = WRONG_TWISTS[name]
+    monkeypatch.setattr(importlib.import_module("nodalstab.balance"), attr, wrong)
+    if raised:
+        with pytest.raises(InvariantViolated, match="^the accumulated twist does not balance"):
+            balance(PATH2, BC2, HALF)
+    else:
+        assert mismatches([(PATH2, BC2, HALF)])
+        assert mismatches(itertools.islice(differential_instances(), 40))
+
+
+def counted_passes(monkeypatch):
+    """Count the window-kernel passes and the calls of the public ``twist``,
+    under every name the package calls them by."""
+    calls = dict.fromkeys(("_windows", "twist"), 0)
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+    stability, balance_mod, twist_mod = map(importlib.import_module, (
+        "nodalstab.stability", "nodalstab.balance", "nodalstab.twist"))
+    windows, public_twist = (counting("_windows", stability._windows),
+                             counting("twist", twist_mod.twist))
+    for module in (stability, balance_mod):
+        monkeypatch.setattr(module, "_windows", windows)
+    for module in (twist_mod, balance_mod):
+        monkeypatch.setattr(module, "twist", public_twist)
+    return calls
+
+
+def test_balance_evaluates_its_windows_once(monkeypatch):
+    calls = counted_passes(monkeypatch)
+    rng = random.Random(137)
+    for shape in helpers.SHAPES:
+        for n in (1, 2, 40):
+            c = helpers.relabel_far(rng, helpers.shaped_curve(rng, n, shape))
+            bc = helpers.random_bundle(rng, c, ranks=(1, 2, 3))
+            pol = helpers.random_polarization(rng, c)
+            calls.update(_windows=0, twist=0)
+            balance(c, bc, pol)
+            assert calls == {"_windows": 1, "twist": 0}
+
+
+def test_a_balance_run_evaluates_its_windows_twice(monkeypatch, capsys):
+    # one pass to balance, one for the check report of the balanced class
+    calls = counted_passes(monkeypatch)
+    fixtures = pathlib.Path(__file__).parent / "fixtures"
+    code = cli.run(["balance", "--curve", str(fixtures / "curves" / "path2_g11.json"),
+                    "--bundle", str(fixtures / "path2_bundle.json"),
+                    "--pol", str(fixtures / "path2_pol.json")])
+    assert code in (0, 1) and capsys.readouterr().out
+    assert calls == {"_windows": 2, "twist": 0}
 
 
 def test_window_integers_match_the_definition():
