@@ -25,8 +25,16 @@ from .twist import BundleClass, TwistDivisor, _twist, twist
 
 
 class BalanceResult(Record):
-    # steps: one Window per step, its value read before the step
-    __slots__ = _fields = ("ordering", "twist", "balanced", "steps")
+    # windows: the balanced class's Window at every position, as lambda_check gives them
+    __slots__ = _fields = ("ordering", "twist", "balanced", "windows")
+
+    @property
+    def steps(self) -> tuple:
+        """One Window per step, positions N-1 down to 1, its value read before
+        the step's own twist; built from ``windows`` on each read."""
+        coeffs = self.twist.coeffs
+        return tuple(Window(w.i, w.component, w.value + w.rank * coeffs[w.component],
+                            w.lo, w.den, w.rank) for w in reversed(self.windows[:-1]))
 
 
 def balance_step(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
@@ -63,19 +71,17 @@ def balance(c: TreeLikeCurve, bc: BundleClass, pol: Polarization) -> BalanceResu
     ordering = prune_ordering(c)
     perm, nu, n, r = ordering.perm, ordering.nu, ordering.n, bc.rank
     values, lows, den = _windows(c, ordering, bc, pol)
-    width = den * r
-    # before[k] is the chi sum at position k + 1 before its own twist: the
-    # base sum plus r times the parent's coefficient (the root's is 0)
-    before, a = values[:], [0] * n
+    width, a = den * r, [0] * n
+    # before its own twist the chi sum at position k + 1 is the base sum plus r
+    # times the parent's coefficient (the root's is 0); values[k] becomes the sum after
     for k in range(n - 2, -1, -1):
-        before[k] += r * a[nu[k] - 1]
-        a[k] = _chosen(before[k] * den - lows[k], width)
+        before = values[k] + r * a[nu[k] - 1]
+        a[k] = _chosen(before * den - lows[k], width)
+        values[k] = before - r * a[k]
     t = TwistDivisor(coeffs=dict(zip(perm, a)))
     balanced = _twist(c, bc, t)
     if balanced.total_degree != bc.total_degree \
-            or not all(lo <= (v - r * x) * den <= lo + width for v, x, lo in zip(before, a, lows)):
+            or not all(lo <= v * den <= lo + width for v, lo in zip(values, lows)):
         raise InvariantViolated("the accumulated twist does not balance the class")
-    # one record per step, in step order: positions N-1 down to 1
-    steps = map(Window, range(n - 1, 0, -1), perm[n - 2::-1], before[n - 2::-1],
-                lows[n - 2::-1], repeat(den), repeat(r))
-    return BalanceResult(ordering=ordering, twist=t, balanced=balanced, steps=tuple(steps))
+    windows = map(Window, range(1, n + 1), perm, values, lows, repeat(den, n), repeat(r, n))
+    return BalanceResult(ordering=ordering, twist=t, balanced=balanced, windows=tuple(windows))

@@ -75,9 +75,7 @@ def _load_triple(args):
     return c, bc, pol
 
 
-def _check_report(c, ordering, bc, pol) -> dict:
-    from .stability import lambda_check
-    windows = lambda_check(c, ordering, bc, pol)
+def _check_report(ordering, bc, windows) -> dict:
     return {"passes": all(w.passes for w in windows),
             "rank": bc.rank,
             "total_degree": bc.total_degree,
@@ -87,8 +85,10 @@ def _check_report(c, ordering, bc, pol) -> dict:
 
 def cmd_check(args):
     from .curve import prune_ordering
+    from .stability import lambda_check
     c, bc, pol = _load_triple(args)
-    obj = _check_report(c, prune_ordering(c), bc, pol)
+    ordering = prune_ordering(c)
+    obj = _check_report(ordering, bc, lambda_check(c, ordering, bc, pol))
     return obj, (EXIT_OK if obj["passes"] else EXIT_FAIL)
 
 
@@ -98,7 +98,7 @@ def cmd_balance(args):
     from .twist import bundle_to_obj
     c, bc, pol = _load_triple(args)
     result = balance(c, bc, pol)
-    obj = _check_report(c, result.ordering, result.balanced, pol)
+    obj = _check_report(result.ordering, result.balanced, result.windows)
     obj.update(bundle_to_obj(result.balanced),   # rank and multidegree
                ordering=result.ordering.perm,
                twist={str(i): a for i, a in sorted(result.twist.coeffs.items())},

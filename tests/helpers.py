@@ -322,11 +322,15 @@ def brute_force_solutions(c, ordering, bc, pol, bound):
     return sols
 
 
-def replay_balance(c: TreeLikeCurve, bc: BundleClass, pol: Polarization) -> BalanceResult:
+def replay_balance(c: TreeLikeCurve, bc: BundleClass, pol: Polarization):
     """``balance`` as it was before it checked its balanced windows in closed
     form: the same top-down coefficient pass, then the accumulated twist
     replayed through the public, checking ``twist`` and every window of the
-    replayed class evaluated again by a second window-kernel pass."""
+    replayed class evaluated again by a second window-kernel pass.
+
+    Returns the result, whose windows are that second pass's, and the steps
+    as ``balance`` stored them then: positions N-1 down to 1, each with its
+    chi sum before its own twist."""
     ordering = prune_ordering(c)
     perm, nu, n, r = ordering.perm, ordering.nu, ordering.n, bc.rank
     values, lows, den = _windows(c, ordering, bc, pol)
@@ -342,8 +346,10 @@ def replay_balance(c: TreeLikeCurve, bc: BundleClass, pol: Polarization) -> Bala
     if balanced.total_degree != bc.total_degree or after_lows != lows \
             or not all(lo <= v * den <= lo + width for v, lo in zip(after, lows)):
         raise InvariantViolated("the accumulated twist does not balance the class")
-    steps = [Window(k + 1, perm[k], before[k], lows[k], den, r) for k in range(n - 2, -1, -1)]
-    return BalanceResult(ordering=ordering, twist=t, balanced=balanced, steps=tuple(steps))
+    windows = tuple(Window(k + 1, perm[k], after[k], after_lows[k], den, r) for k in range(n))
+    steps = tuple(Window(k + 1, perm[k], before[k], lows[k], den, r)
+                  for k in range(n - 2, -1, -1))
+    return BalanceResult(ordering=ordering, twist=t, balanced=balanced, windows=windows), steps
 
 
 # ------------------------------------------- truncated-ring oracle arithmetic

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,7 @@ from nodalstab import (
     TruncatedScalar,
     TwistDivisor,
     Window,
+    balance,
 )
 from nodalstab.errors import Record
 from nodalstab.gpb import KernelSectionVerdict, PhiNumbers, ProjectionVerdict
@@ -49,7 +51,7 @@ RECORDS = {
                                           BundleClass(1, {1: 0}), ()),
                     "BalanceResult(ordering=Ordering(perm=(1,), nu=()), "
                     "twist=TwistDivisor(coeffs={1: 0}), "
-                    "balanced=BundleClass(rank=1, multidegree={1: 0}), steps=())", False),
+                    "balanced=BundleClass(rank=1, multidegree={1: 0}), windows=())", False),
     GpbClass: (lambda: GpbClass(2, 3, nodes=1),
                "GpbClass(rank=2, degree=3, nodes=1, flag_dims=((2, 2),))", True),
     PrimeField: (lambda: PrimeField(5), "PrimeField(p=5)", True),
@@ -103,6 +105,19 @@ def test_record_contract(cls):
             with pytest.raises(AttributeError):
                 delattr(a, name)
     assert a == b
+
+
+def test_a_balance_result_keeps_its_windows_and_steps_through_a_round_trip():
+    # the two-component path of tests/test_balance.py: one step, two windows
+    path2 = TreeLikeCurve(components=(Component(1, geometric_genus=1),
+                                      Component(2, geometric_genus=1)), edges=((1, 2),))
+    result = balance(path2, BundleClass(2, {1: 5, 2: -1}),
+                     Polarization({1: Fraction(1, 2), 2: Fraction(1, 2)}))
+    assert result.windows == (Window(1, 1, 3, 2, 2, 2), Window(2, 2, 4, 8, 2, 2))
+    assert result.steps == (Window(1, 1, 5, 2, 2, 2),)   # the chi sum before the step
+    for other in (pickle.loads(pickle.dumps(result)), copy.copy(result), copy.deepcopy(result)):
+        assert other == result and repr(other) == repr(result)
+        assert other.steps == result.steps
 
 
 def test_the_base_constructor_takes_each_field_once():
