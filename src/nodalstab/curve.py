@@ -215,8 +215,8 @@ class Ordering(Record):
     G(i).  It takes O(N * depth) space and only reports read it, once
     each, so nothing that only needs window sums pays for it.  ``_curve``,
     a slot and not a field, is the curve object :func:`prune_ordering`
-    built it for, which ``lambda_check`` trusts; a copy, an unpickled
-    ordering or one built by hand has none.
+    built it for, which ``lambda_check`` and :func:`decompose` trust; a
+    copy, an unpickled ordering or one built by hand has none.
     """
 
     _fields = ("perm", "nu")
@@ -333,21 +333,20 @@ def decompose(c: TreeLikeCurve, ordering: Ordering, i: int):
 
     Recomputed from the graph, not read off the ordering, so it can be
     cross-checked against the subtrees of the parent array.  At
-    i = N the whole curve is G and there is no boundary node.
+    i = N the whole curve is G and there is no boundary node.  Like
+    ``lambda_check``, it trusts an ordering ``prune_ordering`` built for
+    this very curve object and verifies any other first.
     """
     c.require_valid()
-    n = ordering.n
+    n = len(c.ids)
     if not 1 <= _int_arg(i, "order index") <= n:
         raise IndexOutOfRange(f"order index {i} out of range 1..{n}")
-    if set(ordering.perm) != c._index.keys():
-        raise OrderingMismatch("ordering does not belong to this curve")
+    if getattr(ordering, "_curve", None) is not c:
+        verify_ordering(c, ordering)
     everything = frozenset(c.ids)
     if i == n:
         return everything, frozenset(), None
     y = ordering.perm[i - 1]
-    edge = ordering.boundary_edge(i)
-    if edge not in c.simple_edges:
-        raise OrderingMismatch(f"nu({i}) is not adjacent to component {y}")
     # B(i) is the piece of the curve minus y that holds nu(i)
     adj = {v: [] for v in c.ids}
     for u, v in c.simple_edges:
@@ -361,7 +360,7 @@ def decompose(c: TreeLikeCurve, ordering: Ordering, i: int):
             if w not in branch:
                 branch.add(w)
                 stack.append(w)
-    return everything - branch, frozenset(branch), edge
+    return everything - branch, frozenset(branch), ordering.boundary_edge(i)
 
 
 def verify_ordering(c: TreeLikeCurve, ordering: Ordering) -> None:

@@ -77,9 +77,6 @@ class PrimeField(Record):
             raise InvalidInput(f"{x!r} is not an integer, so not an element of {self.name}")
         return x % self.p
 
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
-
     def parse(self, s) -> int:
         return self.element(int(s))
 
@@ -162,9 +159,6 @@ class RationalField(Record):
         if not isinstance(x, (int, Fraction)):
             raise InvalidInput(f"{x!r} is not an integer or a Fraction, so not an element of Q")
         return x if isinstance(x, Fraction) else Fraction(x)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     @staticmethod
     def parse(s) -> Fraction:

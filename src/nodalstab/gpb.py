@@ -225,7 +225,7 @@ def build_rational_flag(field, r: int, d: int, a: int) -> GluingFlag:
         raise InvalidInput("rank must be positive")
     if r * _int_arg(a, "a") > _int_arg(d, "degree"):
         raise DegreeBound(f"need r*a <= d, got {r}*{a} > {d}")
-    if field.is_zero(field.element(r - 1)):
+    if not field.element(r - 1):
         raise SingularProjection(
             f"q-side projection is singular over {field.name}: "
             f"det(J - I) = (-1)^(r-1)(r-1) vanishes for r = {r}")
@@ -271,6 +271,6 @@ def picard_rth_root(field, r: int, gluing_scalars) -> list:
     if _int_arg(r, "root exponent") < 1:
         raise InvalidInput("root exponent must be positive")
     scalars = [field.element(s) for s in gluing_scalars]
-    if any(field.is_zero(s) for s in scalars):
+    if not all(scalars):
         raise InvalidInput("gluing scalars must be nonzero")
     return [field.rth_root(s, r) for s in scalars]

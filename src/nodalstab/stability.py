@@ -166,11 +166,10 @@ def slope(c: TreeLikeCurve, bc: BundleClass) -> Fraction:
 
 def seshadri_slope(c: TreeLikeCurve, bc: BundleClass, pol: Polarization) -> Fraction:
     """chi divided by the weighted rank sum."""
-    c.require_valid()
-    require_match(c, bc.multidegree, "multidegree")
+    chi = euler_char_total(c, bc)   # checks the curve and the class
     require_match(c, pol.weights, "polarization weights")
     # the weights sum to 1, so the weighted rank sum is the rank
-    return Fraction(euler_char_total(c, bc), bc.rank)
+    return Fraction(chi, bc.rank)
 
 
 def polarization_from_ample(h: AmpleDegrees) -> Polarization:
@@ -256,8 +255,7 @@ def gieseker_vs_seshadri(c: TreeLikeCurve, bc: BundleClass, h: AmpleDegrees,
     At curve level this is chi_sub / (sum of multirank * ample degree)
     against chi / (r * total ample degree), compared exactly.
     """
-    c.require_valid()
-    require_match(c, bc.multidegree, "multidegree")
+    chi = euler_char_total(c, bc)   # checks the curve and the class
     require_match(c, h.degrees, "ample degrees")
     require_match(c, _id_values(multirank, "gieseker_vs_seshadri", "the multirank"), "multirank")
     for i, ri in multirank.items():
@@ -267,6 +265,6 @@ def gieseker_vs_seshadri(c: TreeLikeCurve, bc: BundleClass, h: AmpleDegrees,
     if denom == 0:
         raise ZeroMultirank("subobject multirank is zero on every component")
     sub = Fraction(_int_arg(chi_sub, "chi_sub"), denom)
-    total = Fraction(euler_char_total(c, bc), bc.rank * sum(h.degrees.values()))
+    total = Fraction(chi, bc.rank * sum(h.degrees.values()))
     relation = "<" if sub < total else ("=" if sub == total else ">")
     return SlopeComparison(sub_slope=sub, total_slope=total, relation=relation)

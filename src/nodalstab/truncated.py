@@ -10,7 +10,7 @@ multiplies a cocycle of invertible matrices by trace-section lifts so
 its determinant picks up a prescribed unit.
 """
 
-from itertools import compress, count, repeat
+from itertools import compress, repeat
 
 from .errors import InvalidInput, NotUnit, Record, _int, _int_arg, _require, _set, _small_int
 from .fields import PrimeField, mat_rank, parse_field
@@ -98,6 +98,13 @@ def _like(ring, other):
     """other, when it is a scalar of ring's k[pi]/(pi^(n+1))."""
     if not isinstance(other, TruncatedScalar) or (other.p, other.n) != (ring.p, ring.n):
         raise InvalidInput("scalars belong to different truncated rings")
+    return other
+
+
+def _same(m, other):
+    """other, when it is a matrix of m's size over m's k[pi]/(pi^(n+1))."""
+    if not isinstance(other, TruncatedMatrix) or (other.p, other.n, other.r) != (m.p, m.n, m.r):
+        raise InvalidInput("matrix shapes or rings differ")
     return other
 
 
@@ -235,22 +242,18 @@ class TruncatedMatrix(Record):
                                    for i in range(_int_arg(r, "matrix size"))))
 
     def __matmul__(self, other):
-        if (other.p, other.n, other.r) != (self.p, self.n, self.r):
-            raise InvalidInput("matrix shapes or rings differ")
-        p, n, rows = self.p, self.n, []
+        p, n, others, rows = self.p, self.n, _same(self, other).rows, []
         for row in self.rows:   # row i of the product is the sum of a_ik times row k
             acc = None
-            for a, other_row in zip(row, other.rows):
+            for a, other_row in zip(row, others):
                 acc = _axpy(p, n, a, other_row, acc)
             rows.append(tuple(acc))
         return _matrix(p, n, tuple(rows))
 
     def __add__(self, other):
-        if (other.p, other.n, other.r) != (self.p, self.n, self.r):
-            raise InvalidInput("matrix shapes or rings differ")
         p, n = self.p, self.n
         return _matrix(p, n, tuple(tuple(_axpy(p, n, (1,), rb, ra))
-                                   for ra, rb in zip(self.rows, other.rows)))
+                                   for ra, rb in zip(self.rows, _same(self, other).rows)))
 
     def scale(self, s: TruncatedScalar):
         p, n, c = self.p, self.n, _like(self, s).coeffs
@@ -276,11 +279,8 @@ class TruncatedMatrix(Record):
         is a multiple of pi^(w - v + t), 0 mod pi^(m-v+1) when w + t > m: that row
         is left as it is, which is exact.  The inverse is taken for the rows that
         remain, to order m - s for s their least w.  An update at order m - v < n
-        keeps the coefficients past it (the sparse loop) or drops them (Kronecker
-        substitution).  Such a stale coefficient can only make t smaller or keep a
-        row in ``below`` until w + t > m drops it (m < n, so that test runs), both
-        exact; in a later pivot it meets a product of valuation n - m and lands
-        past pi^n."""
+        may leave coefficients past it, which nothing later reads: every scan and
+        product, the running det's top m + 1 coefficients included, stops at pi^m."""
         p, n, r = self.p, self.n, self.r
         A = [list(row) for row in self.rows]
         det, sign, m = (1,) + (0,) * n, 1, n
@@ -294,17 +294,17 @@ class TruncatedMatrix(Record):
                 piv = c + vals.index(v)
                 A[c], A[piv], sign = A[piv], A[c], sign if piv == c else -sign
             top, rest = A[c], A[c][c + 1:]
-            below = [row for row in A[c + 1:] if any(row[c])]
-            if below and (m < n or not any(x[0] for x in rest)):   # some rows may gain only zeros
-                t = min([next(compress(count(), x), n + 1) for x in rest])
-                below = [row for row in below if next(compress(count(), row[c])) <= m - t]
+            below = [row for row in A[c + 1:] if any(row[c][:m + 1])]
+            if below and not any(x[0] for x in rest):   # some rows may gain only zeros
+                t = min([next(compress(range(m + 1), x), m + 1) for x in rest])
+                below = [row for row in below if next(compress(range(m + 1), row[c])) <= m - t]
             if below:   # row += q * top with q = -x / pivot
-                s = min(next(compress(count(), row[c])) for row in below)
+                s = min(next(compress(range(m + 1), row[c])) for row in below)
                 neg_inv = tuple([-a % p for a in _inverse(p, m - s, top[c][v:])])
                 for row in below:
                     q = _mul(p, m - v, row[c][v:], neg_inv)
                     row[c + 1:] = _axpy(p, m - v, q, rest, row[c + 1:])
-            det = _mul(p, n, det, top[c])
+            det = (0,) * (n - m) + _mul(p, m, det[n - m:], top[c])   # det is pi^(n-m) u
             m -= v
         return _scalar(p, n, det if sign > 0 else tuple([-a % p for a in det]))
 

@@ -557,9 +557,9 @@ def write_triple(tmp_path, rng, c, bc, pol, shuffle=False) -> list:
     return argv
 
 
-def balance_report_instances(rng):
-    """40 small random curves, then every shape with far ids at N = 3, 60, 200 and 500."""
-    for _ in range(40):
+def report_instances(rng, small):
+    """small random curves, then every shape with far ids at N = 3, 60, 200 and 500."""
+    for _ in range(small):
         yield helpers.random_curve(rng)
     for shape in helpers.SHAPES:
         for n in (3, 60, 200, 500):
@@ -572,7 +572,7 @@ def test_balance_reports_the_check_report_of_its_balanced_class(tmp_path, capsys
     # The report's windows are balance's own, checked in closed form; check
     # evaluates them again with the window kernel
     rng = random.Random(271)
-    for c in balance_report_instances(rng):
+    for c in report_instances(rng, 40):
         bc, pol = helpers.random_bundle(rng, c), helpers.random_polarization(rng, c)
         argv = write_triple(tmp_path, rng, c, bc, pol)
         code, balanced = run_cli(capsys, "balance", *argv)
@@ -593,8 +593,7 @@ def test_reports_do_not_depend_on_document_order(tmp_path, capsys):
     # the order of components, edges, endpoints and map keys in a document is
     # never read: every tree report is the same bytes
     rng = random.Random(277)
-    for _ in range(30):
-        c = helpers.random_curve(rng)
+    for c in report_instances(rng, 30):
         bc, pol = helpers.random_bundle(rng, c), helpers.random_polarization(rng, c)
         outputs = []
         for shuffle in (False, True):

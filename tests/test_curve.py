@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import re
 import time
@@ -531,15 +533,51 @@ def test_boundary_edge_refuses_an_index_out_of_range():
 
 def test_decompose_refuses_an_ordering_of_another_curve():
     other = curve([(1, 1, 0), (2, 0, 0), (4, 1, 0)], [(1, 2), (2, 4)])
-    with pytest.raises(OrderingMismatch, match="^ordering does not belong to this curve$"):
+    with pytest.raises(OrderingMismatch,
+                       match="^perm is not a permutation of the curve's component ids$"):
         decompose(PATH3, prune_ordering(other), 1)
 
 
 def test_decompose_refuses_a_parent_that_is_not_a_neighbour():
     # the ids match, but position 1 (component 1) hangs off component 3
     o = Ordering(perm=(1, 3, 2), nu=(2, 3))
-    with pytest.raises(OrderingMismatch, match="^nu\\(1\\) is not adjacent to component 1$"):
+    with pytest.raises(OrderingMismatch,
+                       match="^the parent edges of the ordering are not the curve's nodes$"):
         decompose(PATH3, o, 1)
+
+
+@pytest.mark.parametrize("nu", [(99,), (0,), (-5,), (), (1.5,)])
+def test_decompose_refuses_a_malformed_nu_as_verify_ordering_does(nu):
+    # decompose once kept its own weaker check: (99,) raised IndexError,
+    # (1.5,) TypeError, and (0,) returned a split read through perm[-1]
+    o = Ordering(perm=(1, 2), nu=nu)
+    with pytest.raises(OrderingMismatch) as verified:
+        verify_ordering(PATH2, o)
+    for i in (1, 2):
+        with pytest.raises(OrderingMismatch, match=f"^{re.escape(str(verified.value))}$"):
+            decompose(PATH2, o, i)
+
+
+def test_decompose_verifies_only_an_ordering_pruned_elsewhere(monkeypatch):
+    calls = []
+
+    def counting(c, ordering):
+        calls.append(ordering)
+        return verify_ordering(c, ordering)
+    monkeypatch.setattr("nodalstab.curve.verify_ordering", counting)
+    rng = random.Random(353)
+    for shape in helpers.SHAPES:
+        c = helpers.relabel_far(rng, helpers.shaped_curve(rng, 12, shape))
+        o = prune_ordering(c)
+        splits = [decompose(c, o, i) for i in range(1, o.n + 1)]
+        assert calls == []
+        twin = TreeLikeCurve(components=c.components, edges=c.edges)
+        for other in (Ordering(o.perm, o.nu), pickle.loads(pickle.dumps(o)), copy.copy(o),
+                      prune_ordering(twin)):
+            for i in range(1, o.n + 1):
+                assert decompose(c, other, i) == splits[i - 1]
+                assert len(calls) == 1 and calls[0] is other
+                calls.clear()
 
 
 @pytest.mark.parametrize("args, what", [((1.5,), "component ids"), ((2.0,), "component ids"),

@@ -248,6 +248,34 @@ def test_det_leaves_a_row_past_the_precision_left(monkeypatch):
     assert counted_products(monkeypatch, truncated, KERNEL, m.det) == 3
 
 
+def test_det_multiplies_each_later_pivot_at_the_order_left(monkeypatch):
+    # on diag(pi^k, B) the first pivot leaves det = pi^k times a unit, so every
+    # later pivot product runs at order n - k (it once ran at order n, on
+    # coefficients that land past pi^n); with B upper triangular the pivot
+    # products are det's only _mul calls, and with B dense no call runs higher
+    p, n, k, r = 7, 40, 30, 5
+    rng = random.Random(11)
+    zero = [0] * (n + 1)
+    for kind in ("upper", "dense"):
+        B = [[entry(rng, p, n, 0) if j > i or kind == "dense" else
+              exact(rng, p, n, 0) if j == i else zero for j in range(r - 1)]
+             for i in range(r - 1)]
+        rows = [[exact(rng, p, n, k)] + [zero] * (r - 1)] + [[zero] + row for row in B]
+        orders = []
+
+        def recording(p, n, q, y, real=truncated._mul):
+            orders.append(n)
+            return real(p, n, q, y)
+        monkeypatch.setattr(truncated, "_mul", recording)
+        got = TruncatedMatrix(p, n, rows).det().coeffs
+        monkeypatch.undo()
+        inner = TruncatedMatrix(p, n, B).det().coeffs
+        assert list(got) == helpers.dot(p, n, [rows[0][0]], [inner])
+        assert orders[0] == n and max(orders[1:]) == n - k, kind
+        if kind == "upper":
+            assert orders == [n] + [n - k] * (r - 1)
+
+
 # ------------------------------------------------------------------ mat_rank
 
 def low_rank(rng, rows, cols, rank, value):

@@ -1,4 +1,5 @@
 import copy
+import importlib
 import pathlib
 import pickle
 import random
@@ -37,6 +38,7 @@ from nodalstab.stability import Window
 from nodalstab.errors import (
     DocumentMismatch,
     InvalidInput,
+    MultiEdge,
     OrderingMismatch,
     ParseError,
     WrongArity,
@@ -399,6 +401,47 @@ def test_gieseker_vs_seshadri_errors():
     with pytest.raises(InvalidInput):
         gieseker_vs_seshadri(PATH2, BC2, h, {1: 3, 2: 0}, 0)
     with pytest.raises(DocumentMismatch):
+        gieseker_vs_seshadri(PATH2, BC2, h, {1: 1}, 0)
+
+
+def test_slope_checks_validate_the_curve_and_class_once(monkeypatch):
+    # both once checked the curve and the class, then called euler_char_total,
+    # which checks them again
+    valid, matched = [], []
+    real_valid = TreeLikeCurve.require_valid
+
+    def counting_valid(c):
+        valid.append(c)
+        return real_valid(c)
+    monkeypatch.setattr(TreeLikeCurve, "require_valid", counting_valid)
+    for module in map(importlib.import_module, ("nodalstab.stability", "nodalstab.twist")):
+        def counting_match(c, mapping, what, real=module.require_match):
+            matched.append(what)
+            return real(c, mapping, what)
+        monkeypatch.setattr(module, "require_match", counting_match)
+    h = AmpleDegrees({1: 1, 2: 1})
+    for call, value in ((lambda: seshadri_slope(PATH2, BC2, HALF), 1),
+                        (lambda: gieseker_vs_seshadri(PATH2, BC2, h, {1: 1, 2: 1}, 2).total_slope,
+                         Fraction(1, 2))):
+        assert call() == value
+        assert (len(valid), matched.count("multidegree")) == (1, 1)
+        valid.clear()
+        matched.clear()
+
+
+def test_slope_checks_raise_in_their_order():
+    # the curve, then the class, then what only the slope check reads
+    cycle = curve([(1, 1, 0), (2, 1, 0)], [(1, 2), (2, 1)])
+    h, short = AmpleDegrees({1: 1, 2: 1}), BundleClass(2, {1: 5})
+    for call in (lambda c, bc, keyed: seshadri_slope(c, bc, Polarization(keyed)),
+                 lambda c, bc, keyed: gieseker_vs_seshadri(c, bc, AmpleDegrees(keyed), {1: 1}, 0)):
+        with pytest.raises(MultiEdge):
+            call(cycle, short, {1: 1})
+        with pytest.raises(DocumentMismatch, match="^multidegree keys"):
+            call(PATH2, short, {1: 1})
+        with pytest.raises(DocumentMismatch, match="^(polarization weights|ample degrees) keys"):
+            call(PATH2, BC2, {1: 1})
+    with pytest.raises(DocumentMismatch, match="^multirank keys"):
         gieseker_vs_seshadri(PATH2, BC2, h, {1: 1}, 0)
 
 

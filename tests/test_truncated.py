@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -438,6 +439,22 @@ def test_matrix_sum_refuses_another_ring_or_size():
         with pytest.raises(InvalidInput, match="^matrix shapes or rings differ$"):
             a + b
     assert (a + a).rows == (((2, 0), (0, 0)), ((0, 0), (2, 0)))
+
+
+@pytest.mark.parametrize("other", [5, None, scalar(5, 1, 1, 2), (((1, 0), (0, 0)),) * 2,
+                                   TruncatedMatrix.identity(7, 1, 2),
+                                   TruncatedMatrix.identity(5, 2, 2),
+                                   TruncatedMatrix.identity(5, 1, 3)])
+def test_matrix_operators_refuse_anything_but_a_matrix_of_their_ring_and_size(other):
+    # @ and + once read other.p unchecked: M @ 5 and M + 5 raised AttributeError
+    a = TruncatedMatrix.identity(5, 1, 2)
+    for op in (operator.matmul, operator.add):
+        with pytest.raises(InvalidInput, match="^matrix shapes or rings differ$"):
+            op(a, other)
+    # and the scalar operators refuse a matrix as before
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(InvalidInput, match="^scalars belong to different truncated rings$"):
+            op(scalar(5, 1, 1, 2), a)
 
 
 @pytest.mark.parametrize("section", [trace_section, det_section])
