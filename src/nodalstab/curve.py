@@ -229,6 +229,7 @@ class Ordering(Record):
     @property
     def subtrees(self) -> tuple:
         """The ids of G(i) at every position, each as a sorted tuple."""
+        _parent_edges(self)   # refuses a malformed nu before it is read
         below = [[cid] for cid in self.perm]
         for k, p in enumerate(self.nu):
             below[k].sort()
@@ -240,10 +241,22 @@ class Ordering(Record):
         """The unique node joining G(i) and B(i), as an id pair; None at i = N."""
         if not 1 <= _int_arg(i, "order index") <= self.n:
             raise IndexOutOfRange(f"order index {i} out of range 1..{self.n}")
-        if i == self.n:
-            return None
-        a, b = self.perm[i - 1], self.perm[self.nu[i - 1] - 1]
-        return (a, b) if a <= b else (b, a)
+        return (_parent_edges(self) + [None])[i - 1]   # nu is checked at i = N too
+
+
+def _parent_edges(o: Ordering) -> list:
+    """Each parent edge {perm(i), perm(nu(i))}, i < N, as a sorted id pair, once
+    nu(i) is an int in i+1..N at all N - 1 positions: the one check of the parents."""
+    perm, nu, n = o.perm, o.nu, o.n
+    if len(nu) != n - 1:
+        raise OrderingMismatch(f"nu has {len(nu)} entries, need {n - 1}")
+    edges = []
+    for k, nu_i in enumerate(nu):
+        if not (isinstance(nu_i, int) and k + 2 <= nu_i <= n):   # 2.0 cannot index perm
+            raise OrderingMismatch(f"nu({k + 1}) = {nu_i!r} is not an integer in {k + 2}..{n}")
+        a, b = perm[k], perm[nu_i - 1]
+        edges.append((a, b) if a <= b else (b, a))
+    return edges
 
 
 def ordering_to_obj(o: Ordering) -> dict:
@@ -257,7 +270,7 @@ def ordering_to_obj(o: Ordering) -> dict:
         "G": {str(i + 1): g for i, g in enumerate(subtrees)},
         "B": {str(i + 1): [cid for cid in whole if cid not in g]
               for i, g in enumerate(map(set, subtrees))},
-        "boundary_nodes": {str(i): o.boundary_edge(i) for i in range(1, o.n)},
+        "boundary_nodes": {str(i): e for i, e in enumerate(_parent_edges(o), 1)},
     }
 
 
@@ -367,25 +380,16 @@ def verify_ordering(c: TreeLikeCurve, ordering: Ordering) -> None:
     """Check an ordering against the curve in O(N); raise OrderingMismatch.
 
     ``perm`` must be a permutation of the component ids, as ints, every
-    nu(i) an int in i+1..N, and the parent edges {perm(i), perm(nu(i))}
-    exactly the curve's nodes.  On a tree this is the one-branch property:
-    every other neighbor of component i is then a child, at a lower
-    position, and the higher positions form one connected branch through
-    nu(i).
+    nu(i) an int in i+1..N (:func:`_parent_edges`), and the parent edges
+    {perm(i), perm(nu(i))} exactly the curve's nodes.  On a tree this is
+    the one-branch property: every other neighbor of component i is then
+    a child, at a lower position, and the higher positions form one
+    connected branch through nu(i).
     """
-    n = len(c.components)
-    perm, nu = ordering.perm, ordering.nu
+    n, perm = len(c.components), ordering.perm
     for x in (x for x in perm if not isinstance(x, int)):   # 2.0 would find id 2
         raise OrderingMismatch(f"perm entry {x!r} is not an integer")
     if len(perm) != n or set(perm) != c._index.keys():
         raise OrderingMismatch("perm is not a permutation of the curve's component ids")
-    if len(nu) != n - 1:
-        raise OrderingMismatch(f"nu has {len(nu)} entries, need {n - 1}")
-    edges = set()
-    for k, nu_i in enumerate(nu):
-        if not (isinstance(nu_i, int) and k + 2 <= nu_i <= n):   # 2.0 cannot index perm
-            raise OrderingMismatch(f"nu({k + 1}) = {nu_i!r} is not an integer in {k + 2}..{n}")
-        a, b = perm[k], perm[nu_i - 1]
-        edges.add((a, b) if a <= b else (b, a))
-    if edges != c.simple_edges:
+    if set(_parent_edges(ordering)) != c.simple_edges:
         raise OrderingMismatch("the parent edges of the ordering are not the curve's nodes")

@@ -100,10 +100,13 @@ def _int(value, field, key=None):
     return value
 
 
-def _int_arg(value, name):
-    """A library argument, once it is an int (a bool counts): 2.5 is refused, never truncated."""
+def _int_arg(value, name, least=None):
+    """A library argument, once it is an int (a bool counts): 2.5 is refused, never truncated.
+    A count passes ``least``, 0 or 1, and is refused below it."""
     if not isinstance(value, int):
         raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidInput(f"{name} must be {'positive' if least else 'nonnegative'}")
     return value
 
 

@@ -78,6 +78,12 @@ class PrimeField(Record):
         return x % self.p
 
     def parse(self, s) -> int:
+        """An int, or its text -?[0-9]+ in ASCII, mod p; ValueError on any other
+        string, so other digits, "1_0", " 3 " and "+2" are never read as ints."""
+        if isinstance(s, str):
+            digits = s.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(f"{s!r} is not an integer in ASCII digits")
         return self.element(int(s))
 
     def format(self, a) -> str:
@@ -172,8 +178,7 @@ class RationalField(Record):
 
     def rth_root(self, a, r: int):
         """Exact rational r-th root when one exists."""
-        if _int_arg(r, "root exponent") < 1:
-            raise InvalidInput("root exponent must be positive")
+        _int_arg(r, "root exponent", 1)
         a = self.element(a)
         if a == 0:
             raise InvalidInput("r-th roots are only taken of nonzero scalars")

@@ -32,12 +32,9 @@ class GpbClass(Record):
 
     def __init__(self, rank: int, degree: int, nodes: int, flag_dims: tuple = None):
         # flag_dims: per node (m1, m2); defaults to the canonical (r, r)
-        for name, value in (("rank", rank), ("degree", degree), ("nodes", nodes)):
-            _int_arg(value, name)
-        if rank < 1:
-            raise InvalidInput("rank must be positive")
-        if nodes < 0:
-            raise InvalidInput("node count must be nonnegative")
+        _int_arg(rank, "rank", 1)
+        _int_arg(degree, "degree")
+        _int_arg(nodes, "node count", 0)
         if flag_dims is None:
             dims = tuple((rank, rank) for _ in range(nodes))
         else:
@@ -88,8 +85,7 @@ class GluingFlag(Record):
 
     def __init__(self, field, rank: int, basis_matrix: tuple):
         # basis_matrix: r rows of length 2r, entries in the field
-        if _int_arg(rank, "rank") < 1:
-            raise InvalidInput("rank must be positive")
+        _int_arg(rank, "rank", 1)
         rows = tuple(tuple(map(field.element, row)) for row in basis_matrix)
         if len(rows) != rank or any(len(row) != 2 * rank for row in rows):
             raise InvalidInput("flag matrix must be rank x 2*rank")
@@ -170,18 +166,17 @@ def gpb_subbundle_check(g: GpbClass, sub_rank: int, sub_degree: int,
     of its intersection with the flag at each node (each at most the
     subbundle rank, which is what caps its parabolic weight).
     """
-    if not (isinstance(sub_rank, int) and isinstance(sub_degree, int)):
-        raise InvalidInput(f"subbundle rank and degree must be integers, got "
-                           f"{sub_rank!r} and {sub_degree!r}")
-    if not 1 <= sub_rank < g.rank:
+    if not 1 <= _int_arg(sub_rank, "subbundle rank") < g.rank:
         raise InvalidInput("subbundle rank must satisfy 1 <= r' < r")
-    dims = tuple(sub_flag_dims)
+    _int_arg(sub_degree, "subbundle degree")
+    try:
+        dims = tuple(sub_flag_dims)
+    except TypeError:   # 5 is no list of dimensions
+        raise InvalidInput("need one flag dimension per node") from None
     if len(dims) != g.nodes:
         raise InvalidInput("need one flag dimension per node")
     for k, f in enumerate(dims):
-        if not isinstance(f, int) or f < 0:
-            raise InvalidInput(f"flag dimensions are nonnegative integers, got {f!r}")
-        if f > sub_rank:
+        if _int_arg(f, "flag dimension", 0) > sub_rank:
             raise DimensionBound(
                 f"flag dimension {f} at node {k + 1} exceeds the subbundle rank {sub_rank}")
     sub = Fraction(sub_degree + sum(dims), sub_rank)
@@ -201,8 +196,7 @@ def phi_rank_degree(g: GpbClass, genus_normalization: int) -> PhiNumbers:
     drops r per node, and the nodal curve's genus gains the node count,
     so the degree comes back out equal to d.
     """
-    if _int_arg(genus_normalization, "genus") < 0:
-        raise InvalidInput("genus must be nonnegative")
+    _int_arg(genus_normalization, "genus", 0)
     if not g.is_canonical:
         raise InvalidInput("descent bookkeeping needs the canonical diagonal flags")
     r, d, gamma = g.rank, g.degree, g.nodes
@@ -221,9 +215,7 @@ def build_rational_flag(field, r: int, d: int, a: int) -> GluingFlag:
     (-1)^(r-1) * (r - 1) and is singular precisely when the field
     characteristic divides r - 1; that case is refused explicitly.
     """
-    if _int_arg(r, "rank") < 1:
-        raise InvalidInput("rank must be positive")
-    if r * _int_arg(a, "a") > _int_arg(d, "degree"):
+    if _int_arg(r, "rank", 1) * _int_arg(a, "a") > _int_arg(d, "degree"):
         raise DegreeBound(f"need r*a <= d, got {r}*{a} > {d}")
     if not field.element(r - 1):
         raise SingularProjection(
@@ -268,9 +260,11 @@ def picard_rth_root(field, r: int, gluing_scalars) -> list:
     concrete fields here a missing root raises NoRoot rather than being
     silently patched.
     """
-    if _int_arg(r, "root exponent") < 1:
-        raise InvalidInput("root exponent must be positive")
-    scalars = [field.element(s) for s in gluing_scalars]
+    _int_arg(r, "root exponent", 1)
+    try:
+        scalars = [field.element(s) for s in gluing_scalars]
+    except TypeError:   # 4 is no list of scalars
+        raise InvalidInput("gluing scalars must be a sequence") from None
     if not all(scalars):
         raise InvalidInput("gluing scalars must be nonzero")
     return [field.rth_root(s, r) for s in scalars]

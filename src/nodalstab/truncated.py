@@ -80,8 +80,7 @@ def _inverse(p: int, n: int, f) -> tuple:
 def _field(p: int, n: int) -> PrimeField:
     """k = F_p, once k[pi]/(pi^(n+1)) is known to be a ring: p prime, n >= 0."""
     k = PrimeField(p)
-    if _int_arg(n, "truncation order") < 0:   # 1.0 is refused, not read as 1
-        raise InvalidInput("truncation order must be nonnegative")
+    _int_arg(n, "truncation order", 0)   # 1.0 is refused, not read as 1
     return k
 
 
@@ -129,9 +128,7 @@ class TruncatedScalar(Record):
 
     @classmethod
     def pi_power(cls, p, n, k):
-        if _int_arg(k, "pi exponent") < 0:
-            raise InvalidInput("pi exponent must be nonnegative")
-        if k > n:
+        if _int_arg(k, "pi exponent", 0) > n:
             return cls.zero(p, n)
         return cls(p, n, tuple(1 if j == k else 0 for j in range(n + 1)))
 
@@ -400,7 +397,11 @@ class SlKernelVerdict(Record):
 def one_plus_pi_n(p: int, n: int, A) -> TruncatedMatrix:
     """The matrix I + pi^n A for a matrix A over k, given as ints."""
     k, one, zero = _field(p, n), (1,) + (0,) * n, (0,) * n
-    if not A or any(len(row) != len(A) for row in A):
+    try:
+        square = all(len(row) == len(A) for row in A)
+    except TypeError:   # 7 has no rows, and the rows of [1, 2] no length
+        square = False
+    if not (A and square):
         raise InvalidInput("matrix must be square and nonempty")
     for row in A:   # k.element raises at the first entry of a row that is not an int
         if not all(map(isinstance, row, repeat(int))):
@@ -413,6 +414,7 @@ def one_plus_pi_n(p: int, n: int, A) -> TruncatedMatrix:
 
 def det_trace_identity(p: int, A, n: int) -> DetTraceVerdict:
     """Check det(I + pi^n A) = 1 + pi^n tr(A) at truncation order n >= 1."""
+    _int_arg(n, "truncation order")   # "2" is refused before it is compared
     if n < 1:
         raise InvalidInput("the determinant-trace identity needs n >= 1")
     lhs = one_plus_pi_n(p, n, A).det()
@@ -448,16 +450,14 @@ def sl_kernel_check(M: TruncatedMatrix) -> SlKernelVerdict:
 
 def trace_section(lam: TruncatedScalar, r: int) -> TruncatedMatrix:
     """Section of the trace map: lam in the (1,1) slot, zeros elsewhere."""
-    if _int_arg(r, "matrix size") < 1:
-        raise InvalidInput("matrix size must be positive")
+    _int_arg(r, "matrix size", 1)
     zero = (0,) * (lam.n + 1)
     return _matrix(lam.p, lam.n, ((lam.coeffs,) + (zero,) * (r - 1),) + ((zero,) * r,) * (r - 1))
 
 
 def det_section(u: TruncatedScalar, r: int) -> TruncatedMatrix:
     """Section of the determinant map: diag(u, 1, ..., 1); u must be a unit."""
-    if _int_arg(r, "matrix size") < 1:
-        raise InvalidInput("matrix size must be positive")
+    _int_arg(r, "matrix size", 1)
     if not u.is_unit:
         raise NotUnit("determinant section needs a unit scalar")
     rows = TruncatedMatrix.identity(u.p, u.n, r).rows

@@ -24,6 +24,11 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 CASES_FILE = GOLDEN / "cases.json"
 FIX = "../fixtures"
 
+# F_p flag entries that are not ASCII -?[0-9]+, each once read as an int:
+# Arabic-Indic one and three, a digit-group underscore, padding, a plus sign
+FP_ENTRY_FORMS = {"arabic_one": "\u0661", "arabic_three": "\u0663", "underscore": "1_0",
+                  "padded": " 3 ", "plus": "+2"}
+
 CURVE_FIXTURES = (
     "binary7", "caterpillar6", "disconnected_invalid", "mixed8", "multiedge_invalid",
     "path2_g11", "path2_mixed", "path3", "path4", "path5", "single_g2", "single_nodal",
@@ -291,6 +296,9 @@ def inputs():
         "bad_torsor_n_digits.json": {"cocycle": [_tdoc(5, int("9" * 4300), [[[1, 0]]])],
                                      "gammas": [[1, 1]]},
     })
+    for form, text in FP_ENTRY_FORMS.items():
+        docs[f"bad_flag_fp_{form}.json"] = {"field": "F5", "basis_matrix": [[text, "0", "0", "1"],
+                                                                            ["0", "1", "1", "0"]]}
     return docs
 
 
@@ -504,6 +512,10 @@ def cases():
     # a truncation order keeps the documents' 1000-digit cap
     add("dvr-sl-bad_sl_n_digits", "dvr", "--sl", inp("bad_sl_n_digits.json"))
     add("dvr-torsor-bad_torsor_n_digits", "dvr", "--torsor", inp("bad_torsor_n_digits.json"))
+
+    # an F_p flag entry is read only as ASCII -?[0-9]+
+    for form in FP_ENTRY_FORMS:
+        add(f"gpb-flag-bad_flag_fp_{form}", "gpb", "--flag", inp(f"bad_flag_fp_{form}.json"))
     return out
 
 

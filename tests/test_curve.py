@@ -15,6 +15,7 @@ from nodalstab import (
     BundleClass,
     Component,
     Ordering,
+    Polarization,
     TreeLikeCurve,
     arithmetic_genus,
     balance,
@@ -556,6 +557,26 @@ def test_decompose_refuses_a_malformed_nu_as_verify_ordering_does(nu):
     for i in (1, 2):
         with pytest.raises(OrderingMismatch, match=f"^{re.escape(str(verified.value))}$"):
             decompose(PATH2, o, i)
+
+
+@pytest.mark.parametrize("nu, message", [
+    ((0,), "nu(1) = 0 is not an integer in 2..2"),
+    ((1,), "nu(1) = 1 is not an integer in 2..2"),
+    ((99,), "nu(1) = 99 is not an integer in 2..2"),
+    ((1.5,), "nu(1) = 1.5 is not an integer in 2..2"),
+    ((), "nu has 0 entries, need 1")])
+def test_every_reader_of_the_parents_refuses_a_malformed_nu(nu, message):
+    # subtrees and boundary_edge read nu unchecked: (1,) gave the subtrees
+    # ((1, 1), (2,)) and the node (1, 1), (0,) read nu(1) as 2 through
+    # perm[-1], (99,) raised IndexError and (1.5,) TypeError
+    o = Ordering(perm=(1, 2), nu=nu)
+    bc = BundleClass(rank=1, multidegree={1: 0, 2: 0})
+    pol = Polarization({1: Fraction(1, 2), 2: Fraction(1, 2)})
+    for read in (lambda: o.subtrees, lambda: o.boundary_edge(1), lambda: o.boundary_edge(2),
+                 lambda: verify_ordering(PATH2, o), lambda: decompose(PATH2, o, 1),
+                 lambda: lambda_check(PATH2, o, bc, pol)):
+        with pytest.raises(OrderingMismatch, match=f"^{re.escape(message)}$"):
+            read()
 
 
 def test_decompose_verifies_only_an_ordering_pruned_elsewhere(monkeypatch):

@@ -367,14 +367,21 @@ def test_gpb_class_needs_one_flag_dimension_pair_per_node():
 @pytest.mark.parametrize("dims", [(0.9,), ("1",), (Fraction(1),), (None,)])
 def test_subbundle_check_refuses_flag_dimensions_that_are_not_ints(dims):
     # 0.9 was read as the dimension 0
-    with pytest.raises(InvalidInput, match="^flag dimensions are nonnegative integers, got "):
+    with pytest.raises(InvalidInput, match="^flag dimension must be an integer, got "):
         gpb_subbundle_check(GpbClass(2, 3, 1), 1, 0, dims)
     assert gpb_subbundle_check(GpbClass(2, 3, 1), 1, 0, (True,)).sub_slope == 1
 
 
 def test_subbundle_check_refuses_a_negative_flag_dimension():
-    with pytest.raises(InvalidInput, match="^flag dimensions are nonnegative integers, got -1$"):
+    with pytest.raises(InvalidInput, match="^flag dimension must be nonnegative$"):
         gpb_subbundle_check(GpbClass(3, 0, 2), 2, 0, [1, -1])
+
+
+def test_subbundle_check_refuses_flag_dimensions_that_are_no_sequence():
+    # 5 raised a bare TypeError from tuple(5)
+    with pytest.raises(InvalidInput, match="^need one flag dimension per node$"):
+        gpb_subbundle_check(GpbClass(3, 1, 1), 1, 0, 5)
+    assert gpb_subbundle_check(GpbClass(3, 1, 1), 1, 0, iter([1])).le
 
 
 def test_phi_rank_degree_needs_the_canonical_flags():
@@ -390,13 +397,21 @@ def test_picard_rth_root_needs_a_positive_exponent(r):
         picard_rth_root(PrimeField(7), r, [2])
 
 
+def test_picard_rth_root_refuses_scalars_that_are_no_sequence():
+    # 4 raised a bare TypeError from iterating over it
+    with pytest.raises(InvalidInput, match="^gluing scalars must be a sequence$"):
+        picard_rth_root(PrimeField(5), 2, 4)
+    assert picard_rth_root(PrimeField(5), 2, (4,)) == [2]
+
+
 @pytest.mark.parametrize("args, name", [((2.5, 3, 0), "rank"), ((2, 1.5, 1), "degree"),
                                         ((2, 3, 1.5), "nodes"), ((2.5, 3, 1), "rank"),
                                         ((Fraction(2), 3, 1), "rank"), ((2, "3", 1), "degree")])
 def test_gpb_class_refuses_numbers_that_are_not_ints(args, name):
     # (2.5, 3, 0) and (2, 1.5, 1) built, and parabolic_slope then raised a bare
     # TypeError; (2.5, 3, 1) was refused with the flag-dimension message
-    with pytest.raises(InvalidInput, match=f"^{name} must be an integer, got "):
+    with pytest.raises(InvalidInput,
+                       match=f"^{name.replace('nodes', 'node count')} must be an integer, got "):
         GpbClass(*args)
     assert GpbClass(True, False, True).flag_dims == ((1, 1),)
 
@@ -413,7 +428,8 @@ def test_gpb_class_refuses_flag_dimensions_that_are_not_pairs(dims):
                                                   (1, "0"), (None, 0)])
 def test_subbundle_check_refuses_a_rank_or_degree_that_is_not_an_int(sub_rank, sub_degree):
     # 1.5 and 0.5 ended in a bare TypeError from Fraction
-    with pytest.raises(InvalidInput, match="^subbundle rank and degree must be integers, got "):
+    with pytest.raises(InvalidInput, match="^subbundle {} must be an integer, got ".format(
+            "degree" if isinstance(sub_rank, int) else "rank")):
         gpb_subbundle_check(GpbClass(3, 3, 1), sub_rank, sub_degree, (1,))
     assert gpb_subbundle_check(GpbClass(3, 3, 1), True, False, (1,)).sub_slope == 1
 

@@ -25,8 +25,10 @@ from nodalstab import (
     chi_subcurve_sum,
     decompose,
     det_section,
+    det_trace_identity,
     euler_char_component,
     gieseker_vs_seshadri,
+    gpb_subbundle_check,
     intersection,
     lambda_check,
     phi_rank_degree,
@@ -63,6 +65,7 @@ CASES = [
     ("matrix size", lambda v: det_section(LAM, v), 1),
     ("matrix size", lambda v: TruncatedMatrix.identity(7, 1, v), 1),
     ("pi exponent", lambda v: TruncatedScalar.pi_power(7, 2, v), 1),
+    ("truncation order", lambda v: det_trace_identity(5, [[1]], v), 1),
     ("rank", lambda v: build_rational_flag(PrimeField(5), v, 4, 1), 2),
     ("a", lambda v: build_rational_flag(PrimeField(5), 2, 4, v), 1),
     ("degree", lambda v: build_rational_flag(PrimeField(5), 2, v, 1), 2),
@@ -82,6 +85,34 @@ def test_integer_arguments_refuse_anything_else_by_name(name, call, good, value)
     call(good)
     if good == 1:
         call(True)
+
+
+# (name in the message, the least value it takes, a call taking the count, a
+# value it takes): each count's sign is checked by errors._int_arg, by name
+COUNTS = [
+    ("rank", 1, lambda v: GpbClass(v, 3, 1), 1),
+    ("node count", 0, lambda v: GpbClass(2, 3, v), 0),
+    ("rank", 1, lambda v: GluingFlag(PrimeField(5), v, [[1, 1]]), 1),
+    ("genus", 0, lambda v: phi_rank_degree(GpbClass(2, 3, 1), v), 0),
+    ("rank", 1, lambda v: build_rational_flag(PrimeField(5), v, 4, 1), 2),
+    ("root exponent", 1, lambda v: picard_rth_root(PrimeField(7), v, [2]), 1),
+    ("root exponent", 1, lambda v: RationalField().rth_root(4, v), 1),
+    ("truncation order", 0, lambda v: TruncatedScalar(7, v, [1]), 0),
+    ("pi exponent", 0, lambda v: TruncatedScalar.pi_power(7, 2, v), 0),
+    ("matrix size", 1, lambda v: trace_section(LAM, v), 1),
+    ("matrix size", 1, lambda v: det_section(LAM, v), 1),
+    ("flag dimension", 0, lambda v: gpb_subbundle_check(GpbClass(3, 0, 2), 2, 0, [1, v]), 0),
+]
+
+
+@pytest.mark.parametrize("name, least, call, good", COUNTS)
+def test_counts_refuse_a_value_below_their_least_by_name(name, least, call, good):
+    message = f"{name} must be {'positive' if least else 'nonnegative'}"
+    for value in range(-1, least):
+        with pytest.raises(InvalidInput, match=f"^{message}$") as info:
+            call(value)
+        assert type(info.value) is InvalidInput
+    call(good)
 
 
 @pytest.mark.parametrize("bad", [2.0, Fraction(2), "2", None])

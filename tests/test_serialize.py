@@ -282,6 +282,19 @@ def test_order_report_g_and_b_match_decompose(shape):
         assert len(obj["boundary_nodes"]) == n - 1
 
 
+def test_order_report_boundary_nodes_are_the_boundary_edges():
+    # the report writes every node from one pass over the checked parents
+    rng = random.Random(61)
+    for shape in helpers.SHAPES:
+        for n in (1, 2, 3, 9, 33, 500):
+            o = prune_ordering(helpers.relabel_far(rng, helpers.shaped_curve(rng, n, shape)))
+            nodes = ordering_to_obj(o)["boundary_nodes"]
+            assert list(nodes) == [str(i) for i in range(1, n)]
+            assert [nodes[str(i)] for i in range(1, n)] == [o.boundary_edge(i)
+                                                            for i in range(1, n)]
+            assert o.boundary_edge(n) is None
+
+
 def test_read_json_names_the_first_repeated_key(tmp_path):
     path = tmp_path / "bundle.json"
     path.write_text('{"b": 1, "a": 2, "a": 3, "b": 4}')

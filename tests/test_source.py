@@ -319,3 +319,43 @@ def test_only_record_defines_equality():
     found = [f"{path.name}:{name}" for path in sorted(SRC.rglob("*.py"))
              for name in equality_classes(path.read_text(encoding="utf-8"))]
     assert found == ["errors.py:Record"]
+
+
+def sign_checks(source: str) -> list:
+    """Line numbers of the comparisons of an ``_int_arg(...)`` call with the
+    constant 0 or 1: a count's sign written out by hand, which ``_int_arg``'s
+    ``least`` checks.  A chained range test, ``1 <= _int_arg(i, "i") <= n``,
+    bounds a value on both sides and is no sign check."""
+    def int_arg(node):
+        return isinstance(node, ast.Call) and "_int_arg" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    def zero_or_one(node):
+        return isinstance(node, ast.Constant) and node.value in (0, 1)
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Compare) and len(node.ops) == 1
+            and any(int_arg(a) and zero_or_one(b)
+                    for a, b in ((node.left, node.comparators[0]),
+                                 (node.comparators[0], node.left)))]
+
+
+def test_the_sign_check_finder_finds_int_arg_compared_with_0_or_1():
+    source = ("if _int_arg(r, 'rank') < 1:\n"
+              "    raise InvalidInput('rank must be positive')\n"
+              "if 0 > errors._int_arg(n, 'n') or _int_arg(k, 'k') >= 0:\n"
+              "    pass\n"
+              "if not 1 <= _int_arg(i, 'order index') <= n:\n"
+              "    pass\n"
+              "if _int_arg(k, 'k', 0) > n or _int_arg(m, 'm') < 2 or int_arg(r) < 1:\n"
+              "    pass\n"
+              "if r < 1 and _int_arg(r, 'r', 1):\n"
+              "    pass\n")
+    assert sign_checks(source) == [1, 3, 3]
+
+
+def test_every_sign_check_is_int_args():
+    # _int_arg(value, name, least) raises "<name> must be positive" or
+    # "nonnegative"; a hand-written copy of that check drifts from its wording
+    found = [f"{path.name}:{line}" for path in sorted(SRC.rglob("*.py"))
+             for line in sign_checks(path.read_text(encoding="utf-8"))]
+    assert found == []

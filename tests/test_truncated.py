@@ -396,6 +396,20 @@ def test_det_trace_identity_needs_a_square_nonempty_matrix(A):
         det_trace_identity(5, A, 1)
 
 
+@pytest.mark.parametrize("A", [7, [1, 2]])
+def test_det_trace_identity_refuses_a_matrix_without_rows(A):
+    # 7 and [1, 2] raised a bare TypeError from len()
+    with pytest.raises(InvalidInput, match="^matrix must be square and nonempty$"):
+        det_trace_identity(5, A, 1)
+
+
+def test_det_trace_identity_checks_the_order_type_before_comparing_it():
+    # "2" raised a bare TypeError from "2" < 1
+    with pytest.raises(InvalidInput, match="^truncation order must be an integer, got '2'$"):
+        det_trace_identity(5, [[1]], "2")
+    assert det_trace_identity(5, [[1]], 2).holds
+
+
 @given(small_ring, st.data())
 def test_scalar_subtraction_is_coefficientwise_mod_p(ring, data):
     p, n = ring
