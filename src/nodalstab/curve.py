@@ -229,7 +229,7 @@ class Ordering(Record):
     @property
     def subtrees(self) -> tuple:
         """The ids of G(i) at every position, each as a sorted tuple."""
-        _parent_edges(self)   # refuses a malformed nu before it is read
+        _parents(self)   # refuses a malformed nu before it is read
         below = [[cid] for cid in self.perm]
         for k, p in enumerate(self.nu):
             below[k].sort()
@@ -241,10 +241,11 @@ class Ordering(Record):
         """The unique node joining G(i) and B(i), as an id pair; None at i = N."""
         if not 1 <= _int_arg(i, "order index") <= self.n:
             raise IndexOutOfRange(f"order index {i} out of range 1..{self.n}")
-        return (_parent_edges(self) + [None])[i - 1]   # nu is checked at i = N too
+        edges = _parents(self)   # all of nu is checked, at i = N too
+        return edges[i - 1] if i < self.n else None
 
 
-def _parent_edges(o: Ordering) -> list:
+def _parents(o: Ordering) -> list:
     """Each parent edge {perm(i), perm(nu(i))}, i < N, as a sorted id pair, once
     nu(i) is an int in i+1..N at all N - 1 positions: the one check of the parents."""
     perm, nu, n = o.perm, o.nu, o.n
@@ -261,16 +262,18 @@ def _parent_edges(o: Ordering) -> list:
 
 def ordering_to_obj(o: Ordering) -> dict:
     """The ``order`` report.  G(i) is written as its subtree tuple, B(i) as
-    the ids of the whole curve, ``subtrees[-1]``, outside it (both sorted)."""
+    the ids of the whole curve, ``subtrees[-1]``, outside it (both sorted).
+    Reading ``subtrees`` checks nu once, so the boundary nodes read it as is."""
     subtrees = o.subtrees
-    whole = subtrees[-1]
+    whole, perm = subtrees[-1], o.perm
     return {
-        "perm": o.perm,
+        "perm": perm,
         "nu": {str(i + 1): o.nu[i] for i in range(len(o.nu))},
         "G": {str(i + 1): g for i, g in enumerate(subtrees)},
         "B": {str(i + 1): [cid for cid in whole if cid not in g]
               for i, g in enumerate(map(set, subtrees))},
-        "boundary_nodes": {str(i): e for i, e in enumerate(_parent_edges(o), 1)},
+        "boundary_nodes": {str(k + 1): tuple(sorted((perm[k], perm[p - 1])))
+                           for k, p in enumerate(o.nu)},
     }
 
 
@@ -380,7 +383,7 @@ def verify_ordering(c: TreeLikeCurve, ordering: Ordering) -> None:
     """Check an ordering against the curve in O(N); raise OrderingMismatch.
 
     ``perm`` must be a permutation of the component ids, as ints, every
-    nu(i) an int in i+1..N (:func:`_parent_edges`), and the parent edges
+    nu(i) an int in i+1..N (:func:`_parents`), and the parent edges
     {perm(i), perm(nu(i))} exactly the curve's nodes.  On a tree this is
     the one-branch property: every other neighbor of component i is then
     a child, at a lower position, and the higher positions form one
@@ -391,5 +394,5 @@ def verify_ordering(c: TreeLikeCurve, ordering: Ordering) -> None:
         raise OrderingMismatch(f"perm entry {x!r} is not an integer")
     if len(perm) != n or set(perm) != c._index.keys():
         raise OrderingMismatch("perm is not a permutation of the curve's component ids")
-    if set(_parent_edges(ordering)) != c.simple_edges:
+    if set(_parents(ordering)) != c.simple_edges:
         raise OrderingMismatch("the parent edges of the ordering are not the curve's nodes")

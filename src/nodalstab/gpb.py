@@ -48,10 +48,8 @@ class GpbClass(Record):
             if not all(isinstance(m, int) and m >= 0 for m in (m1, m2)) or m1 + m2 != 2 * rank:
                 raise InvalidInput("flag dimensions at a node must be nonnegative integers "
                                    "with m1 + m2 = 2r")
-        _set(self, "rank", rank)
-        _set(self, "degree", degree)
-        _set(self, "nodes", nodes)
-        _set(self, "flag_dims", dims)
+        for name, value in zip(self._fields, (rank, degree, nodes, dims)):
+            _set(self, name, value)
 
     @property
     def is_canonical(self) -> bool:
@@ -89,9 +87,8 @@ class GluingFlag(Record):
         rows = tuple(tuple(map(field.element, row)) for row in basis_matrix)
         if len(rows) != rank or any(len(row) != 2 * rank for row in rows):
             raise InvalidInput("flag matrix must be rank x 2*rank")
-        _set(self, "field", field)
-        _set(self, "rank", rank)
-        _set(self, "basis_matrix", rows)
+        for name, value in zip(self._fields, (field, rank, rows)):
+            _set(self, name, value)
         # the ranks of the p-side and q-side blocks, each eliminated once, answer
         # both node checks; a block of rank r already makes the rows independent
         blocks = (mat_rank(field, self.left_block()), mat_rank(field, self.right_block()))
@@ -166,9 +163,10 @@ def gpb_subbundle_check(g: GpbClass, sub_rank: int, sub_degree: int,
     of its intersection with the flag at each node (each at most the
     subbundle rank, which is what caps its parabolic weight).
     """
-    if not 1 <= _int_arg(sub_rank, "subbundle rank") < g.rank:
-        raise InvalidInput("subbundle rank must satisfy 1 <= r' < r")
+    _int_arg(sub_rank, "subbundle rank")
     _int_arg(sub_degree, "subbundle degree")
+    if not 1 <= sub_rank < g.rank:
+        raise InvalidInput("subbundle rank must satisfy 1 <= r' < r")
     try:
         dims = tuple(sub_flag_dims)
     except TypeError:   # 5 is no list of dimensions

@@ -425,9 +425,10 @@ def test_gpb_class_refuses_flag_dimensions_that_are_not_pairs(dims):
 
 
 @pytest.mark.parametrize("sub_rank, sub_degree", [(1.5, 0), (1, 0.5), (Fraction(1), 0),
-                                                  (1, "0"), (None, 0)])
+                                                  (1, "0"), (None, 0), (3, 0.5), (0, "0")])
 def test_subbundle_check_refuses_a_rank_or_degree_that_is_not_an_int(sub_rank, sub_degree):
-    # 1.5 and 0.5 ended in a bare TypeError from Fraction
+    # 1.5 and 0.5 ended in a bare TypeError from Fraction; both types are
+    # checked before the rank's range, so (3, 0.5) names the degree
     with pytest.raises(InvalidInput, match="^subbundle {} must be an integer, got ".format(
             "degree" if isinstance(sub_rank, int) else "rank")):
         gpb_subbundle_check(GpbClass(3, 3, 1), sub_rank, sub_degree, (1,))
