@@ -9,6 +9,7 @@ once, when it is built; :func:`validate_curve` reports the result and
 every other operation demands it.
 """
 
+from itertools import compress
 from operator import attrgetter
 
 from .errors import (
@@ -239,16 +240,21 @@ class Ordering(Record):
 
     def boundary_edge(self, i: int):
         """The unique node joining G(i) and B(i), as an id pair; None at i = N."""
+        edges = _parents(self)   # the whole ordering is checked, at i = N too
         if not 1 <= _int_arg(i, "order index") <= self.n:
             raise IndexOutOfRange(f"order index {i} out of range 1..{self.n}")
-        edges = _parents(self)   # all of nu is checked, at i = N too
         return edges[i - 1] if i < self.n else None
 
 
 def _parents(o: Ordering) -> list:
     """Each parent edge {perm(i), perm(nu(i))}, i < N, as a sorted id pair, once
-    nu(i) is an int in i+1..N at all N - 1 positions: the one check of the parents."""
+    ``perm`` is N >= 1 distinct ints and nu(i) an int in i+1..N at all N - 1
+    positions: the one check of an ordering that needs no curve."""
     perm, nu, n = o.perm, o.nu, o.n
+    for x in (x for x in perm if not isinstance(x, int)):   # 2.0 would find id 2
+        raise OrderingMismatch(f"perm entry {x!r} is not an integer")
+    if not n or len(set(perm)) != n:
+        raise OrderingMismatch("perm is empty or repeats a component id")
     if len(nu) != n - 1:
         raise OrderingMismatch(f"nu has {len(nu)} entries, need {n - 1}")
     edges = []
@@ -347,11 +353,13 @@ def prune_ordering(c: TreeLikeCurve) -> Ordering:
 def decompose(c: TreeLikeCurve, ordering: Ordering, i: int):
     """Split the curve at order position i into (G(i), B(i), boundary node).
 
-    Recomputed from the graph, not read off the ordering, so it can be
-    cross-checked against the subtrees of the parent array.  At
-    i = N the whole curve is G and there is no boundary node.  Like
-    ``lambda_check``, it trusts an ordering ``prune_ordering`` built for
-    this very curve object and verifies any other first.
+    Read off the checked parent array: G(i) is position i and every lower
+    position whose parent is in G(i), marked in one pass from i - 1 down,
+    since a parent always sits above its child; B(i) is the rest, and the
+    node is {perm(i), perm(nu(i))}.  At i = N the whole curve is G and
+    there is no boundary node.  Like ``lambda_check``, it trusts an
+    ordering ``prune_ordering`` built for this very curve object and
+    verifies any other first.
     """
     c.require_valid()
     n = len(c.ids)
@@ -359,40 +367,28 @@ def decompose(c: TreeLikeCurve, ordering: Ordering, i: int):
         raise IndexOutOfRange(f"order index {i} out of range 1..{n}")
     if getattr(ordering, "_curve", None) is not c:
         verify_ordering(c, ordering)
-    everything = frozenset(c.ids)
-    if i == n:
-        return everything, frozenset(), None
-    y = ordering.perm[i - 1]
-    # B(i) is the piece of the curve minus y that holds nu(i)
-    adj = {v: [] for v in c.ids}
-    for u, v in c.simple_edges:
-        if y != u and y != v:
-            adj[u].append(v)
-            adj[v].append(u)
-    anchor = ordering.perm[ordering.nu[i - 1] - 1]
-    branch, stack = {anchor}, [anchor]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in branch:
-                branch.add(w)
-                stack.append(w)
-    return everything - branch, frozenset(branch), ordering.boundary_edge(i)
+    perm, nu = ordering.perm, ordering.nu
+    inside = [False] * n
+    inside[i - 1] = True
+    for k in range(i - 2, -1, -1):
+        inside[k] = inside[nu[k] - 1]
+    g = frozenset(compress(perm, inside))
+    node = None if i == n else tuple(sorted((perm[i - 1], perm[nu[i - 1] - 1])))
+    return g, frozenset(perm) - g, node
 
 
 def verify_ordering(c: TreeLikeCurve, ordering: Ordering) -> None:
     """Check an ordering against the curve in O(N); raise OrderingMismatch.
 
-    ``perm`` must be a permutation of the component ids, as ints, every
-    nu(i) an int in i+1..N (:func:`_parents`), and the parent edges
-    {perm(i), perm(nu(i))} exactly the curve's nodes.  On a tree this is
-    the one-branch property: every other neighbor of component i is then
-    a child, at a lower position, and the higher positions form one
-    connected branch through nu(i).
+    :func:`_parents` checks what needs no curve: ``perm`` N distinct ints
+    and every nu(i) an int in i+1..N.  Then the ids of ``perm`` must be
+    the curve's and the parent edges {perm(i), perm(nu(i))} exactly its
+    nodes.  On a tree this is the one-branch property: every other
+    neighbor of component i is then a child, at a lower position, and the
+    higher positions form one connected branch through nu(i).
     """
-    n, perm = len(c.components), ordering.perm
-    for x in (x for x in perm if not isinstance(x, int)):   # 2.0 would find id 2
-        raise OrderingMismatch(f"perm entry {x!r} is not an integer")
-    if len(perm) != n or set(perm) != c._index.keys():
+    edges = _parents(ordering)
+    if ordering.n != len(c.ids) or not all(map(c._index.__contains__, ordering.perm)):
         raise OrderingMismatch("perm is not a permutation of the curve's component ids")
-    if set(_parents(ordering)) != c.simple_edges:
+    if set(edges) != c.simple_edges:
         raise OrderingMismatch("the parent edges of the ordering are not the curve's nodes")

@@ -105,7 +105,7 @@ class PrimeField(Record):
         A search of min(g, m/g) > 2^16 steps is refused before it starts.
         """
         p, m = self.p, self.p - 1
-        _int_arg(r, "root exponent")
+        _int_arg(r, "root exponent", 1)
         a = self.element(a)
         if a == 0:
             raise InvalidInput("r-th roots are only taken of nonzero scalars")

@@ -10,7 +10,7 @@ matrix of the dual tree and never changes the total.
 
 from .curve import TreeLikeCurve
 from .errors import (DocumentMismatch, EmptySubcurve, IndexOutOfRange, InvalidInput, Record,
-                     _id_map, _require, _set, _small_int)
+                     _id_map, _int_arg, _require, _set, _small_int)
 
 
 def _id_values(mapping, owner: str, what: str, kinds=int) -> dict:
@@ -33,9 +33,7 @@ class BundleClass(Record):
     __slots__ = _fields = ("rank", "multidegree")
 
     def __init__(self, rank: int, multidegree: dict):
-        if not isinstance(rank, int) or rank < 1:
-            raise InvalidInput("rank must be a positive integer")
-        _set(self, "rank", rank)
+        _set(self, "rank", _int_arg(rank, "rank", 1))
         _set(self, "multidegree", _id_values(multidegree, "BundleClass", "the degree"))
 
     @property

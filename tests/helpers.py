@@ -2,9 +2,10 @@
 
 Everything here is deliberately written from the definitions rather than
 through the package's own code paths wherever it serves as an oracle:
-the ordering property checker walks the graph directly, the balancing
-oracle enumerates twist vectors against the window inequalities spelled
-out with cleared denominators, and the truncated determinant oracle is a
+the ordering property checker walks the graph directly, and so does
+``piece``, from which the window data read G(i); the balancing oracle
+enumerates twist vectors against the window inequalities spelled out
+with cleared denominators, and the truncated determinant oracle is a
 permutation-sum over integer polynomial vectors.  The kernels that
 elimination replaced, Berkowitz's determinant and Gauss-Jordan rank, the
 coefficient-wise inverse that Newton iteration replaced, and the replay
@@ -19,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 
 from nodalstab import (BundleClass, Component, Polarization, TreeLikeCurve, TwistDivisor,
-                       decompose, prune_ordering, twist)
+                       prune_ordering, twist)
 from nodalstab.balance import BalanceResult
 from nodalstab.errors import InvalidInput, InvariantViolated, ParseError
 from nodalstab.curve import ValidationReport, ordering_to_obj
@@ -197,6 +198,17 @@ def neighbors(c: TreeLikeCurve) -> dict:
     return adj
 
 
+def piece(adj, removed, seed):
+    """The ids reachable from ``seed`` without passing through ``removed``."""
+    seen, stack = {seed}, [seed]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w != removed and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return frozenset(seen)
+
+
 def induced_connected(c: TreeLikeCurve, subset) -> bool:
     subset = set(subset)
     if not subset:
@@ -289,9 +301,11 @@ def window_data(c: TreeLikeCurve, ordering, bc, pol):
     chi = sum(chi_comp.values()) - r * (len(ids) - 1)
     den = lcm(*[pol.weights[i].denominator for i in ids])
     w_int = {i: pol.weights[i] * den for i in ids}
-    rows = []
-    for k in range(len(ordering.perm)):
-        g = decompose(c, ordering, k + 1)[0]
+    # G(i) is the curve less B(i), the branch of the curve minus component i
+    # that holds the top position N, found by a graph walk, not read off nu
+    perm, whole, rows = ordering.perm, frozenset(ids), []
+    for k, y in enumerate(perm):
+        g = whole - piece(adj, y, perm[-1]) if k < len(perm) - 1 else whole
         base = sum(chi_comp[i] for i in g)
         shift = [0] * len(ids)
         for i in g:

@@ -28,6 +28,7 @@ from nodalstab import (
     validate_curve,
     verify_ordering,
 )
+from nodalstab.curve import _parents
 from nodalstab.errors import (
     CycleDetected,
     Disconnected,
@@ -423,34 +424,24 @@ def test_component_lookup_reads_the_dense_index_on_far_ids():
         triangle.component(4)
 
 
-def _piece(adj, removed, seed):
-    """The ids reachable from ``seed`` without passing through ``removed``."""
-    seen, stack = {seed}, [seed]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w != removed and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
-
-
 def test_graph_reads_match_the_neighbor_oracle_with_far_ids():
     rng = random.Random(137)
     for shape in helpers.SHAPES:
-        for n in (1, 2, 3, 8, 21, 60):
+        for n in (1, 2, 3, 8, 21, 60, 500):
             c = helpers.relabel_far(rng, helpers.shaped_curve(rng, n, shape))
             adj = helpers.neighbors(c)
-            matrix = intersection_matrix(c)
-            for i in c.ids:
-                assert c.degree(i) == len(adj[i])
-                for j in c.ids:
-                    expect = -len(adj[i]) if i == j else (1 if j in adj[i] else 0)
-                    assert intersection(c, i, j) == matrix[i][j] == expect
+            if n <= 60:
+                matrix = intersection_matrix(c)
+                for i in c.ids:
+                    assert c.degree(i) == len(adj[i])
+                    for j in c.ids:
+                        expect = -len(adj[i]) if i == j else (1 if j in adj[i] else 0)
+                        assert intersection(c, i, j) == matrix[i][j] == expect
             o = prune_ordering(c)
             everything = frozenset(c.ids)
             for k, y in enumerate(o.perm[:-1]):
                 anchor = o.perm[o.nu[k] - 1]
-                b = _piece(adj, y, anchor)
+                b = helpers.piece(adj, y, anchor)
                 assert decompose(c, o, k + 1) == (everything - b, b, tuple(sorted((y, anchor))))
             assert decompose(c, o, n) == (everything, frozenset(), None)
 
@@ -579,26 +570,52 @@ def test_every_reader_of_the_parents_refuses_a_malformed_nu(nu, message):
             read()
 
 
+@pytest.mark.parametrize("perm, nu, message", [
+    ((1, 1), (2,), "perm is empty or repeats a component id"),
+    ((1, 2.0), (2,), "perm entry 2.0 is not an integer"),
+    ((), (), "perm is empty or repeats a component id"),
+    (("1", 2), (2,), "perm entry '1' is not an integer")])
+def test_every_reader_of_an_ordering_refuses_a_malformed_perm(perm, nu, message):
+    # without a curve, perm went unchecked: (1, 1) gave the subtrees
+    # ((1,), (1, 1)), (1, 2.0) the node (1, 2.0) and () "nu has 0 entries, need -1"
+    o = Ordering(perm=perm, nu=nu)
+    bc = BundleClass(rank=1, multidegree={1: 0, 2: 0})
+    pol = Polarization({1: Fraction(1, 2), 2: Fraction(1, 2)})
+    for read in (lambda: o.subtrees, lambda: o.boundary_edge(1),
+                 lambda: verify_ordering(PATH2, o), lambda: decompose(PATH2, o, 1),
+                 lambda: lambda_check(PATH2, o, bc, pol)):
+        with pytest.raises(OrderingMismatch, match=f"^{re.escape(message)}$"):
+            read()
+
+
 def test_decompose_verifies_only_an_ordering_pruned_elsewhere(monkeypatch):
-    calls = []
+    # and checks the parents only inside that verify_ordering: it once read
+    # its boundary node through boundary_edge, a second parent check
+    calls, parents = [], []
 
     def counting(c, ordering):
         calls.append(ordering)
         return verify_ordering(c, ordering)
+
+    def counting_parents(ordering):
+        parents.append(ordering)
+        return _parents(ordering)
     monkeypatch.setattr("nodalstab.curve.verify_ordering", counting)
+    monkeypatch.setattr("nodalstab.curve._parents", counting_parents)
     rng = random.Random(353)
     for shape in helpers.SHAPES:
         c = helpers.relabel_far(rng, helpers.shaped_curve(rng, 12, shape))
         o = prune_ordering(c)
         splits = [decompose(c, o, i) for i in range(1, o.n + 1)]
-        assert calls == []
+        assert calls == parents == []
         twin = TreeLikeCurve(components=c.components, edges=c.edges)
         for other in (Ordering(o.perm, o.nu), pickle.loads(pickle.dumps(o)), copy.copy(o),
                       prune_ordering(twin)):
             for i in range(1, o.n + 1):
                 assert decompose(c, other, i) == splits[i - 1]
-                assert len(calls) == 1 and calls[0] is other
+                assert len(calls) == len(parents) == 1 and calls[0] is parents[0] is other
                 calls.clear()
+                parents.clear()
 
 
 @pytest.mark.parametrize("args, what", [((1.5,), "component ids"), ((2.0,), "component ids"),

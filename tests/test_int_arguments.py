@@ -91,11 +91,13 @@ def test_integer_arguments_refuse_anything_else_by_name(name, call, good, value)
 # value it takes): each count's sign is checked by errors._int_arg, by name
 COUNTS = [
     ("rank", 1, lambda v: GpbClass(v, 3, 1), 1),
+    ("rank", 1, lambda v: BundleClass(v, {1: 3}), 1),
     ("node count", 0, lambda v: GpbClass(2, 3, v), 0),
     ("rank", 1, lambda v: GluingFlag(PrimeField(5), v, [[1, 1]]), 1),
     ("genus", 0, lambda v: phi_rank_degree(GpbClass(2, 3, 1), v), 0),
     ("rank", 1, lambda v: build_rational_flag(PrimeField(5), v, 4, 1), 2),
     ("root exponent", 1, lambda v: picard_rth_root(PrimeField(7), v, [2]), 1),
+    ("root exponent", 1, lambda v: PrimeField(7).rth_root(4, v), 1),
     ("root exponent", 1, lambda v: RationalField().rth_root(4, v), 1),
     ("truncation order", 0, lambda v: TruncatedScalar(7, v, [1]), 0),
     ("pi exponent", 0, lambda v: TruncatedScalar.pi_power(7, 2, v), 0),
