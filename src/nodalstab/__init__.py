@@ -17,21 +17,21 @@ __version__ = "0.1.0"
 
 # exported name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in (
-    ("balance", ("BalanceResult", "balance", "balance_step")),
-    ("curve", ("Component", "Ordering", "TreeLikeCurve", "arithmetic_genus", "decompose",
-               "prune_ordering", "validate_curve", "verify_ordering")),
+    ("balance", ("BalanceResult", "balance")),
+    ("curve", ("Component", "Ordering", "TreeLikeCurve", "prune_ordering", "validate_curve",
+               "verify_ordering")),
     ("fields", ("PrimeField", "RationalField", "parse_field")),
     ("gpb", ("GluingFlag", "GpbClass", "build_rational_flag", "check_no_kernel_section",
              "check_projections", "gpb_subbundle_check", "parabolic_slope",
              "phi_rank_degree", "picard_rth_root")),
     ("stability", ("AmpleDegrees", "Polarization", "Window", "det_compatibility",
-                   "gieseker_vs_seshadri", "lambda_check", "lambda_check_passes",
-                   "polarization_from_ample", "seshadri_slope", "slope")),
+                   "gieseker_vs_seshadri", "lambda_check", "polarization_from_ample",
+                   "seshadri_slope", "slope")),
     ("truncated", ("TruncatedMatrix", "TruncatedScalar", "det_section",
                    "det_trace_identity", "sl_kernel_check", "sl_lift", "torsor_correct",
                    "trace_section")),
-    ("twist", ("BundleClass", "TwistDivisor", "chi_subcurve_sum", "euler_char_component",
-               "euler_char_total", "intersection", "intersection_matrix", "twist")),
+    ("twist", ("BundleClass", "TwistDivisor", "chi_subcurve_sum", "euler_char_total",
+               "intersection", "twist")),
 ) for name in names}
 
 __all__ = list(_EXPORTS)

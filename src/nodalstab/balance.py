@@ -18,10 +18,10 @@ sum at the upper endpoint.
 
 from itertools import repeat
 
-from .curve import Ordering, TreeLikeCurve, prune_ordering
-from .errors import IndexOutOfRange, InvariantViolated, PreconditionViolated, Record, _int_arg
-from .stability import Polarization, Window, _chosen, _windows, lambda_check
-from .twist import BundleClass, TwistDivisor, _twist, twist
+from .curve import TreeLikeCurve, prune_ordering
+from .errors import InvariantViolated, Record
+from .stability import Polarization, Window, _chosen, _windows
+from .twist import BundleClass, TwistDivisor, _twist
 
 
 class BalanceResult(Record):
@@ -35,29 +35,6 @@ class BalanceResult(Record):
         coeffs = self.twist.coeffs
         return tuple(Window(w.i, w.component, w.value + w.rank * coeffs[w.component],
                             w.lo, w.den, w.rank) for w in reversed(self.windows[:-1]))
-
-
-def balance_step(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
-                 pol: Polarization, i: int):
-    """Choose the twist coefficient at order position i and apply it.
-
-    Requires every position above i to pass already; afterwards every
-    position from i up passes.  Returns the coefficient and the twisted
-    class.
-    """
-    n = ordering.n
-    if not 1 <= _int_arg(i, "order index") < n:
-        raise IndexOutOfRange(f"balance steps run at positions 1..{n - 1}")
-    windows = lambda_check(c, ordering, bc, pol)
-    bad = [w.i for w in windows[i:] if not w.passes]
-    if bad:
-        raise PreconditionViolated(
-            f"positions {bad} above {i} must pass before balancing position {i}")
-    step = windows[i - 1]
-    a = step.chosen
-    coeffs = dict.fromkeys(c.ids, 0)
-    coeffs[step.component] = a
-    return a, twist(c, bc, TwistDivisor(coeffs=coeffs))
 
 
 def balance(c: TreeLikeCurve, bc: BundleClass, pol: Polarization) -> BalanceResult:

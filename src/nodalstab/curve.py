@@ -9,7 +9,6 @@ once, when it is built; :func:`validate_curve` reports the result and
 every other operation demands it.
 """
 
-from itertools import compress
 from operator import attrgetter
 
 from .errors import (
@@ -216,8 +215,8 @@ class Ordering(Record):
     G(i).  It takes O(N * depth) space and only reports read it, once
     each, so nothing that only needs window sums pays for it.  ``_curve``,
     a slot and not a field, is the curve object :func:`prune_ordering`
-    built it for, which ``lambda_check`` and :func:`decompose` trust; a
-    copy, an unpickled ordering or one built by hand has none.
+    built it for, which ``lambda_check`` trusts; a copy, an unpickled
+    ordering or one built by hand has none.
     """
 
     _fields = ("perm", "nu")
@@ -248,9 +247,13 @@ class Ordering(Record):
 
 def _parents(o: Ordering) -> list:
     """Each parent edge {perm(i), perm(nu(i))}, i < N, as a sorted id pair, once
-    ``perm`` is N >= 1 distinct ints and nu(i) an int in i+1..N at all N - 1
-    positions: the one check of an ordering that needs no curve."""
-    perm, nu, n = o.perm, o.nu, o.n
+    ``perm`` is a tuple or list of N >= 1 distinct ints and ``nu`` one of N - 1
+    ints, nu(i) in i+1..N: the one check of an ordering that needs no curve."""
+    perm, nu = o.perm, o.nu
+    for name, seq in (("perm", perm), ("nu", nu)):   # a set, None or 5 has no order
+        if not isinstance(seq, (tuple, list)):
+            raise OrderingMismatch(f"{name} must be a tuple or a list, got {type(seq).__name__}")
+    n = len(perm)
     for x in (x for x in perm if not isinstance(x, int)):   # 2.0 would find id 2
         raise OrderingMismatch(f"perm entry {x!r} is not an integer")
     if not n or len(set(perm)) != n:
@@ -291,17 +294,6 @@ def validate_curve(c: TreeLikeCurve) -> ValidationReport:
     constructor computes the report, so this returns it.
     """
     return c._validation
-
-
-def arithmetic_genus(c: TreeLikeCurve) -> int:
-    """Arithmetic genus of the whole curve: sum of the component genera.
-
-    The tree shape contributes nothing (the edge-count correction
-    vanishes), so this agrees with 1 - chi(O) for the trivial rank-1
-    class.
-    """
-    c.require_valid()
-    return c._validation.p_a
 
 
 def prune_ordering(c: TreeLikeCurve) -> Ordering:
@@ -348,33 +340,6 @@ def prune_ordering(c: TreeLikeCurve) -> Ordering:
                  nu=tuple(map(pos.__getitem__, parent)))
     _set(o, "_curve", c)
     return o
-
-
-def decompose(c: TreeLikeCurve, ordering: Ordering, i: int):
-    """Split the curve at order position i into (G(i), B(i), boundary node).
-
-    Read off the checked parent array: G(i) is position i and every lower
-    position whose parent is in G(i), marked in one pass from i - 1 down,
-    since a parent always sits above its child; B(i) is the rest, and the
-    node is {perm(i), perm(nu(i))}.  At i = N the whole curve is G and
-    there is no boundary node.  Like ``lambda_check``, it trusts an
-    ordering ``prune_ordering`` built for this very curve object and
-    verifies any other first.
-    """
-    c.require_valid()
-    n = len(c.ids)
-    if not 1 <= _int_arg(i, "order index") <= n:
-        raise IndexOutOfRange(f"order index {i} out of range 1..{n}")
-    if getattr(ordering, "_curve", None) is not c:
-        verify_ordering(c, ordering)
-    perm, nu = ordering.perm, ordering.nu
-    inside = [False] * n
-    inside[i - 1] = True
-    for k in range(i - 2, -1, -1):
-        inside[k] = inside[nu[k] - 1]
-    g = frozenset(compress(perm, inside))
-    node = None if i == n else tuple(sorted((perm[i - 1], perm[nu[i - 1] - 1])))
-    return g, frozenset(perm) - g, node
 
 
 def verify_ordering(c: TreeLikeCurve, ordering: Ordering) -> None:

@@ -184,10 +184,6 @@ class ZeroMultirank(InvalidInput):
     """A subobject multirank must be nonzero somewhere."""
 
 
-class PreconditionViolated(NodalStabError):
-    """A balancing step was invoked out of order."""
-
-
 class InvariantViolated(NodalStabError):
     """An internal consistency check failed: a defect, not bad input."""
 

@@ -161,7 +161,9 @@ def gpb_subbundle_check(g: GpbClass, sub_rank: int, sub_degree: int,
 
     The subbundle is given numerically: rank, degree, and the dimension
     of its intersection with the flag at each node (each at most the
-    subbundle rank, which is what caps its parabolic weight).
+    subbundle rank, which is what caps its parabolic weight).  This is the
+    semistability of the parabolic bundle on the normalization of an
+    irreducible component with self-nodes, which descends to the nodal one.
     """
     _int_arg(sub_rank, "subbundle rank")
     _int_arg(sub_degree, "subbundle degree")
@@ -253,7 +255,8 @@ def check_no_kernel_section(flag: GluingFlag) -> KernelSectionVerdict:
 def picard_rth_root(field, r: int, gluing_scalars) -> list:
     """Componentwise r-th roots of the node gluing scalars.
 
-    Models surjectivity of the r-th power map on the gluing torus: over
+    Models surjectivity of the r-th power map on the gluing torus, the
+    step that adjusts the gluing so the determinant is the fixed one: over
     an algebraically closed field every scalar has a root; over the
     concrete fields here a missing root raises NoRoot rather than being
     silently patched.

@@ -65,7 +65,8 @@ def parse_polarization(obj) -> Polarization:
 
 
 class AmpleDegrees(Record):
-    """Positive integer degrees of a fixed ample class on each component."""
+    """Positive integer degrees of a fixed ample class on each component: the
+    polarization of the special fibre that Gieseker semistability is taken for."""
 
     __slots__ = _fields = ("degrees",)
 
@@ -156,7 +157,7 @@ class SlopeComparison(Record):
 
 
 def slope(c: TreeLikeCurve, bc: BundleClass) -> Fraction:
-    """d/r on an irreducible curve."""
+    """d/r on an irreducible curve: the slope semistability on the generic fibre compares."""
     c.require_valid()
     if len(c.ids) != 1:
         raise WrongArity("slope is only defined for irreducible curves")
@@ -165,7 +166,8 @@ def slope(c: TreeLikeCurve, bc: BundleClass) -> Fraction:
 
 
 def seshadri_slope(c: TreeLikeCurve, bc: BundleClass, pol: Polarization) -> Fraction:
-    """chi divided by the weighted rank sum."""
+    """chi divided by the weighted rank sum: the Seshadri slope of the class on the
+    special fibre, which each window compares a subcurve's chi sum against."""
     chi = euler_char_total(c, bc)   # checks the curve and the class
     require_match(c, pol.weights, "polarization weights")
     # the weights sum to 1, so the weighted rank sum is the rank
@@ -173,7 +175,8 @@ def seshadri_slope(c: TreeLikeCurve, bc: BundleClass, pol: Polarization) -> Frac
 
 
 def polarization_from_ample(h: AmpleDegrees) -> Polarization:
-    """Weights proportional to the ample degrees (leading Hilbert coefficients)."""
+    """Weights proportional to the ample degrees (leading Hilbert coefficients):
+    the window weights of the polarization an ample class induces."""
     total = sum(h.degrees.values())
     return Polarization(weights={i: Fraction(v, total) for i, v in h.degrees.items()})
 
@@ -227,14 +230,11 @@ def lambda_check(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
                     repeat(den, n), repeat(bc.rank, n)))
 
 
-def lambda_check_passes(c: TreeLikeCurve, ordering: Ordering, bc: BundleClass,
-                        pol: Polarization) -> bool:
-    return all(v.passes for v in lambda_check(c, ordering, bc, pol))
-
-
 def det_compatibility(c: TreeLikeCurve, bc: BundleClass, det_multidegree: dict) -> DetVerdict:
     """Determinant constraint: det degrees match the class, and every
-    rational component's degree is a multiple of the rank."""
+    rational component's degree is a multiple of the rank.  The second half
+    is the theorem's one hypothesis on the special fibre: the degree of L on
+    each rational component is a multiple of r."""
     c.require_valid()
     require_match(c, bc.multidegree, "multidegree")
     require_match(c, _id_values(det_multidegree, "det_compatibility", "the determinant degree"),
@@ -253,7 +253,9 @@ def gieseker_vs_seshadri(c: TreeLikeCurve, bc: BundleClass, h: AmpleDegrees,
     for the polarization induced by the ample degrees.
 
     At curve level this is chi_sub / (sum of multirank * ample degree)
-    against chi / (r * total ample degree), compared exactly.
+    against chi / (r * total ample degree), compared exactly: the comparison
+    that ties Gieseker semistability for the ample class to the windows of
+    the weights it induces.
     """
     chi = euler_char_total(c, bc)   # checks the curve and the class
     require_match(c, h.degrees, "ample degrees")

@@ -449,14 +449,16 @@ def sl_kernel_check(M: TruncatedMatrix) -> SlKernelVerdict:
 
 
 def trace_section(lam: TruncatedScalar, r: int) -> TruncatedMatrix:
-    """Section of the trace map: lam in the (1,1) slot, zeros elsewhere."""
+    """Section of the trace map: lam in the (1,1) slot, zeros elsewhere; the
+    determinant-correction step lifts a unit 1 + pi^n lam through it."""
     _int_arg(r, "matrix size", 1)
     zero = (0,) * (lam.n + 1)
     return _matrix(lam.p, lam.n, ((lam.coeffs,) + (zero,) * (r - 1),) + ((zero,) * r,) * (r - 1))
 
 
 def det_section(u: TruncatedScalar, r: int) -> TruncatedMatrix:
-    """Section of the determinant map: diag(u, 1, ..., 1); u must be a unit."""
+    """Section of the determinant map: diag(u, 1, ..., 1); u must be a unit.  The
+    determinant-correction step scales a matrix by it to reach a prescribed det."""
     _int_arg(r, "matrix size", 1)
     if not u.is_unit:
         raise NotUnit("determinant section needs a unit scalar")
@@ -495,7 +497,8 @@ def sl_lift(M: TruncatedMatrix) -> TruncatedMatrix:
 
     Pads the coefficients, then rescales the first column by the inverse
     of the padded determinant (a unit in 1 + pi^(n+1) R), which fixes the
-    determinant without disturbing the reduction.
+    determinant without disturbing the reduction: the determinant-correction
+    step, carried from one truncation stage to the next.
     """
     if M.det().coeffs != (1,) + (0,) * M.n:
         raise InvalidInput("sl_lift needs a determinant-1 matrix")

@@ -88,27 +88,10 @@ def intersection(c: TreeLikeCurve, i: int, j: int) -> int:
     return 1 if (i, j) in c.simple_edges or (j, i) in c.simple_edges else 0
 
 
-def intersection_matrix(c: TreeLikeCurve) -> dict:
-    """Full intersection matrix as a nested dict keyed by component ids."""
-    c.require_valid()
-    ids, edges = c.ids, c.simple_edges
-    return {i: {j: -c.degree(i) if i == j else 1 if (i, j) in edges or (j, i) in edges else 0
-                for j in ids}
-            for i in ids}
-
-
 def _chi(degrees, rank: int, genera) -> list:
     """Riemann-Roch on each component: d_i + r(1 - p_a(i)), for paired
     degrees and arithmetic genera; the caller checks."""
     return [d + rank * (1 - g) for d, g in zip(degrees, genera)]
-
-
-def euler_char_component(c: TreeLikeCurve, bc: BundleClass, i: int) -> int:
-    """chi of the class restricted to component i (Riemann-Roch)."""
-    c.require_valid()
-    require_match(c, bc.multidegree, "multidegree")
-    genus = c.component(i).arithmetic_genus   # an unknown id raises before the degree is read
-    return _chi((bc.multidegree[i],), bc.rank, (genus,))[0]
 
 
 def euler_char_total(c: TreeLikeCurve, bc: BundleClass) -> int:
@@ -149,7 +132,8 @@ def chi_subcurve_sum(c: TreeLikeCurve, bc: BundleClass, subcurve) -> int:
     """Sum of the componentwise chi over a set of components.
 
     No node correction is applied: this is the quantity the
-    semistability windows bound, not chi of the subcurve.
+    semistability windows bound, not chi of the subcurve.  On G(i) it is
+    the chi sum the balancing twist moves into position i's window.
     """
     ids = set()
     for i in subcurve:

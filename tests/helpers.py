@@ -11,19 +11,25 @@ elimination replaced, Berkowitz's determinant and Gauss-Jordan rank, the
 coefficient-wise inverse that Newton iteration replaced, and the replay
 that ``balance``'s closed-form window check replaced, are kept as second
 oracles, and the row-held truncated matrices are checked
-against a scalar-by-scalar reference built on them at the end.
+against a scalar-by-scalar reference built on them at the end.  So are the
+one balancing step along any ordering and the full intersection matrix,
+which the package does not need.  The small-instance enumeration at the
+end runs these oracles on every labelled tree and every matrix up to a
+size, for the tier-1 slice and for ``tests/exhaustive.py`` alike.
 """
 
+import bisect
 import itertools
 import random
 from fractions import Fraction
 from math import lcm
 
-from nodalstab import (BundleClass, Component, Polarization, TreeLikeCurve, TwistDivisor,
-                       prune_ordering, twist)
+from nodalstab import (BundleClass, Component, Polarization, PrimeField, TreeLikeCurve,
+                       TwistDivisor, balance, lambda_check, prune_ordering, twist)
 from nodalstab.balance import BalanceResult
 from nodalstab.errors import InvalidInput, InvariantViolated, ParseError
 from nodalstab.curve import ValidationReport, ordering_to_obj
+from nodalstab.fields import mat_rank
 from nodalstab.stability import Window, _chosen, _windows
 
 
@@ -33,9 +39,12 @@ def random_tree_edges(rng: random.Random, n: int):
     """Uniform random labelled tree on ids 1..n via a Pruefer sequence."""
     if n == 1:
         return []
-    if n == 2:
-        return [(1, 2)]
-    seq = [rng.randint(1, n) for _ in range(n - 2)]
+    return pruefer_edges([rng.randint(1, n) for _ in range(n - 2)], n)
+
+
+def pruefer_edges(seq, n: int):
+    """The labelled tree on ids 1..n (n >= 2) whose Pruefer sequence is seq:
+    each entry in turn joins the smallest current leaf."""
     degree = {i: 1 for i in range(1, n + 1)}
     for v in seq:
         degree[v] += 1
@@ -46,7 +55,6 @@ def random_tree_edges(rng: random.Random, n: int):
         edges.append((leaf, v))
         degree[v] -= 1
         if degree[v] == 1:
-            import bisect
             bisect.insort(leaves, v)
     edges.append((leaves[0], leaves[1]))
     return edges
@@ -209,6 +217,13 @@ def piece(adj, removed, seed):
     return frozenset(seen)
 
 
+def intersection_matrix(c: TreeLikeCurve) -> dict:
+    """The intersection matrix of the dual graph as a nested dict keyed by id:
+    1 across a node, minus the neighbor count on the diagonal, 0 elsewhere."""
+    adj = neighbors(c)
+    return {i: {j: -len(adj[i]) if i == j else int(j in adj[i]) for j in c.ids} for i in c.ids}
+
+
 def induced_connected(c: TreeLikeCurve, subset) -> bool:
     subset = set(subset)
     if not subset:
@@ -289,30 +304,42 @@ def report_g_b(ordering):
 
 # ----------------------------------------------- window inequalities, by hand
 
-def window_data(c: TreeLikeCurve, ordering, bc, pol):
-    """Integers (den, bounds, base sums, shift vectors) for the window
-    inequalities, derived from the definitions with cleared denominators."""
+def window_sets(c: TreeLikeCurve, ordering):
+    """G(i) at every position, each with its shift vector: how the degree sum
+    over G(i) moves, in units of r, per unit of each twist coefficient (ids
+    sorted).  G(i) is the curve less B(i), the branch of the curve minus
+    component i that holds the top position N, found by a graph walk, not
+    read off nu."""
     ids = sorted(c.ids)
     idx = {cid: k for k, cid in enumerate(ids)}
     adj = neighbors(c)
-    r = bc.rank
-    rho = {comp.id: comp.arithmetic_genus for comp in c.components}
-    chi_comp = {i: bc.multidegree[i] + r * (1 - rho[i]) for i in ids}
-    chi = sum(chi_comp.values()) - r * (len(ids) - 1)
-    den = lcm(*[pol.weights[i].denominator for i in ids])
-    w_int = {i: pol.weights[i] * den for i in ids}
-    # G(i) is the curve less B(i), the branch of the curve minus component i
-    # that holds the top position N, found by a graph walk, not read off nu
-    perm, whole, rows = ordering.perm, frozenset(ids), []
+    perm, whole, sets = ordering.perm, frozenset(ids), []
     for k, y in enumerate(perm):
         g = whole - piece(adj, y, perm[-1]) if k < len(perm) - 1 else whole
-        base = sum(chi_comp[i] for i in g)
         shift = [0] * len(ids)
         for i in g:
             shift[idx[i]] -= len(adj[i])
             for j in adj[i]:
                 shift[idx[j]] += 1
-        lower_scaled = int(sum(w_int[i] for i in g)) * chi + den * r * (len(g) - 1)
+        sets.append((g, shift))
+    return sets
+
+
+def window_data(c: TreeLikeCurve, ordering, bc, pol, sets=None):
+    """Integers (den, bounds, base sums, shift vectors) for the window
+    inequalities, derived from the definitions with cleared denominators;
+    ``sets`` is ``window_sets(c, ordering)``, found here when not given."""
+    ids = sorted(c.ids)
+    r = bc.rank
+    rho = {comp.id: comp.arithmetic_genus for comp in c.components}
+    chi_comp = {i: bc.multidegree[i] + r * (1 - rho[i]) for i in ids}
+    chi = sum(chi_comp.values()) - r * (len(ids) - 1)
+    den = lcm(*[pol.weights[i].denominator for i in ids])
+    w_int = {i: pol.weights[i].numerator * (den // pol.weights[i].denominator) for i in ids}
+    rows = []
+    for g, shift in sets or window_sets(c, ordering):
+        base = sum(chi_comp[i] for i in g)
+        lower_scaled = sum(w_int[i] for i in g) * chi + den * r * (len(g) - 1)
         rows.append((base, shift, lower_scaled))
     return ids, den, r, rows
 
@@ -326,14 +353,30 @@ def passes_windows(ids, den, r, rows, a_by_index) -> bool:
     return True
 
 
-def brute_force_solutions(c, ordering, bc, pol, bound):
-    """Every twist vector in the box making all windows pass."""
+def brute_force_solutions(c, ordering, bc, pol, bound, pinned=()):
+    """Every twist vector in the box making all windows pass.  The ids in
+    ``pinned`` keep coefficient 0; one pinned id fixes the global shift,
+    which moves no degree."""
     ids, den, r, rows = window_data(c, ordering, bc, pol)
     sols = []
-    for a in itertools.product(range(-bound, bound + 1), repeat=len(ids)):
+    box = range(-bound, bound + 1)
+    for a in itertools.product(*[(0,) if i in pinned else box for i in ids]):
         if passes_windows(ids, den, r, rows, a):
             sols.append(dict(zip(ids, a)))
     return sols
+
+
+def balance_step(c: TreeLikeCurve, ordering, bc: BundleClass, pol: Polarization, i: int):
+    """One step of the balancing recursion along any one-branch ordering, on
+    the public API: with every position above i passing, twist by a*Y_i for
+    the least a that brings position i's window to pass (``Window.chosen``).
+    Afterwards every position from i up passes.  Returns a and the twisted
+    class.  ``balance`` runs this step in closed form, along the pruning
+    order only."""
+    step = lambda_check(c, ordering, bc, pol)[i - 1]
+    coeffs = dict.fromkeys(c.ids, 0)
+    coeffs[step.component] = step.chosen
+    return step.chosen, twist(c, bc, TwistDivisor(coeffs=coeffs))
 
 
 def replay_balance(c: TreeLikeCurve, bc: BundleClass, pol: Polarization):
@@ -549,3 +592,123 @@ def ref_sl_lift(p, n, a):
     for k in range(1, n + 2):   # inv * det = 1, solved coefficient by coefficient
         inv.append(-inv[0] * sum(det[i] * inv[k - i] for i in range(1, k + 1)) % p)
     return [[tuple(dot(p, n + 1, [row[0]], [inv]))] + row[1:] for row in padded]
+
+
+# ------------------------------------ every small instance, for exhaustive runs
+#
+# The small-scope hypothesis: a claim for every input is checked on every
+# input up to a size.  Each check raises AssertionError itself, so that it
+# also holds under ``python -O`` and outside pytest.
+
+def _expect(holds: bool, what: str, *instance) -> None:
+    if not holds:
+        raise AssertionError(f"{what}: {instance!r}")
+
+
+def labelled_trees(n: int):
+    """The edges of every labelled tree on ids 1..n, once each: one per Pruefer
+    sequence, n^(n-2) of them (Cayley's formula)."""
+    if n == 1:
+        yield ()
+        return
+    for seq in itertools.product(range(1, n + 1), repeat=n - 2):
+        yield tuple(pruefer_edges(seq, n))
+
+
+def small_curves(n: int):
+    """Every labelled tree on n components as a curve, with one genus pattern:
+    component k has geometric genus k % 2."""
+    comps = tuple(Component(id=k, geometric_genus=k % 2) for k in range(1, n + 1))
+    for edges in labelled_trees(n):
+        yield TreeLikeCurve(components=comps, edges=edges)
+
+
+def small_polarizations(c: TreeLikeCurve):
+    """The equal polarization and a skewed one, k / (N(N+1)/2) on component k."""
+    n = len(c.ids)
+    return (Polarization({i: Fraction(1, n) for i in c.ids}),
+            Polarization({i: Fraction(i, n * (n + 1) // 2) for i in c.ids}))
+
+
+def small_classes(c: TreeLikeCurve, r: int):
+    """Every class of rank r with each degree in 0..r-1: a twist moves each
+    chi sum in steps of r."""
+    for degrees in itertools.product(range(r), repeat=len(c.ids)):
+        yield BundleClass(rank=r, multidegree=dict(zip(c.ids, degrees)))
+
+
+def window_fields(windows) -> list:
+    """Each window's fields as a tuple, in ``Window``'s order."""
+    return [(w.i, w.component, w.value, w.lo, w.den, w.rank) for w in windows]
+
+
+def check_small_tree(c: TreeLikeCurve):
+    """``prune_ordering`` against the round-by-round rule and the definition
+    of the one-branch property, and G(i) and the boundary node at every
+    position against the graph walk of ``window_sets``: the node is the one
+    edge from component i out of G(i).  Returns the ordering and its sets."""
+    o = prune_ordering(c)
+    _expect((o.perm, o.nu) == round_prune_ordering(c), "pruning order", c.edges)
+    _expect(ordering_satisfies_one_branch(c, o.perm), "one-branch property", c.edges)
+    adj, sets, subtrees = neighbors(c), window_sets(c, o), o.subtrees
+    for k, (y, (g, _)) in enumerate(zip(o.perm, sets)):
+        _expect(subtrees[k] == tuple(sorted(g)), "G(i)", c.edges, k + 1)
+        out = [tuple(sorted((y, j))) for j in adj[y] if j not in g]
+        _expect([o.boundary_edge(k + 1)] == (out or [None]), "boundary node", c.edges, k + 1)
+    return o, sets
+
+
+def check_small_instance(c: TreeLikeCurve, o, sets, bc: BundleClass, pol: Polarization,
+                         brute: bool) -> None:
+    """``lambda_check`` against the window data of the input class; ``balance``
+    passing every window and equal to the replay; with ``brute``, its twist
+    among the brute-force solutions in the box +-3 with the top position's
+    coefficient (0 in every balanced twist) pinned, fixing the global shift.
+    ``o`` and ``sets`` are what ``check_small_tree`` returned for c."""
+    instance = (c.edges, bc, pol)
+    _, den, r, rows = window_data(c, o, bc, pol, sets)
+    expect = [(k + 1, o.perm[k], base, lower_scaled, den, r)
+              for k, (base, _, lower_scaled) in enumerate(rows)]
+    _expect(window_fields(lambda_check(c, o, bc, pol)) == expect, "windows of the input class",
+            *instance)
+    result, replay = balance(c, bc, pol), replay_balance(c, bc, pol)[0]
+    _expect(all(w.passes for w in result.windows), "balanced windows", *instance)
+    # field by field, as == compares records, without its per-record frames
+    _expect(result.ordering == replay.ordering and result.twist.coeffs == replay.twist.coeffs
+            and result.balanced.rank == r and result.balanced.multidegree ==
+            replay.balanced.multidegree and window_fields(result.windows) ==
+            window_fields(replay.windows), "balance against its replay", *instance)
+    if brute:
+        sols = brute_force_solutions(c, o, bc, pol, 3, pinned=(o.perm[-1],))
+        _expect(result.twist.coeffs in sols, "twist among the brute-force solutions", *instance)
+
+
+def check_small_trees(n: int, ranks, brute_max: int = 0) -> dict:
+    """Both checks on every instance on n components: every labelled tree, every
+    rank in ``ranks``, every class of ``small_classes`` and both polarizations
+    of ``small_polarizations``; when n <= brute_max, the brute-force search
+    too, at the equal polarization.  Returns the counts of trees, balance runs
+    and brute-force runs."""
+    counts = dict.fromkeys(("trees", "balance runs", "brute-force runs"), 0)
+    for c in small_curves(n):
+        o, sets = check_small_tree(c)
+        counts["trees"] += 1
+        for r in ranks:
+            for bc in small_classes(c, r):
+                for k, pol in enumerate(small_polarizations(c)):
+                    brute = k == 0 and n <= brute_max
+                    check_small_instance(c, o, sets, bc, pol, brute)
+                    counts["balance runs"] += 1
+                    counts["brute-force runs"] += brute
+    return counts
+
+
+def check_small_matrices(p: int, rows: int, cols: int) -> int:
+    """``mat_rank`` against ``gauss_jordan_rank`` on every rows x cols matrix
+    over F_p; returns how many, p^(rows*cols)."""
+    field, count = PrimeField(p), 0
+    for entries in itertools.product(range(p), repeat=rows * cols):
+        m = [list(entries[k:k + cols]) for k in range(0, rows * cols, cols)]
+        _expect(mat_rank(field, m) == gauss_jordan_rank(p, m), "rank", p, m)
+        count += 1
+    return count

@@ -1,6 +1,4 @@
-import copy
 import itertools
-import pickle
 import random
 import re
 import time
@@ -17,18 +15,14 @@ from nodalstab import (
     Ordering,
     Polarization,
     TreeLikeCurve,
-    arithmetic_genus,
     balance,
-    decompose,
     euler_char_total,
     intersection,
-    intersection_matrix,
     lambda_check,
     prune_ordering,
     validate_curve,
     verify_ordering,
 )
-from nodalstab.curve import _parents
 from nodalstab.errors import (
     CycleDetected,
     Disconnected,
@@ -220,20 +214,26 @@ def test_bad_documents_rejected():
         Component(id=1, geometric_genus=-1)
 
 
+def one_minus_chi_of_trivial(c):
+    """1 - chi(O) on the curve: its arithmetic genus, by Riemann-Roch."""
+    return 1 - euler_char_total(c, BundleClass(rank=1, multidegree={i: 0 for i in c.ids}))
+
+
 def test_arithmetic_genus_single_nodal():
-    assert arithmetic_genus(curve([(1, 2, 1)], [])) == 3
+    c = curve([(1, 2, 1)], [])
+    assert validate_curve(c).p_a == one_minus_chi_of_trivial(c) == 3
 
 
 def test_arithmetic_genus_path3_with_internal_node():
     c = curve([(1, 1, 0), (2, 0, 1), (3, 1, 0)], [(1, 2), (2, 3)])
-    assert arithmetic_genus(c) == 3
+    assert validate_curve(c).p_a == one_minus_chi_of_trivial(c) == 3
 
 
 def test_arithmetic_genus_rational_star_vs_euler():
-    assert arithmetic_genus(STAR4) == 0
+    assert validate_curve(STAR4).p_a == 0
     trivial = BundleClass(rank=1, multidegree={i: 0 for i in STAR4.ids})
     assert euler_char_total(STAR4, trivial) == 1
-    assert arithmetic_genus(STAR4) == 1 - euler_char_total(STAR4, trivial)
+    assert validate_curve(STAR4).p_a == one_minus_chi_of_trivial(STAR4)
 
 
 def test_prune_ordering_path3():
@@ -282,50 +282,54 @@ def test_genus_equals_one_minus_euler_random():
     rng = random.Random(99)
     for _ in range(500):
         c = helpers.random_curve(rng, n_max=8, genus_max=3)
-        trivial = BundleClass(rank=1, multidegree={i: 0 for i in c.ids})
-        assert arithmetic_genus(c) == 1 - euler_char_total(c, trivial)
+        assert validate_curve(c).p_a == one_minus_chi_of_trivial(c)
 
 
-def test_decompose_path3_first_position():
+def walked_split(c, o, i):
+    """(G(i), B(i), boundary node) by the graph walk ``helpers.piece``: B(i) is
+    what component i's parent reaches without passing through component i."""
+    everything = frozenset(c.ids)
+    if i == o.n:
+        return everything, frozenset(), None
+    y, anchor = o.perm[i - 1], o.perm[o.nu[i - 1] - 1]
+    b = helpers.piece(helpers.neighbors(c), y, anchor)
+    return everything - b, b, tuple(sorted((y, anchor)))
+
+
+def read_split(o, i):
+    """(G(i), B(i), boundary node) read off the ordering's parent array."""
+    g = frozenset(o.subtrees[i - 1])
+    return g, frozenset(o.perm) - g, o.boundary_edge(i)
+
+
+def test_split_path3_first_position():
     o = prune_ordering(PATH3)
-    g, b, node = decompose(PATH3, o, 1)
-    assert g == frozenset({1})
-    assert b == frozenset({2, 3})
-    assert node == (1, 2)
+    assert o.subtrees[0] == (1,)
+    assert o.boundary_edge(1) == (1, 2)
+    assert read_split(o, 1) == walked_split(PATH3, o, 1) == ({1}, {2, 3}, (1, 2))
 
 
-def test_decompose_last_position_is_whole_curve():
+def test_split_last_position_is_whole_curve():
     o = prune_ordering(PATH3)
-    g, b, node = decompose(PATH3, o, 3)
-    assert g == frozenset({1, 2, 3})
-    assert b == frozenset()
-    assert node is None
+    assert o.subtrees[2] == (1, 2, 3)
+    assert o.boundary_edge(3) is None
+    assert read_split(o, 3) == walked_split(PATH3, o, 3) == ({1, 2, 3}, frozenset(), None)
 
 
-def test_decompose_star_leaf():
+def test_split_star_leaf():
     o = prune_ordering(STAR4)
-    g, b, node = decompose(STAR4, o, 1)
-    assert g == frozenset({1})
-    assert b == frozenset({2, 3, 4})
-    assert node == (1, 4)
+    assert o.subtrees[0] == (1,)
+    assert o.boundary_edge(1) == (1, 4)
+    assert read_split(o, 1) == walked_split(STAR4, o, 1) == ({1}, {2, 3, 4}, (1, 4))
 
 
-def test_decompose_matches_stored_sets():
+def test_split_matches_stored_sets():
     rng = random.Random(5)
     for _ in range(100):
         c = helpers.random_curve(rng, n_max=7)
         o = prune_ordering(c)
         for i, g_b in enumerate(helpers.report_g_b(o), 1):
-            g, b, _ = decompose(c, o, i)
-            assert (g, b) == g_b
-
-
-def test_decompose_index_out_of_range():
-    o = prune_ordering(PATH3)
-    with pytest.raises(IndexOutOfRange):
-        decompose(PATH3, o, 0)
-    with pytest.raises(IndexOutOfRange):
-        decompose(PATH3, o, 4)
+            assert read_split(o, i)[:2] == walked_split(c, o, i)[:2] == g_b
 
 
 def test_verify_ordering_rejects_swapped_positions():
@@ -380,19 +384,19 @@ def test_prune_ordering_matches_round_based_rule(shape):
             verify_ordering(c, o)
 
 
-def test_lazy_sets_match_decompose_at_every_position():
+def test_lazy_sets_match_the_graph_walk_at_every_position():
     rng = random.Random(17)
     for _ in range(60):
         c = helpers.shaped_curve(rng, rng.randint(1, 40), rng.choice(helpers.SHAPES))
         o = prune_ordering(c)
         for i, g_b in enumerate(helpers.report_g_b(o), 1):
-            g, b, node = decompose(c, o, i)
+            g, b, node = walked_split(c, o, i)
             assert g_b == (g, b)
             assert o.subtrees[i - 1] == tuple(sorted(g))
             assert o.boundary_edge(i) == node
 
 
-def test_subtrees_match_decompose_on_every_shape_with_far_ids():
+def test_subtrees_match_the_graph_walk_on_every_shape_with_far_ids():
     rng = random.Random(19)
     for shape in helpers.SHAPES:
         for n in (1, 2, 3, 9, 33):
@@ -401,7 +405,7 @@ def test_subtrees_match_decompose_on_every_shape_with_far_ids():
             subtrees = o.subtrees
             assert len(subtrees) == n and subtrees[-1] == tuple(sorted(c.ids))
             for i in range(1, n + 1):
-                assert subtrees[i - 1] == tuple(sorted(decompose(c, o, i)[0]))
+                assert subtrees[i - 1] == tuple(sorted(walked_split(c, o, i)[0]))
 
 
 def test_component_lookup_reads_the_dense_index_on_far_ids():
@@ -431,19 +435,19 @@ def test_graph_reads_match_the_neighbor_oracle_with_far_ids():
             c = helpers.relabel_far(rng, helpers.shaped_curve(rng, n, shape))
             adj = helpers.neighbors(c)
             if n <= 60:
-                matrix = intersection_matrix(c)
                 for i in c.ids:
                     assert c.degree(i) == len(adj[i])
                     for j in c.ids:
                         expect = -len(adj[i]) if i == j else (1 if j in adj[i] else 0)
-                        assert intersection(c, i, j) == matrix[i][j] == expect
+                        assert intersection(c, i, j) == expect
             o = prune_ordering(c)
-            everything = frozenset(c.ids)
+            everything, subtrees = frozenset(c.ids), o.subtrees
             for k, y in enumerate(o.perm[:-1]):
                 anchor = o.perm[o.nu[k] - 1]
                 b = helpers.piece(adj, y, anchor)
-                assert decompose(c, o, k + 1) == (everything - b, b, tuple(sorted((y, anchor))))
-            assert decompose(c, o, n) == (everything, frozenset(), None)
+                assert subtrees[k] == tuple(sorted(everything - b))
+                assert o.boundary_edge(k + 1) == tuple(sorted((y, anchor)))
+            assert subtrees[-1] == tuple(sorted(everything)) and o.boundary_edge(n) is None
 
 
 def test_degree_matches_the_neighbor_oracle_on_multigraphs():
@@ -523,49 +527,47 @@ def test_boundary_edge_refuses_an_index_out_of_range():
     assert o.boundary_edge(3) is None
 
 
-def test_decompose_refuses_an_ordering_of_another_curve():
+def test_lambda_check_refuses_an_ordering_of_another_curve():
     other = curve([(1, 1, 0), (2, 0, 0), (4, 1, 0)], [(1, 2), (2, 4)])
-    with pytest.raises(OrderingMismatch,
-                       match="^perm is not a permutation of the curve's component ids$"):
-        decompose(PATH3, prune_ordering(other), 1)
+    bc = BundleClass(rank=1, multidegree={1: 0, 2: 0, 3: 0})
+    pol = Polarization({i: Fraction(1, 3) for i in PATH3.ids})
+    for read in (lambda: verify_ordering(PATH3, prune_ordering(other)),
+                 lambda: lambda_check(PATH3, prune_ordering(other), bc, pol)):
+        with pytest.raises(OrderingMismatch,
+                           match="^perm is not a permutation of the curve's component ids$"):
+            read()
 
 
-def test_decompose_refuses_a_parent_that_is_not_a_neighbour():
+def test_lambda_check_refuses_a_parent_that_is_not_a_neighbour():
     # the ids match, but position 1 (component 1) hangs off component 3
     o = Ordering(perm=(1, 3, 2), nu=(2, 3))
-    with pytest.raises(OrderingMismatch,
-                       match="^the parent edges of the ordering are not the curve's nodes$"):
-        decompose(PATH3, o, 1)
-
-
-@pytest.mark.parametrize("nu", [(99,), (0,), (-5,), (), (1.5,)])
-def test_decompose_refuses_a_malformed_nu_as_verify_ordering_does(nu):
-    # decompose once kept its own weaker check: (99,) raised IndexError,
-    # (1.5,) TypeError, and (0,) returned a split read through perm[-1]
-    o = Ordering(perm=(1, 2), nu=nu)
-    with pytest.raises(OrderingMismatch) as verified:
-        verify_ordering(PATH2, o)
-    for i in (1, 2):
-        with pytest.raises(OrderingMismatch, match=f"^{re.escape(str(verified.value))}$"):
-            decompose(PATH2, o, i)
+    bc = BundleClass(rank=1, multidegree={1: 0, 2: 0, 3: 0})
+    pol = Polarization({i: Fraction(1, 3) for i in PATH3.ids})
+    for read in (lambda: verify_ordering(PATH3, o), lambda: lambda_check(PATH3, o, bc, pol)):
+        with pytest.raises(OrderingMismatch,
+                           match="^the parent edges of the ordering are not the curve's nodes$"):
+            read()
 
 
 @pytest.mark.parametrize("nu, message", [
     ((0,), "nu(1) = 0 is not an integer in 2..2"),
     ((1,), "nu(1) = 1 is not an integer in 2..2"),
     ((99,), "nu(1) = 99 is not an integer in 2..2"),
+    ((-5,), "nu(1) = -5 is not an integer in 2..2"),
     ((1.5,), "nu(1) = 1.5 is not an integer in 2..2"),
-    ((), "nu has 0 entries, need 1")])
+    ((), "nu has 0 entries, need 1"),
+    (None, "nu must be a tuple or a list, got NoneType"),
+    (5, "nu must be a tuple or a list, got int")])
 def test_every_reader_of_the_parents_refuses_a_malformed_nu(nu, message):
     # subtrees and boundary_edge read nu unchecked: (1,) gave the subtrees
     # ((1, 1), (2,)) and the node (1, 1), (0,) read nu(1) as 2 through
-    # perm[-1], (99,) raised IndexError and (1.5,) TypeError
+    # perm[-1], (99,) raised IndexError and (1.5,) TypeError; None and 5
+    # raised a bare TypeError from len()
     o = Ordering(perm=(1, 2), nu=nu)
     bc = BundleClass(rank=1, multidegree={1: 0, 2: 0})
     pol = Polarization({1: Fraction(1, 2), 2: Fraction(1, 2)})
     for read in (lambda: o.subtrees, lambda: o.boundary_edge(1), lambda: o.boundary_edge(2),
-                 lambda: verify_ordering(PATH2, o), lambda: decompose(PATH2, o, 1),
-                 lambda: lambda_check(PATH2, o, bc, pol)):
+                 lambda: verify_ordering(PATH2, o), lambda: lambda_check(PATH2, o, bc, pol)):
         with pytest.raises(OrderingMismatch, match=f"^{re.escape(message)}$"):
             read()
 
@@ -574,48 +576,21 @@ def test_every_reader_of_the_parents_refuses_a_malformed_nu(nu, message):
     ((1, 1), (2,), "perm is empty or repeats a component id"),
     ((1, 2.0), (2,), "perm entry 2.0 is not an integer"),
     ((), (), "perm is empty or repeats a component id"),
-    (("1", 2), (2,), "perm entry '1' is not an integer")])
+    (("1", 2), (2,), "perm entry '1' is not an integer"),
+    (None, (), "perm must be a tuple or a list, got NoneType"),
+    (5, (2,), "perm must be a tuple or a list, got int"),
+    ({1, 2}, (2,), "perm must be a tuple or a list, got set")])
 def test_every_reader_of_an_ordering_refuses_a_malformed_perm(perm, nu, message):
     # without a curve, perm went unchecked: (1, 1) gave the subtrees
-    # ((1,), (1, 1)), (1, 2.0) the node (1, 2.0) and () "nu has 0 entries, need -1"
+    # ((1,), (1, 1)), (1, 2.0) the node (1, 2.0) and () "nu has 0 entries, need -1";
+    # None and 5 raised a bare TypeError from len(), and a set one from perm[k]
     o = Ordering(perm=perm, nu=nu)
     bc = BundleClass(rank=1, multidegree={1: 0, 2: 0})
     pol = Polarization({1: Fraction(1, 2), 2: Fraction(1, 2)})
     for read in (lambda: o.subtrees, lambda: o.boundary_edge(1),
-                 lambda: verify_ordering(PATH2, o), lambda: decompose(PATH2, o, 1),
-                 lambda: lambda_check(PATH2, o, bc, pol)):
+                 lambda: verify_ordering(PATH2, o), lambda: lambda_check(PATH2, o, bc, pol)):
         with pytest.raises(OrderingMismatch, match=f"^{re.escape(message)}$"):
             read()
-
-
-def test_decompose_verifies_only_an_ordering_pruned_elsewhere(monkeypatch):
-    # and checks the parents only inside that verify_ordering: it once read
-    # its boundary node through boundary_edge, a second parent check
-    calls, parents = [], []
-
-    def counting(c, ordering):
-        calls.append(ordering)
-        return verify_ordering(c, ordering)
-
-    def counting_parents(ordering):
-        parents.append(ordering)
-        return _parents(ordering)
-    monkeypatch.setattr("nodalstab.curve.verify_ordering", counting)
-    monkeypatch.setattr("nodalstab.curve._parents", counting_parents)
-    rng = random.Random(353)
-    for shape in helpers.SHAPES:
-        c = helpers.relabel_far(rng, helpers.shaped_curve(rng, 12, shape))
-        o = prune_ordering(c)
-        splits = [decompose(c, o, i) for i in range(1, o.n + 1)]
-        assert calls == parents == []
-        twin = TreeLikeCurve(components=c.components, edges=c.edges)
-        for other in (Ordering(o.perm, o.nu), pickle.loads(pickle.dumps(o)), copy.copy(o),
-                      prune_ordering(twin)):
-            for i in range(1, o.n + 1):
-                assert decompose(c, other, i) == splits[i - 1]
-                assert len(calls) == len(parents) == 1 and calls[0] is parents[0] is other
-                calls.clear()
-                parents.clear()
 
 
 @pytest.mark.parametrize("args, what", [((1.5,), "component ids"), ((2.0,), "component ids"),

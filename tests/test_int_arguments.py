@@ -20,13 +20,10 @@ from nodalstab import (
     TreeLikeCurve,
     TruncatedMatrix,
     TruncatedScalar,
-    balance_step,
     build_rational_flag,
     chi_subcurve_sum,
-    decompose,
     det_section,
     det_trace_identity,
-    euler_char_component,
     gieseker_vs_seshadri,
     gpb_subbundle_check,
     intersection,
@@ -55,8 +52,6 @@ CASES = [
     ("root exponent", lambda v: RationalField().rth_root(4, v), 1),
     ("chi_sub", lambda v: gieseker_vs_seshadri(PATH2, BC2, H2, {1: 1, 2: 1}, v), 1),
     ("order index", lambda v: O2.boundary_edge(v), 1),
-    ("order index", lambda v: decompose(PATH2, O2, v), 1),
-    ("order index", lambda v: balance_step(PATH2, O2, BC2, POL2, v), 1),
     ("truncation order", lambda v: LAM.reduce(v), 1),
     ("truncation order", lambda v: LAM.extend(v), 1),
     ("truncation order", lambda v: MAT.reduce(v), 1),
@@ -122,17 +117,15 @@ def test_component_ids_are_ints(bad):
     # c.component(2.0) returned component 2, intersection(c, 1.0, 2) returned 1
     # and chi_subcurve_sum(c, bc, [1.0]) returned 3: a float hashes like its int
     for call in (lambda: PATH2.component(bad), lambda: PATH2.degree(bad),
-                 lambda: intersection(PATH2, bad, 1), lambda: intersection(PATH2, 1, bad),
-                 lambda: euler_char_component(PATH2, BC2, bad)):
+                 lambda: intersection(PATH2, bad, 1), lambda: intersection(PATH2, 1, bad)):
         with pytest.raises(IndexOutOfRange, match=re.escape(f"no component with id {bad!r}")):
             call()
     for sub in ([bad], [1, bad], iter([bad, 1])):
         with pytest.raises(IndexOutOfRange,
                            match=re.escape(f"subcurve ids must be integers, got {bad!r}")):
             chi_subcurve_sum(PATH2, BC2, sub)
-    # an unknown id raised a bare KeyError, read from the class before the curve
-    with pytest.raises(IndexOutOfRange, match="^no component with id 5$"):
-        euler_char_component(PATH2, BC2, 5)
+    with pytest.raises(IndexOutOfRange, match=r"^unknown component ids in subcurve: \[5\]$"):
+        chi_subcurve_sum(PATH2, BC2, [1, 5])
     assert PATH2.component(True) == Component(1) and PATH2.degree(2) == 1
     assert chi_subcurve_sum(PATH2, BC2, [True, 2]) == 5 + 3
 

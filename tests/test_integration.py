@@ -11,12 +11,9 @@ from nodalstab import (
     TreeLikeCurve,
     TwistDivisor,
     balance,
-    balance_step,
-    decompose,
     gieseker_vs_seshadri,
     euler_char_total,
     lambda_check,
-    lambda_check_passes,
     polarization_from_ample,
     prune_ordering,
     twist,
@@ -64,8 +61,11 @@ def test_alternate_valid_orderings_are_accepted():
         o = ordering_from_perm(c, perm)
         verify_ordering(c, o)
         assert helpers.ordering_satisfies_one_branch(c, perm)
+        adj, everything = helpers.neighbors(c), frozenset(c.ids)
         for i, g_b in enumerate(helpers.report_g_b(o), 1):
-            assert decompose(c, o, i)[:2] == g_b
+            b = helpers.piece(adj, perm[i - 1], perm[o.nu[i - 1] - 1]) if i < o.n else frozenset()
+            assert (everything - b, b) == g_b
+            assert o.subtrees[i - 1] == tuple(sorted(everything - b))
         bc = helpers.random_bundle(rng, c)
         pol = helpers.random_polarization(rng, c)
         for v in lambda_check(c, o, bc, pol):
@@ -83,8 +83,9 @@ def test_balancing_works_along_any_valid_ordering():
         pol = helpers.random_polarization(rng, c)
         current = bc
         for i in range(o.n - 1, 0, -1):
-            _, current = balance_step(c, o, current, pol, i)
-        assert lambda_check_passes(c, o, current, pol)
+            assert all(w.passes for w in lambda_check(c, o, current, pol)[i:])
+            _, current = helpers.balance_step(c, o, current, pol, i)
+        assert all(w.passes for w in lambda_check(c, o, current, pol))
         assert current.total_degree == bc.total_degree
         assert euler_char_total(c, current) == euler_char_total(c, bc)
 
@@ -118,7 +119,7 @@ def test_hilbert_polarization_pipeline():
     for _ in range(25):
         bc = helpers.random_bundle(rng, c, ranks=(2, 3), d_bound=15)
         result = balance(c, bc, pol)
-        assert lambda_check_passes(c, result.ordering, result.balanced, pol)
+        assert all(w.passes for w in lambda_check(c, result.ordering, result.balanced, pol))
         full = {i: bc.rank for i in c.ids}
         cmp = gieseker_vs_seshadri(c, result.balanced, h, full,
                                    euler_char_total(c, result.balanced))

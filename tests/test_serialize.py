@@ -10,7 +10,7 @@ import pytest
 
 import helpers
 from golden_corpus import load_cases
-from nodalstab import Component, decompose, prune_ordering
+from nodalstab import Component, prune_ordering
 from nodalstab import errors
 from nodalstab import serialize as ser
 from nodalstab.curve import ordering_to_obj, parse_curve
@@ -266,19 +266,22 @@ def test_streamed_report_of_empty_containers(obj):
 
 
 @pytest.mark.parametrize("shape", helpers.SHAPES)
-def test_order_report_g_and_b_match_decompose(shape):
+def test_order_report_g_and_b_match_the_graph_walk(shape):
     rng = random.Random(60)
     for n in (1, 2, 3, 4, 7, 12, 25, 41, 60):
         c = helpers.shaped_curve(rng, n, shape)
         o = prune_ordering(c)
         obj = ordering_to_obj(o)
+        adj, everything = helpers.neighbors(c), frozenset(c.ids)
         assert list(obj["G"]) == list(obj["B"]) == [str(i) for i in range(1, n + 1)]
         for i in range(1, n + 1):
-            g, b, node = decompose(c, o, i)
-            assert list(obj["G"][str(i)]) == sorted(g)
+            b, node = frozenset(), None
+            if i < n:   # B(i): what the parent reaches without passing through position i
+                y, anchor = o.perm[i - 1], o.perm[o.nu[i - 1] - 1]
+                b, node = helpers.piece(adj, y, anchor), sorted((y, anchor))
+                assert list(obj["boundary_nodes"][str(i)]) == node
+            assert list(obj["G"][str(i)]) == sorted(everything - b)
             assert list(obj["B"][str(i)]) == sorted(b)
-            if node is not None:
-                assert list(obj["boundary_nodes"][str(i)]) == list(node)
         assert len(obj["boundary_nodes"]) == n - 1
 
 

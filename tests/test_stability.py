@@ -22,8 +22,6 @@ from nodalstab import (
     TreeLikeCurve,
     TwistDivisor,
     balance,
-    balance_step,
-    decompose,
     det_compatibility,
     euler_char_total,
     gieseker_vs_seshadri,
@@ -457,12 +455,13 @@ def test_lambda_check_matches_hand_window_data():
         bc = helpers.random_bundle(rng, c, ranks=(1, 2, 3, 5))
         pol = helpers.random_polarization(rng, c)
         o = prune_ordering(c)
-        ids, den, r, rows = helpers.window_data(c, o, bc, pol)
+        sets = helpers.window_sets(c, o)
+        ids, den, r, rows = helpers.window_data(c, o, bc, pol, sets)
         verdicts, subtrees = lambda_check(c, o, bc, pol), o.subtrees
         assert len(verdicts) == len(rows)
         for k, (v, (base, _, lower_scaled)) in enumerate(zip(verdicts, rows)):
             assert (v.i, v.component, v.value) == (k + 1, o.perm[k], base)
-            assert subtrees[k] == tuple(sorted(decompose(c, o, k + 1)[0]))
+            assert subtrees[k] == tuple(sorted(sets[k][0]))
             assert (v.lower * den, v.upper * den) == (lower_scaled, lower_scaled + den * r)
             assert v.passes == (lower_scaled <= den * base <= lower_scaled + den * r)
 
@@ -521,11 +520,10 @@ def test_window_records_build_no_subtrees_until_g_is_read(monkeypatch):
         o = prune_ordering(c)
         windows = lambda_check(c, o, bc, pol)
         result = balance(c, bc, pol)
-        balance_step(c, o, bc, pol, o.n - 1)
         lambda_check(c, Ordering(o.perm, o.nu), result.balanced, pol)
         assert reads == []
         assert not hasattr(windows[0], "ordering") and not hasattr(windows[0], "g_components")
-        assert o.subtrees[0] == tuple(sorted(decompose(c, o, 1)[0]))
+        assert o.subtrees[0] == tuple(sorted(helpers.window_sets(c, o)[0][0]))
         assert reads == [o]
         reads.clear()
 
@@ -566,14 +564,15 @@ def test_lambda_check_matches_the_window_data_with_far_ids():
             bc = helpers.random_bundle(rng, c, ranks=(1, 2, 3, 5))
             pol = helpers.random_polarization(rng, c)
             o = prune_ordering(c)
-            _, den, r, rows = helpers.window_data(c, o, bc, pol)
+            sets = helpers.window_sets(c, o)
+            _, den, r, rows = helpers.window_data(c, o, bc, pol, sets)
             windows, subtrees = lambda_check(c, o, bc, pol), o.subtrees
             assert len(windows) == len(rows)
             for k, (w, (base, _, lower_scaled)) in enumerate(zip(windows, rows)):
                 assert (w.i, w.component, w.value) == (k + 1, o.perm[k], base)
                 assert (w.lower * den, w.upper * den) == (lower_scaled, lower_scaled + den * r)
                 assert w.passes == (lower_scaled <= den * base <= lower_scaled + den * r)
-                assert subtrees[k] == tuple(sorted(decompose(c, o, k + 1)[0]))
+                assert subtrees[k] == tuple(sorted(sets[k][0]))
 
 
 def test_window_is_a_slotted_record_equal_by_value():
@@ -663,7 +662,6 @@ def test_lambda_check_verifies_only_an_ordering_pruned_elsewhere(monkeypatch):
         pol = helpers.random_polarization(rng, c)
         o = prune_ordering(c)
         lambda_check(c, o, bc, pol)
-        balance_step(c, o, bc, pol, o.n - 1)
         balance(c, bc, pol)
         assert calls == []
         for other in rebuilt_orderings(o):
